@@ -21,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.accuracy import collect_tm_samples, sweep_signature_configs
 from repro.analysis.experiments import run_tls_comparison, run_tm_comparison
@@ -36,6 +36,7 @@ from repro.analysis.report import (
 )
 from repro.checkpoint.workload import CHECKPOINT_WORKLOADS
 from repro.core.signature_config import TABLE8_CONFIGS
+from repro.errors import ConfigurationError, TraceError
 from repro.interconnect import BUS_MODELS, POLICIES, InterconnectConfig
 from repro.spec import scheme_names
 from repro.workloads.kernels import TM_KERNELS
@@ -47,8 +48,20 @@ def _warn_stderr(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _add_bus_arguments(parser: argparse.ArgumentParser) -> None:
-    """The interconnect flags, shared by every simulation subcommand."""
+def _add_run_arguments(
+    parser: argparse.ArgumentParser, replay: bool = True
+) -> None:
+    """The run-option flags shared by the simulation subcommands; each
+    has a ``_*_spec`` reader, and :func:`_run_knobs` collects them all.
+
+    The ``--sig-backend`` choices come from the backend registry, never
+    a literal list; the ``--scheme-policy`` grammar lives in
+    :mod:`repro.spec.policy`.  The trace-replay pair (``replay``) is
+    both or neither: a trace id only means something inside one store,
+    and a store alone does not select a trace.
+    """
+    from repro.core.backend import DEFAULT_BACKEND_NAME, backend_names
+
     group = parser.add_argument_group("interconnect")
     group.add_argument(
         "--bus-model", choices=BUS_MODELS, default="legacy",
@@ -67,20 +80,28 @@ def _add_bus_arguments(parser: argparse.ArgumentParser) -> None:
         "--bus-window", type=int, default=0, metavar="N",
         help="max in-flight non-commit messages (0 = unbounded)",
     )
-
-
-def _add_sig_backend_argument(parser: argparse.ArgumentParser) -> None:
-    """The ``--sig-backend`` flag, shared by every simulation subcommand.
-
-    Choices come from the backend registry, never a literal list.
-    """
-    from repro.core.backend import DEFAULT_BACKEND_NAME, backend_names
-
     parser.add_argument(
         "--sig-backend", choices=backend_names(), default=DEFAULT_BACKEND_NAME,
         help="signature storage backend (all are bit-identical; 'numpy' "
         "vectorises batch operations and falls back to 'packed' when "
         "numpy is unavailable)",
+    )
+    parser.add_argument(
+        "--scheme-policy", default="static", metavar="SPEC",
+        help="scheme hot-swap policy consulted at commit boundaries "
+        "('static' never swaps; e.g. 'threshold:squash_rate>0.2,"
+        "window=64' migrates Eager<->Bulk under contention)",
+    )
+    if not replay:
+        return
+    group = parser.add_argument_group("trace replay")
+    group.add_argument(
+        "--trace-store", default=None, metavar="DIR",
+        help="on-disk trace store directory (see 'repro trace')",
+    )
+    group.add_argument(
+        "--trace-id", default=None, metavar="ID",
+        help="replay this stored trace instead of generating the workload",
     )
 
 
@@ -97,20 +118,6 @@ def _sig_backend_spec(args: argparse.Namespace) -> Optional[str]:
     if name == DEFAULT_BACKEND_NAME:
         return None
     return name
-
-
-def _add_scheme_policy_argument(parser: argparse.ArgumentParser) -> None:
-    """The ``--scheme-policy`` flag, shared by the simulation subcommands.
-
-    The grammar lives in :mod:`repro.spec.policy` (``static``,
-    ``threshold:<metric><op><value>[,window=N]``, ``hysteresis:...``).
-    """
-    parser.add_argument(
-        "--scheme-policy", default="static", metavar="SPEC",
-        help="scheme hot-swap policy consulted at commit boundaries "
-        "('static' never swaps; e.g. 'threshold:squash_rate>0.2,"
-        "window=64' migrates Eager<->Bulk under contention)",
-    )
 
 
 def _scheme_policy_spec(args: argparse.Namespace) -> Optional[str]:
@@ -130,39 +137,25 @@ def _scheme_policy_spec(args: argparse.Namespace) -> Optional[str]:
     return spec
 
 
-def _add_trace_arguments(parser: argparse.ArgumentParser) -> None:
-    """The trace-replay flags, shared by the simulation subcommands.
-
-    Both or neither: a trace id only means something inside one store,
-    and a store alone does not select a trace.
-    """
-    group = parser.add_argument_group("trace replay")
-    group.add_argument(
-        "--trace-store", default=None, metavar="DIR",
-        help="on-disk trace store directory (see 'repro trace')",
-    )
-    group.add_argument(
-        "--trace-id", default=None, metavar="ID",
-        help="replay this stored trace instead of generating the workload",
-    )
-
-
 def _trace_spec(
     args: argparse.Namespace,
-) -> Tuple[Optional[str], Optional[str], Optional[str]]:
-    """The ``(trace_id, store_dir, error)`` of the replay flags.
+) -> Tuple[Optional[str], Optional[str]]:
+    """The ``(trace_id, store_dir)`` of the replay flags.
 
-    ``(None, None, None)`` when replay was not requested; an error
-    message as the third member when exactly one of the two flags was
-    given.  Both-``None`` callers pass no trace knob at all, keeping
-    cache keys and golden artifacts byte-identical to pre-trace builds.
+    ``(None, None)`` when replay was not requested; raises
+    :class:`~repro.errors.ConfigurationError` when exactly one of the
+    two flags was given.  Both-``None`` callers pass no trace knob at
+    all, keeping cache keys and golden artifacts byte-identical to
+    pre-trace builds.
     """
     trace = getattr(args, "trace_id", None)
     store = getattr(args, "trace_store", None)
     if (trace is None) != (store is None):
         missing = "--trace-store" if store is None else "--trace-id"
-        return None, None, f"trace replay needs both flags; missing {missing}"
-    return trace, store, None
+        raise ConfigurationError(
+            f"trace replay needs both flags; missing {missing}"
+        )
+    return trace, store
 
 
 def _bus_spec(args: argparse.Namespace) -> Optional[str]:
@@ -187,12 +180,108 @@ def _bus_spec(args: argparse.Namespace) -> Optional[str]:
     ).spec()
 
 
+def _run_knobs(args: argparse.Namespace) -> Dict[str, Any]:
+    """The run-option keywords a subcommand passes to its comparison
+    driver, or to every point of its grid.
+
+    Only non-default options appear (the ``_*_spec`` contract), and
+    every one is validated here, so a bad flag fails before any output
+    file, cache directory, or simulation exists.
+    """
+    knobs = {
+        name: value
+        for name, value in (
+            ("bus", _bus_spec(args)),
+            ("sig_backend", _sig_backend_spec(args)),
+            ("policy", _scheme_policy_spec(args)),
+        )
+        if value is not None
+    }
+    trace, trace_store = _trace_spec(args)
+    if trace is not None:
+        knobs["trace"] = trace
+        knobs["trace_store"] = trace_store
+    return knobs
+
+
+def _run_grid(args: argparse.Namespace, cache_dir: Any, points: Any) -> Any:
+    """Run a grid subcommand's points through a
+    :class:`~repro.runner.GridRunner` and return the merged result;
+    ``--trace-out``/``--metrics-out`` switch on per-point
+    instrumentation."""
+    from repro.runner import GridRunner
+
+    try:
+        runner = GridRunner(
+            jobs=args.jobs, cache_dir=cache_dir,
+            observability=bool(args.trace_out or args.metrics_out),
+        )
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigurationError(
+            f"cache directory {cache_dir} is not a directory"
+        ) from None
+    merged = runner.run(points)
+    if merged.cached_keys:
+        print(f"{len(merged.cached_keys)} grid point(s) served from cache")
+    return merged
+
+
+def _reconcile(
+    trace_bus: Any, stats_by_scheme: Any, **render_options: str
+) -> Tuple[str, bool]:
+    """The trace-vs-:class:`~repro.coherence.bus.BandwidthBreakdown`
+    reconciliation table of one run, and whether every row agrees."""
+    breakdowns = {
+        scheme: stats.bandwidth for scheme, stats in stats_by_scheme.items()
+    }
+    rows = bandwidth_reconciliation_rows(trace_bus, breakdowns)
+    table = render_bandwidth_reconciliation(
+        trace_bus, breakdowns, **render_options
+    )
+    return table, reconciliation_ok(rows)
+
+
+def _reconciliation_failed() -> int:
+    """Report a trace-vs-stats byte mismatch: an internal accounting
+    bug, so the exit code is non-zero."""
+    print("error: traced bytes do not reconcile with the simulator's "
+          "bandwidth accounting", file=sys.stderr)
+    return 3
+
+
+def _grid_observability(
+    args: argparse.Namespace, merged: Any
+) -> Tuple[List[str], bool]:
+    """Write an instrumented grid run's ``--metrics-out`` and
+    ``--trace-out`` files, then reconcile every point's traced bus bytes
+    against its :class:`~repro.coherence.bus.BandwidthBreakdown`.
+
+    Returns one reconciliation table per point, in key order, and
+    whether every point reconciles.
+    """
+    if args.metrics_out:
+        with open(args.metrics_out, "w", encoding="utf-8") as stream:
+            stream.write(merged.metrics_json() + "\n")
+        print(f"wrote merged metrics to {args.metrics_out}")
+    if args.trace_out:
+        with open(args.trace_out, "w", encoding="utf-8") as stream:
+            stream.write(merged.trace_jsonl())
+        print(f"wrote {len(merged.traces)} trace summaries to "
+              f"{args.trace_out}")
+    comparisons = merged.comparisons()
+    checked = [
+        _reconcile(merged.traces[key]["bus"], comparisons[key].stats, title=key)
+        for key in sorted(merged.traces)
+    ]
+    return [table for table, _ in checked], all(ok for _, ok in checked)
+
+
 def _open_observability(args: argparse.Namespace) -> Tuple[Any, Any]:
     """An :class:`~repro.obs.Observability` bundle for ``--trace-out`` /
     ``--metrics-out``, or ``(None, None)`` when neither flag was given.
 
     The second member is the owned :class:`~repro.obs.tracer.JsonlWriter`
-    (or ``None``); the caller closes it via :func:`_finish_observability`.
+    (or ``None``); the caller closes it via :func:`_finish_single_run`.
     """
     if not getattr(args, "trace_out", None) and not getattr(args, "metrics_out", None):
         return None, None
@@ -206,16 +295,27 @@ def _open_observability(args: argparse.Namespace) -> Tuple[Any, Any]:
     return obs, writer
 
 
-def _finish_observability(
-    args: argparse.Namespace, obs: Any, writer: Any, stats_by_scheme: Any
+def _finish_single_run(
+    args: argparse.Namespace,
+    bus: Optional[str],
+    obs: Any,
+    writer: Any,
+    stats_by_scheme: Any,
 ) -> int:
-    """Flush observability outputs after a single-run subcommand.
+    """Close a single-run subcommand: the contention table (timed bus
+    only), then the observability outputs.
 
     Writes the metrics snapshot, closes the trace writer, and prints the
     trace-vs-:class:`~repro.coherence.bus.BandwidthBreakdown`
     reconciliation; a mismatch is an internal accounting bug and turns
     into a non-zero exit code.
     """
+    if bus is not None:
+        print()
+        print(render_contention(stats_by_scheme,
+                                title=f"Interconnect contention ({bus})"))
+    if obs is None:
+        return 0
     if writer is not None:
         writer.close()
         print(f"wrote {writer.lines} trace events to {args.trace_out}")
@@ -225,19 +325,10 @@ def _finish_observability(
             json.dump(snapshot, stream, sort_keys=True, indent=2)
             stream.write("\n")
         print(f"wrote metrics to {args.metrics_out}")
-    breakdowns = {
-        scheme: stats.bandwidth for scheme, stats in stats_by_scheme.items()
-    }
-    trace_bus = obs.tracer.summary()["bus"]
+    table, ok = _reconcile(obs.tracer.summary()["bus"], stats_by_scheme)
     print()
-    print(render_bandwidth_reconciliation(trace_bus, breakdowns))
-    if not reconciliation_ok(
-        bandwidth_reconciliation_rows(trace_bus, breakdowns)
-    ):
-        print("error: traced bytes do not reconcile with the simulator's "
-              "bandwidth accounting", file=sys.stderr)
-        return 3
-    return 0
+    print(table)
+    return 0 if ok else _reconciliation_failed()
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -249,23 +340,15 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _cmd_tm(args: argparse.Namespace) -> int:
-    trace, trace_store, trace_error = _trace_spec(args)
-    if trace_error:
-        print(f"error: {trace_error}", file=sys.stderr)
-        return 2
+    knobs = _run_knobs(args)
     obs, writer = _open_observability(args)
-    bus = _bus_spec(args)
     comparison = run_tm_comparison(
         args.app,
         txns_per_thread=args.txns,
         seed=args.seed,
         include_partial=args.partial,
         obs=obs,
-        bus=bus,
-        sig_backend=_sig_backend_spec(args),
-        trace=trace,
-        trace_store=trace_store,
-        policy=_scheme_policy_spec(args),
+        **knobs,
     )
     rows = []
     for scheme in scheme_names("tm", include_variants=args.partial):
@@ -292,32 +375,20 @@ def _cmd_tm(args: argparse.Namespace) -> int:
     ratio = comparison.commit_bandwidth_vs_lazy()
     print("\ncommit bandwidth Bulk/Lazy: "
           + ("n/a" if math.isnan(ratio) else f"{ratio:.1f}%"))
-    if bus is not None:
-        print()
-        print(render_contention(comparison.stats,
-                                title=f"Interconnect contention ({bus})"))
-    if obs is not None:
-        return _finish_observability(args, obs, writer, comparison.stats)
-    return 0
+    return _finish_single_run(
+        args, knobs.get("bus"), obs, writer, comparison.stats
+    )
 
 
 def _cmd_tls(args: argparse.Namespace) -> int:
-    trace, trace_store, trace_error = _trace_spec(args)
-    if trace_error:
-        print(f"error: {trace_error}", file=sys.stderr)
-        return 2
+    knobs = _run_knobs(args)
     obs, writer = _open_observability(args)
-    bus = _bus_spec(args)
     comparison = run_tls_comparison(
         args.app,
         num_tasks=args.tasks,
         seed=args.seed,
         obs=obs,
-        bus=bus,
-        sig_backend=_sig_backend_spec(args),
-        trace=trace,
-        trace_store=trace_store,
-        policy=_scheme_policy_spec(args),
+        **knobs,
     )
     rows = []
     for scheme in scheme_names("tls"):
@@ -342,13 +413,9 @@ def _cmd_tls(args: argparse.Namespace) -> int:
             ),
         )
     )
-    if bus is not None:
-        print()
-        print(render_contention(comparison.stats,
-                                title=f"Interconnect contention ({bus})"))
-    if obs is not None:
-        return _finish_observability(args, obs, writer, comparison.stats)
-    return 0
+    return _finish_single_run(
+        args, knobs.get("bus"), obs, writer, comparison.stats
+    )
 
 
 def _cmd_checkpoint(args: argparse.Namespace) -> int:
@@ -360,40 +427,15 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
     caching, and per-point observability behave identically.
     """
     from repro.checkpoint.params import CHECKPOINT_DEFAULTS
-    from repro.runner import GridRunner, checkpoint_point
+    from repro.runner import checkpoint_point
 
     if args.max_depth > CHECKPOINT_DEFAULTS.max_live_checkpoints:
-        print(
-            f"error: --max-depth {args.max_depth} exceeds the "
-            f"{CHECKPOINT_DEFAULTS.max_live_checkpoints} live checkpoints",
-            file=sys.stderr,
+        raise ConfigurationError(
+            f"--max-depth {args.max_depth} exceeds the "
+            f"{CHECKPOINT_DEFAULTS.max_live_checkpoints} live checkpoints"
         )
-        return 2
-    observability = bool(args.trace_out or args.metrics_out)
-    try:
-        runner = GridRunner(
-            jobs=args.jobs, cache_dir=args.cache_dir,
-            observability=observability,
-        )
-    except (FileExistsError, NotADirectoryError):
-        print(f"error: cache directory {args.cache_dir} is not a directory",
-              file=sys.stderr)
-        return 2
-    bus = _bus_spec(args)
-    extra_knobs = {} if bus is None else {"bus": bus}
-    sig_backend = _sig_backend_spec(args)
-    if sig_backend is not None:
-        extra_knobs["sig_backend"] = sig_backend
-    policy = _scheme_policy_spec(args)
-    if policy is not None:
-        extra_knobs["policy"] = policy
-    trace, trace_store, trace_error = _trace_spec(args)
-    if trace_error:
-        print(f"error: {trace_error}", file=sys.stderr)
-        return 2
-    if trace is not None:
-        extra_knobs["trace"] = trace
-        extra_knobs["trace_store"] = trace_store
+    extra_knobs = _run_knobs(args)
+    bus = extra_knobs.get("bus")
     points = {
         depth: checkpoint_point(
             args.app,
@@ -404,9 +446,7 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
         )
         for depth in range(1, args.max_depth + 1)
     }
-    merged = runner.run(list(points.values()))
-    if merged.cached_keys:
-        print(f"{len(merged.cached_keys)} grid point(s) served from cache")
+    merged = _run_grid(args, args.cache_dir, list(points.values()))
 
     rows = []
     for depth, point in points.items():
@@ -447,34 +487,13 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
                 title=f"Interconnect contention (depth {depth}, {bus})",
             ))
 
-    if observability:
-        if args.metrics_out:
-            with open(args.metrics_out, "w", encoding="utf-8") as stream:
-                stream.write(merged.metrics_json() + "\n")
-            print(f"wrote merged metrics to {args.metrics_out}")
-        if args.trace_out:
-            with open(args.trace_out, "w", encoding="utf-8") as stream:
-                stream.write(merged.trace_jsonl())
-            print(f"wrote {len(merged.traces)} trace summaries to "
-                  f"{args.trace_out}")
-        comparisons = merged.comparisons()
-        all_ok = True
-        for key in sorted(merged.traces):
-            breakdowns = {
-                scheme: stats.bandwidth
-                for scheme, stats in comparisons[key].stats.items()
-            }
-            trace_bus = merged.traces[key]["bus"]
-            all_ok = all_ok and reconciliation_ok(
-                bandwidth_reconciliation_rows(trace_bus, breakdowns)
-            )
+    if args.trace_out or args.metrics_out:
+        sections, all_ok = _grid_observability(args, merged)
+        for section in sections:
             print()
-            print(render_bandwidth_reconciliation(trace_bus, breakdowns,
-                                                  title=key))
+            print(section)
         if not all_ok:
-            print("error: traced bytes do not reconcile with the "
-                  "simulator's bandwidth accounting", file=sys.stderr)
-            return 3
+            return _reconciliation_failed()
     return 0
 
 
@@ -519,8 +538,10 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     """
     import pathlib
 
-    from repro.runner import GridRunner, tls_point, tm_point
+    from repro.runner import tls_point, tm_point
 
+    extra_knobs = _run_knobs(args)
+    bus = extra_knobs.get("bus")
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -529,23 +550,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         print(f"wrote {out / name}")
 
     cache_dir = None if args.no_cache else (args.cache_dir or out / ".cache")
-    observability = bool(args.trace_out or args.metrics_out)
-    try:
-        runner = GridRunner(
-            jobs=args.jobs, cache_dir=cache_dir, observability=observability
-        )
-    except (FileExistsError, NotADirectoryError):
-        print(f"error: cache directory {cache_dir} is not a directory",
-              file=sys.stderr)
-        return 2
-    bus = _bus_spec(args)
-    extra_knobs = {} if bus is None else {"bus": bus}
-    sig_backend = _sig_backend_spec(args)
-    if sig_backend is not None:
-        extra_knobs["sig_backend"] = sig_backend
-    policy = _scheme_policy_spec(args)
-    if policy is not None:
-        extra_knobs["policy"] = policy
     tls_points = {
         app: tls_point(
             app, seed=args.seed, num_tasks=args.tls_tasks, **extra_knobs
@@ -562,9 +566,9 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         )
         for app in sorted(TM_KERNELS)
     }
-    merged = runner.run(list(tls_points.values()) + list(tm_points.values()))
-    if merged.cached_keys:
-        print(f"{len(merged.cached_keys)} grid point(s) served from cache")
+    merged = _run_grid(
+        args, cache_dir, list(tls_points.values()) + list(tm_points.values())
+    )
 
     # Figure 10 / Table 6 --------------------------------------------------
     tls = {app: merged.comparison(point) for app, point in tls_points.items()}
@@ -660,48 +664,19 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
     # Interconnect contention (timed bus model only) -----------------------
     if bus is not None:
-        sections = []
-        for app in sorted(tls):
-            sections.append(render_contention(
-                tls[app].stats, title=f"tls:{app} ({bus})"
-            ))
-        for app in sorted(tm):
-            sections.append(render_contention(
-                tm[app].stats, title=f"tm:{app} ({bus})"
-            ))
+        sections = [
+            render_contention(c.stats, title=f"{kind}:{app} ({bus})")
+            for kind, by_app in (("tls", tls), ("tm", tm))
+            for app, c in sorted(by_app.items())
+        ]
         write("contention.txt", "\n\n".join(sections))
 
     # Observability artifacts ----------------------------------------------
-    if observability:
-        if args.metrics_out:
-            with open(args.metrics_out, "w", encoding="utf-8") as stream:
-                stream.write(merged.metrics_json() + "\n")
-            print(f"wrote merged metrics to {args.metrics_out}")
-        if args.trace_out:
-            with open(args.trace_out, "w", encoding="utf-8") as stream:
-                stream.write(merged.trace_jsonl())
-            print(f"wrote {len(merged.traces)} trace summaries to "
-                  f"{args.trace_out}")
-        comparisons = merged.comparisons()
-        sections = []
-        all_ok = True
-        for key in sorted(merged.traces):
-            breakdowns = {
-                scheme: stats.bandwidth
-                for scheme, stats in comparisons[key].stats.items()
-            }
-            trace_bus = merged.traces[key]["bus"]
-            rows = bandwidth_reconciliation_rows(trace_bus, breakdowns)
-            all_ok = all_ok and reconciliation_ok(rows)
-            sections.append(
-                render_bandwidth_reconciliation(trace_bus, breakdowns,
-                                                title=key)
-            )
+    if args.trace_out or args.metrics_out:
+        sections, all_ok = _grid_observability(args, merged)
         write("reconciliation.txt", "\n\n".join(sections))
         if not all_ok:
-            print("error: traced bytes do not reconcile with the "
-                  "simulator's bandwidth accounting", file=sys.stderr)
-            return 3
+            return _reconciliation_failed()
 
     print(f"\nfull evaluation archived under {out}/")
     return 0
@@ -721,7 +696,6 @@ def _print_ingest_result(result: Any) -> None:
 
 def _cmd_trace_ingest(args: argparse.Namespace) -> int:
     """Capture one instrumented workload into the trace store."""
-    from repro.errors import TraceError
     from repro.trace import INGESTERS, TraceStore
 
     sizing = {
@@ -731,22 +705,16 @@ def _cmd_trace_ingest(args: argparse.Namespace) -> int:
         "tls": lambda a: {"num_tasks": a.tasks},
         "checkpoint": lambda a: {"num_epochs": a.epochs},
     }[args.kind](args)
-    try:
-        store = TraceStore(args.store)
-        result = INGESTERS[args.kind](
-            store, args.app, seed=args.seed,
-            chunk_bytes=args.chunk_kb * 1024, **sizing,
-        )
-    except TraceError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    result = INGESTERS[args.kind](
+        TraceStore(args.store), args.app, seed=args.seed,
+        chunk_bytes=args.chunk_kb * 1024, **sizing,
+    )
     _print_ingest_result(result)
     return 0
 
 
 def _cmd_trace_import(args: argparse.Namespace) -> int:
     """Convert an external JSONL trace file into the store."""
-    from repro.errors import TraceError
     from repro.trace import TraceStore, import_jsonl
 
     try:
@@ -755,7 +723,7 @@ def _cmd_trace_import(args: argparse.Namespace) -> int:
             store, args.file, args.kind, label=args.label or "",
             chunk_bytes=args.chunk_kb * 1024,
         )
-    except (TraceError, OSError) as error:
+    except OSError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     _print_ingest_result(result)
@@ -764,14 +732,9 @@ def _cmd_trace_import(args: argparse.Namespace) -> int:
 
 def _cmd_trace_list(args: argparse.Namespace) -> int:
     """List every stored trace."""
-    from repro.errors import TraceError
     from repro.trace import TraceStore
 
-    try:
-        infos = TraceStore(args.store).traces()
-    except TraceError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    infos = TraceStore(args.store).traces()
     if not infos:
         print(f"no traces in {args.store}")
         return 0
@@ -793,31 +756,26 @@ def _cmd_trace_list(args: argparse.Namespace) -> int:
 
 def _cmd_trace_info(args: argparse.Namespace) -> int:
     """Show (and optionally verify) one stored trace."""
-    from repro.errors import TraceError
     from repro.trace import TraceStore
 
-    try:
-        store = TraceStore(args.store)
-        # Accept unambiguous id prefixes, mirroring the list output.
-        matches = [
-            info for info in store.traces()
-            if info.trace_id.startswith(args.trace_id)
-        ]
-        if not matches:
-            raise TraceError(
-                f"trace {args.trace_id!r} is not in the store at {args.store}"
-            )
-        if len(matches) > 1:
-            raise TraceError(
-                f"trace id prefix {args.trace_id!r} is ambiguous "
-                f"({len(matches)} matches)"
-            )
-        info = matches[0]
-        if args.verify:
-            store.reader(info.trace_id).verify()
-    except TraceError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    store = TraceStore(args.store)
+    # Accept unambiguous id prefixes, mirroring the list output.
+    matches = [
+        info for info in store.traces()
+        if info.trace_id.startswith(args.trace_id)
+    ]
+    if not matches:
+        raise TraceError(
+            f"trace {args.trace_id!r} is not in the store at {args.store}"
+        )
+    if len(matches) > 1:
+        raise TraceError(
+            f"trace id prefix {args.trace_id!r} is ambiguous "
+            f"({len(matches)} matches)"
+        )
+    info = matches[0]
+    if args.verify:
+        store.reader(info.trace_id).verify()
     print(f"trace_id:      {info.trace_id}")
     print(f"kind:          {info.kind}")
     print(f"label:         {info.label}")
@@ -829,145 +787,6 @@ def _cmd_trace_info(args: argparse.Namespace) -> int:
         print(f"meta.{key}: {info.meta[key]}")
     if args.verify:
         print("content verified: SHA-256 matches the trace id")
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """Run the simulation job service (HTTP front end + worker tier)."""
-    from repro.errors import ServiceError
-    from repro.service import run_service
-
-    try:
-        run_service(
-            args.store,
-            cache_dir=args.cache_dir,
-            host=args.host,
-            port=args.port,
-            workers=args.workers,
-            executor=args.executor,
-            quiet=args.quiet,
-        )
-    except ServiceError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except OSError as error:
-        print(f"error: cannot bind {args.host}:{args.port}: {error}",
-              file=sys.stderr)
-        return 2
-    return 0
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    """Submit a grid-job spec to a running service."""
-    import json as json_module
-
-    from repro.errors import ServiceError
-    from repro.service import ServiceClient
-
-    try:
-        if args.spec_file == "-":
-            spec = json_module.load(sys.stdin)
-        else:
-            with open(args.spec_file, "r", encoding="utf-8") as stream:
-                spec = json_module.load(stream)
-    except (OSError, ValueError) as error:
-        print(f"error: cannot read spec: {error}", file=sys.stderr)
-        return 2
-
-    client = ServiceClient(args.url)
-    try:
-        view = client.submit(spec)
-        job_id = view["job_id"]
-        print(f"submitted {job_id} "
-              f"({view['progress']['total']} point(s), "
-              f"status: {view['status']})")
-        if not (args.wait or args.out):
-            return 0
-        on_event = (
-            (lambda line: print(f"  {line}")) if args.show_events else None
-        )
-        view = client.wait(
-            job_id, timeout=args.timeout, on_event=on_event
-        )
-        status = view["status"]
-        print(f"{job_id}: {status}")
-        for warning in view.get("failure_log_warnings", []):
-            print(f"warning: {warning}", file=sys.stderr)
-        if status != "done":
-            if view.get("error"):
-                print(f"error: {view['error']}", file=sys.stderr)
-            return 2
-        if args.out:
-            body = client.result_bytes(job_id)
-            with open(args.out, "wb") as stream:
-                stream.write(body)
-            print(f"result written to {args.out} ({len(body)} bytes)")
-    except ServiceError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    return 0
-
-
-def _cmd_jobs(args: argparse.Namespace) -> int:
-    """List service jobs, or inspect / cancel one."""
-    from repro.errors import ServiceError
-    from repro.service import ServiceClient
-
-    client = ServiceClient(args.url)
-    try:
-        if args.job_id is None:
-            if args.cancel:
-                print("error: --cancel needs a job id", file=sys.stderr)
-                return 2
-            jobs = client.jobs()
-            if not jobs:
-                print(f"no jobs at {args.url}")
-                return 0
-            rows = [
-                [job["job_id"], job["status"], job["label"],
-                 f"{job['points_done']}/{job['points_total']}",
-                 job["spec_hash"][:12]]
-                for job in jobs
-            ]
-            print(
-                render_table(
-                    ["Job", "Status", "Label", "Done", "Spec"],
-                    rows,
-                    title=f"Jobs at {args.url}",
-                )
-            )
-            return 0
-        view = (
-            client.cancel(args.job_id) if args.cancel
-            else client.job(args.job_id)
-        )
-        print(f"job:    {view['job_id']}")
-        print(f"status: {view['status']}"
-              + (" (cancel requested)" if view["cancel_requested"] else ""))
-        if view["label"]:
-            print(f"label:  {view['label']}")
-        if view["error"]:
-            print(f"error:  {view['error']}")
-        progress = view["progress"]
-        print(
-            f"points: {progress['done']}/{progress['total']} done "
-            f"({progress['computed']} computed, {progress['cached']} cached, "
-            f"{progress['deduped']} deduped, {progress['failed']} failed)"
-        )
-        for point in view["points"]:
-            marker = point["outcome"] or point["status"]
-            line = f"  {point['key']}: {marker}"
-            if point["error"]:
-                line += f" ({point['error']})"
-            print(line)
-        for entry in view["failure_log"]:
-            print(f"failure log: {entry['key']} attempt {entry['attempt']}: "
-                  f"{entry['error']}")
-        for warning in view["failure_log_warnings"]:
-            print(f"warning: {warning}", file=sys.stderr)
-    except ServiceError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     return 0
 
 
@@ -1001,10 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write the full event trace as JSONL")
     tm.add_argument("--metrics-out", default=None, metavar="PATH",
                     help="write the metrics snapshot as JSON")
-    _add_bus_arguments(tm)
-    _add_sig_backend_argument(tm)
-    _add_scheme_policy_argument(tm)
-    _add_trace_arguments(tm)
+    _add_run_arguments(tm)
     tm.set_defaults(func=_cmd_tm)
 
     tls = sub.add_parser("tls", help="run one TLS workload under every scheme")
@@ -1015,10 +831,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write the full event trace as JSONL")
     tls.add_argument("--metrics-out", default=None, metavar="PATH",
                     help="write the metrics snapshot as JSON")
-    _add_bus_arguments(tls)
-    _add_sig_backend_argument(tls)
-    _add_scheme_policy_argument(tls)
-    _add_trace_arguments(tls)
+    _add_run_arguments(tls)
     tls.set_defaults(func=_cmd_tls)
 
     checkpoint = sub.add_parser(
@@ -1042,10 +855,7 @@ def build_parser() -> argparse.ArgumentParser:
     checkpoint.add_argument("--metrics-out", default=None, metavar="PATH",
                             help="write merged + per-point metrics as JSON "
                             "(enables instrumentation)")
-    _add_bus_arguments(checkpoint)
-    _add_sig_backend_argument(checkpoint)
-    _add_scheme_policy_argument(checkpoint)
-    _add_trace_arguments(checkpoint)
+    _add_run_arguments(checkpoint)
     checkpoint.set_defaults(func=_cmd_checkpoint)
 
     accuracy = sub.add_parser(
@@ -1121,58 +931,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="re-hash the content against the id")
     trace_info.set_defaults(func=_cmd_trace_info)
 
-    serve = sub.add_parser(
-        "serve",
-        help="run the simulation job service (HTTP + worker pool)",
-    )
-    serve.add_argument("--store", required=True, metavar="DIR",
-                       help="service state directory (SQLite job store; "
-                       "the shared result cache defaults to DIR/cache)")
-    serve.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="shared result-cache directory "
-                       "(default: <store>/cache)")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8742,
-                       help="listen port (0 picks an ephemeral one)")
-    serve.add_argument("--workers", type=_positive_int, default=None,
-                       help="worker threads (default: one per usable CPU)")
-    serve.add_argument("--executor", choices=("thread", "process"),
-                       default="process",
-                       help="how workers execute points (default: process)")
-    serve.add_argument("--quiet", action="store_true",
-                       help="suppress the startup banner and access log")
-    serve.set_defaults(func=_cmd_serve)
-
-    submit = sub.add_parser(
-        "submit", help="submit a grid-job spec to a running service"
-    )
-    submit.add_argument("spec_file",
-                        help="JSON job spec ('-' reads standard input)")
-    submit.add_argument("--url", default="http://127.0.0.1:8742",
-                        help="service base URL")
-    submit.add_argument("--wait", action="store_true",
-                        help="poll until the job reaches a terminal state")
-    submit.add_argument("--timeout", type=float, default=None,
-                        help="give up waiting after this many seconds")
-    submit.add_argument("--out", default=None, metavar="PATH",
-                        help="download the merged result here (implies "
-                        "--wait; byte-identical to a direct GridRunner run)")
-    submit.add_argument("--show-events", action="store_true",
-                        help="stream the job's progress events while "
-                        "waiting")
-    submit.set_defaults(func=_cmd_submit)
-
-    jobs = sub.add_parser(
-        "jobs", help="list service jobs, or inspect/cancel one"
-    )
-    jobs.add_argument("job_id", nargs="?", default=None,
-                      help="show this job instead of listing all")
-    jobs.add_argument("--url", default="http://127.0.0.1:8742",
-                      help="service base URL")
-    jobs.add_argument("--cancel", action="store_true",
-                      help="request cancellation of the given job")
-    jobs.set_defaults(func=_cmd_jobs)
-
     reproduce = sub.add_parser(
         "reproduce",
         help="run the full evaluation and archive tables + CSVs",
@@ -1197,18 +955,27 @@ def build_parser() -> argparse.ArgumentParser:
     reproduce.add_argument("--metrics-out", default=None, metavar="PATH",
                            help="write merged + per-point metrics as JSON "
                            "(enables instrumentation)")
-    _add_bus_arguments(reproduce)
-    _add_sig_backend_argument(reproduce)
-    _add_scheme_policy_argument(reproduce)
+    _add_run_arguments(reproduce, replay=False)
     reproduce.set_defaults(func=_cmd_reproduce)
 
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point."""
+    """CLI entry point.
+
+    Bad user input (a malformed option value, an unknown trace id)
+    surfaces as a :class:`~repro.errors.ConfigurationError` or
+    :class:`~repro.errors.TraceError`; either becomes one ``error:``
+    line on stderr and exit code 2.  Any other library error is an
+    internal bug and keeps its traceback.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigurationError, TraceError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - module execution path

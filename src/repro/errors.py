@@ -136,49 +136,5 @@ class TraceError(BulkError):
     """A memory-event trace is malformed or internally inconsistent."""
 
 
-class ServiceError(BulkError):
-    """A simulation-service operation failed (store, dispatch, or HTTP).
-
-    Base of the job-service error family; the HTTP layer maps these to
-    structured JSON error responses, and the client re-raises them from
-    the server's message so CLI users see the same text either way.
-    """
-
-
-class JobSpecError(ServiceError):
-    """A submitted grid-job specification is malformed.
-
-    Raised by :func:`repro.service.spec.parse_job_spec` before any
-    simulation work happens; the HTTP layer answers 400 with the
-    message.
-    """
-
-
-class UnknownJobError(ServiceError):
-    """A job id is not in the job store.
-
-    Mirrors :class:`UnknownSchemeError`: carries the unknown ``job_id``
-    for programmatic recovery, and the HTTP layer answers 404.
-    """
-
-    def __init__(self, job_id: str) -> None:
-        self.job_id = job_id
-        super().__init__(f"unknown job {job_id!r}")
-
-
-class JobStateError(ServiceError):
-    """A job operation is illegal in the job's current lifecycle state.
-
-    Raised, for example, when a result is requested before the job is
-    done, or a cancel arrives after the job reached a terminal state.
-    Carries ``job_id`` and ``status``; the HTTP layer answers 409.
-    """
-
-    def __init__(self, job_id: str, status: str, message: str) -> None:
-        self.job_id = job_id
-        self.status = status
-        super().__init__(message)
-
-
 class OverflowAreaError(BulkError):
     """An overflow-area operation was invalid (e.g. double deallocation)."""

@@ -14,7 +14,6 @@ result cache keyed by parameters *and* simulator code — see
 
 from repro.runner.cache import (
     CACHE_SCHEMA_VERSION,
-    DEFAULT_CLAIM_TTL,
     ResultCache,
     code_fingerprint,
 )
@@ -40,7 +39,6 @@ from repro.runner.serialize import (
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
-    "DEFAULT_CLAIM_TTL",
     "FailureRecord",
     "GridExecutionError",
     "GridPoint",

@@ -21,7 +21,6 @@ import json
 import os
 import pathlib
 import tempfile
-import time
 from functools import lru_cache
 from typing import Any, Dict, Optional
 
@@ -35,12 +34,7 @@ CACHE_SCHEMA_VERSION = 2
 
 #: Top-level ``repro`` subpackages whose sources are *excluded* from the
 #: code fingerprint — they orchestrate runs but cannot change results.
-_FINGERPRINT_EXCLUDED = ("runner", "service")
-
-#: How old (seconds) an in-flight claim may grow before another opener is
-#: allowed to break it.  A claim this stale belongs to a process that was
-#: killed without releasing — no single grid point runs for an hour.
-DEFAULT_CLAIM_TTL = 3600.0
+_FINGERPRINT_EXCLUDED = ("runner",)
 
 
 @lru_cache(maxsize=1)
@@ -65,22 +59,10 @@ def code_fingerprint() -> str:
 class ResultCache:
     """A directory of JSON result files, one per grid point."""
 
-    def __init__(
-        self,
-        directory: "str | os.PathLike[str]",
-        metrics: Optional[Any] = None,
-    ) -> None:
-        #: Optional :class:`~repro.obs.metrics.MetricsRegistry`; when
-        #: present the cache's hygiene actions are counted under
-        #: ``cache.swept_tmp`` and ``cache.corrupt_evicted``.
-        self.metrics = metrics
+    def __init__(self, directory: "str | os.PathLike[str]") -> None:
         self.directory = pathlib.Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._sweep_stale_temporaries()
-
-    def _count(self, name: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).inc()
 
     def _sweep_stale_temporaries(self) -> None:
         """Remove ``*.tmp`` leftovers of writers that died mid-``put``.
@@ -89,18 +71,12 @@ class ResultCache:
         the pattern is either an orphan or an *in-flight* write from a
         live process — deleting the latter is tolerated too, because
         :meth:`put` retries once when its temporary vanishes.
-
-        ``*.claim`` files are deliberately left alone: unlike a unique
-        temporary, a claim is *supposed* to be visible to concurrent
-        openers (it is what makes them wait instead of recompute), so
-        only age can prove one stale — see :meth:`break_stale_claim`.
         """
         for stale in self.directory.glob("*.tmp"):
             try:
                 stale.unlink()
             except OSError:
-                continue  # concurrently published or swept by another opener
-            self._count("cache.swept_tmp")
+                pass  # concurrently published or swept by another opener
 
     def key_for(self, payload: Dict[str, Any]) -> str:
         """The cache key of a grid-point payload under the current code."""
@@ -112,74 +88,6 @@ class ResultCache:
 
     def _path(self, key: str) -> pathlib.Path:
         return self.directory / f"{key}.json"
-
-    # ------------------------------------------------------------------
-    # In-flight claims (shared-directory coordination)
-    # ------------------------------------------------------------------
-    #
-    # A claim marks one key as "being computed right now" so concurrent
-    # runners (other processes, the job service's workers) wait for the
-    # entry instead of recomputing it.  Claims are advisory: correctness
-    # never depends on them — a simulation is deterministic, so a missed
-    # claim only costs duplicate work, and the atomic ``put`` keeps the
-    # published entry well-formed either way.
-
-    def _claim_path(self, key: str) -> pathlib.Path:
-        return self.directory / f"{key}.claim"
-
-    def try_claim(self, key: str) -> bool:
-        """Atomically claim a key for computation.
-
-        Returns ``False`` when another claimer already holds it.
-        ``O_CREAT | O_EXCL`` makes the race winner unambiguous even
-        across processes sharing the directory.
-        """
-        try:
-            handle = os.open(
-                self._claim_path(key),
-                os.O_CREAT | os.O_EXCL | os.O_WRONLY,
-            )
-        except FileExistsError:
-            return False
-        except OSError:
-            return False  # unwritable directory: fall back to computing
-        with os.fdopen(handle, "w", encoding="utf-8") as stream:
-            stream.write(f"{os.getpid()}\n")
-        self._count("cache.claims_acquired")
-        return True
-
-    def release_claim(self, key: str) -> None:
-        """Drop a claim (idempotent; missing files are fine)."""
-        try:
-            os.unlink(self._claim_path(key))
-        except OSError:
-            pass
-
-    def claimed(self, key: str) -> bool:
-        """Whether some claimer currently holds this key."""
-        return self._claim_path(key).exists()
-
-    def break_stale_claim(
-        self, key: str, ttl: float = DEFAULT_CLAIM_TTL
-    ) -> bool:
-        """Remove a claim older than ``ttl`` seconds (a dead claimer's).
-
-        Returns ``True`` if a stale claim was removed — the caller may
-        then :meth:`try_claim` the key itself.
-        """
-        path = self._claim_path(key)
-        try:
-            age = time.time() - path.stat().st_mtime
-        except OSError:
-            return False  # already released
-        if age <= ttl:
-            return False
-        try:
-            os.unlink(path)
-        except OSError:
-            return False  # a concurrent waiter broke it first
-        self._count("cache.claims_broken")
-        return True
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The cached result for a key, or ``None`` on a miss.
@@ -200,8 +108,7 @@ class ResultCache:
             try:
                 path.unlink()
             except OSError:
-                return None  # another process repaired or removed it first
-            self._count("cache.corrupt_evicted")
+                pass  # another process repaired or removed it first
             return None
         if not isinstance(entry, dict) or entry.get("schema") != CACHE_SCHEMA_VERSION:
             return None

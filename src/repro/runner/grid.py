@@ -25,24 +25,14 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import time
 import traceback
 import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
-from repro.runner.cache import DEFAULT_CLAIM_TTL, ResultCache
+from repro.runner.cache import ResultCache
 from repro.runner.serialize import (
     canonical_json,
     comparison_from_dict,
@@ -276,71 +266,45 @@ def _failure_from_dict(row: Any) -> Optional[FailureRecord]:
 
 def load_failure_records(
     directory: "str | os.PathLike[str]",
-    warn: Optional[Callable[[str], None]] = None,
 ) -> List[FailureRecord]:
-    """Every failure record persisted under a cache directory.
-
-    Reads the append-only ``failures.jsonl`` (one JSON object per
-    line), plus the legacy ``failures.json`` array of pre-JSONL releases
-    — kept readable for one release so existing cache directories keep
-    their history.
+    """Every failure record persisted in a cache directory's
+    append-only ``failures.jsonl`` (one JSON object per line).
 
     Malformed lines are *reported*, not silently dropped: each one is
-    described (``file:line`` plus the reason) through ``warn``, which
-    defaults to :func:`warnings.warn` — a corrupted failure log hiding
-    real failure history is itself a failure worth surfacing.  The one
-    expected exception is a killed writer's torn tail: an unterminated
-    final line is normal crash residue and stays silent.
+    described (``file:line`` plus the reason) through
+    :func:`warnings.warn` — a corrupted failure log hiding real failure
+    history is itself a failure worth surfacing.  The one expected
+    exception is a killed writer's torn tail: an unterminated final line
+    is normal crash residue and stays silent.
     """
-    if warn is None:
-        warn = lambda message: warnings.warn(message, stacklevel=3)  # noqa: E731
-    directory = pathlib.Path(directory)
+    path = pathlib.Path(directory) / "failures.jsonl"
+    if not path.exists():
+        return []
     records: List[FailureRecord] = []
-    legacy = directory / "failures.json"
-    if legacy.exists():
-        rows: Any = []
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as error:
+        warnings.warn(f"{path}: unreadable failure log ({error})", stacklevel=2)
+        return records
+    torn_tail = bool(text) and not text.endswith("\n")
+    lines = text.splitlines()
+    for number, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
         try:
-            rows = json.loads(legacy.read_text(encoding="utf-8"))
-        except OSError as error:
-            warn(f"{legacy}: unreadable legacy failure log ({error})")
+            row = json.loads(stripped)
         except json.JSONDecodeError as error:
-            warn(f"{legacy}: malformed legacy failure log ({error})")
-        if not isinstance(rows, list):
-            if rows:
-                warn(f"{legacy}: legacy failure log is not a JSON array")
-            rows = []
-        for index, row in enumerate(rows, start=1):
-            record = _failure_from_dict(row)
-            if record is None:
-                warn(f"{legacy}: entry {index} is not a failure record")
-            else:
-                records.append(record)
-    path = directory / "failures.jsonl"
-    if path.exists():
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as error:
-            warn(f"{path}: unreadable failure log ({error})")
-            text = ""
-        torn_tail = bool(text) and not text.endswith("\n")
-        lines = text.splitlines()
-        for number, line in enumerate(lines, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            is_tail = torn_tail and number == len(lines)
-            try:
-                row = json.loads(stripped)
-            except json.JSONDecodeError as error:
-                if not is_tail:
-                    warn(f"{path}:{number}: malformed failure record "
-                         f"({error})")
-                continue  # a killed writer's torn tail stays silent
-            record = _failure_from_dict(row)
-            if record is None:
-                warn(f"{path}:{number}: not a failure record")
-            else:
-                records.append(record)
+            if not (torn_tail and number == len(lines)):
+                warnings.warn(f"{path}:{number}: malformed failure record "
+                              f"({error})", stacklevel=2)
+            continue  # a killed writer's torn tail stays silent
+        record = _failure_from_dict(row)
+        if record is None:
+            warnings.warn(f"{path}:{number}: not a failure record",
+                          stacklevel=2)
+        else:
+            records.append(record)
     return records
 
 
@@ -352,9 +316,6 @@ class GridResult:
     results: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     #: Keys that were served from the on-disk cache.
     cached_keys: List[str] = field(default_factory=list)
-    #: Keys whose results a *concurrent* runner computed while this one
-    #: waited on its claim (shared-cache mode only).
-    deduped_keys: List[str] = field(default_factory=list)
     #: Every failed attempt (including ones whose point later succeeded).
     failures: List[FailureRecord] = field(default_factory=list)
     #: Point key -> metrics snapshot (observability runs only).
@@ -407,10 +368,9 @@ class GridResult:
 def default_jobs() -> int:
     """Auto-detected worker count: one per *available* CPU.
 
-    Containerised and pinned deployments (the job service's worker tier
-    in particular) usually run with a CPU affinity mask far smaller than
-    the host's core count; ``os.cpu_count()`` reports the host and would
-    oversubscribe the mask.  Where the platform exposes it, the
+    Containerised and pinned runs usually have a CPU affinity mask far
+    smaller than the host's core count; ``os.cpu_count()`` reports the
+    host and would oversubscribe the mask.  Where the platform exposes it, the
     scheduling affinity of this process is the honest answer.
     """
     if hasattr(os, "sched_getaffinity"):
@@ -441,21 +401,6 @@ class GridRunner:
         canonical key order.  Instrumented and uninstrumented runs use
         distinct cache keys, and the simulation results themselves are
         unaffected either way.
-    shared:
-        Treat the cache directory as *shared with concurrent runners*
-        (other processes, the job service's workers): before executing a
-        point, claim its cache key; points another runner has already
-        claimed are awaited instead of recomputed, so N runners sweeping
-        the same grid compute every point exactly once.  Requires
-        ``cache_dir``.  Results are byte-identical either way — the
-        simulations are deterministic, so dedupe only changes *who*
-        computes, never *what*.
-    poll_interval:
-        Seconds between cache polls while awaiting a point another
-        runner claimed (shared mode only).
-    claim_ttl:
-        Seconds after which another runner's claim is presumed dead and
-        broken (shared mode only).
     """
 
     def __init__(
@@ -464,42 +409,18 @@ class GridRunner:
         retries: int = 1,
         cache_dir: "Optional[str | os.PathLike[str]]" = None,
         observability: bool = False,
-        shared: bool = False,
-        poll_interval: float = 0.05,
-        claim_ttl: float = DEFAULT_CLAIM_TTL,
     ) -> None:
         if jobs is not None and jobs < 1:
             raise ValueError("jobs must be >= 1")
         if retries < 0:
             raise ValueError("retries must be >= 0")
-        if shared and cache_dir is None:
-            raise ValueError("shared mode requires a cache_dir")
-        if poll_interval <= 0:
-            raise ValueError("poll_interval must be > 0")
         self.jobs = default_jobs() if jobs is None else jobs
         self.retries = retries
-        if cache_dir is not None:
-            from repro.obs.metrics import MetricsRegistry
-
-            # Parent-side registry: cache hygiene (stale-temporary sweeps,
-            # corrupt-entry evictions) happens in this process, before any
-            # worker exists, so it cannot ride the per-point snapshots.
-            self.cache_metrics: Optional[Any] = MetricsRegistry()
-            self.cache: Optional[ResultCache] = ResultCache(
-                cache_dir, metrics=self.cache_metrics
-            )
-        else:
-            self.cache_metrics = None
-            self.cache = None
+        self.cache: Optional[ResultCache] = (
+            None if cache_dir is None else ResultCache(cache_dir)
+        )
         self.observability = observability
-        self.shared = shared
-        self.poll_interval = poll_interval
-        self.claim_ttl = claim_ttl
         self.failure_log: List[FailureRecord] = []
-
-    def _count_cache(self, name: str) -> None:
-        if self.cache_metrics is not None:
-            self.cache_metrics.counter(name).inc()
 
     def _payload(self, point: GridPoint) -> Dict[str, Any]:
         """The point's execution/cache payload.  Only observability runs
@@ -543,17 +464,14 @@ class GridRunner:
             # Longest-processing-time-first: a trailing expensive TM
             # point must not execute alone after the cheap points drain.
             pending = submission_order(pending)
-            if self.shared and self.cache is not None:
-                computed.update(self._run_shared(pending, result))
+            if self.jobs > 1 and len(pending) > 1:
+                executed = self._run_pool(pending, result.failures)
             else:
-                if self.jobs > 1 and len(pending) > 1:
-                    executed = self._run_pool(pending, result.failures)
-                else:
-                    executed = self._run_serial(pending, result.failures)
-                for point in pending:
-                    if point.key in executed:
-                        self._cache_store(point, executed[point.key])
-                        computed[point.key] = executed[point.key]
+                executed = self._run_serial(pending, result.failures)
+            for point in pending:
+                if point.key in executed:
+                    self._cache_store(point, executed[point.key])
+                    computed[point.key] = executed[point.key]
 
         self.failure_log.extend(result.failures)
         self._persist_failures(result.failures)
@@ -582,10 +500,7 @@ class GridRunner:
     # ------------------------------------------------------------------
 
     def _run_serial(
-        self,
-        points: Sequence[GridPoint],
-        failures: List[FailureRecord],
-        on_result: Optional[Callable[[GridPoint, Dict[str, Any]], None]] = None,
+        self, points: Sequence[GridPoint], failures: List[FailureRecord]
     ) -> Dict[str, Dict[str, Any]]:
         executed: Dict[str, Dict[str, Any]] = {}
         for point in points:
@@ -603,16 +518,11 @@ class GridRunner:
                     )
                 else:
                     executed[point.key] = value
-                    if on_result is not None:
-                        on_result(point, value)
                     break
         return executed
 
     def _run_pool(
-        self,
-        points: Sequence[GridPoint],
-        failures: List[FailureRecord],
-        on_result: Optional[Callable[[GridPoint, Dict[str, Any]], None]] = None,
+        self, points: Sequence[GridPoint], failures: List[FailureRecord]
     ) -> Dict[str, Dict[str, Any]]:
         executed: Dict[str, Dict[str, Any]] = {}
         workers = min(self.jobs, len(points))
@@ -636,8 +546,6 @@ class GridRunner:
                     error = future.exception()
                     if error is None:
                         executed[key] = future.result()
-                        if on_result is not None:
-                            on_result(by_key[key], executed[key])
                         continue
                     attempt = attempts[key]
                     failures.append(
@@ -658,111 +566,6 @@ class GridRunner:
                             _execute_point, self._payload(by_key[key])
                         )
                         futures[retry] = key
-        return executed
-
-    def _run_shared(
-        self, points: Sequence[GridPoint], result: GridResult
-    ) -> Dict[str, Dict[str, Any]]:
-        """Execute pending points against a cache shared with concurrent
-        runners: claim what nobody holds, await what somebody does.
-
-        Claimed points execute through the normal serial/pool strategy;
-        each result is published (stored, claim released) the moment it
-        exists, so waiters on the other side unblock per point, not per
-        batch.  Claims of points that *failed* permanently are released
-        too — a waiter then claims the key and retries with its own
-        budget instead of deadlocking on a result that never comes.
-        """
-        cache = self.cache
-        assert cache is not None
-        cache_keys = {
-            point.key: cache.key_for(self._payload(point))
-            for point in points
-        }
-        executed: Dict[str, Dict[str, Any]] = {}
-        mine: List[GridPoint] = []
-        theirs: List[GridPoint] = []
-        for point in points:
-            # A concurrent runner may have published this point between
-            # the initial cache lookup and now — a hit here is a dedupe.
-            late = cache.get(cache_keys[point.key])
-            if late is not None:
-                executed[point.key] = late
-                result.deduped_keys.append(point.key)
-                self._count_cache("cache.points_deduped")
-            elif cache.try_claim(cache_keys[point.key]):
-                mine.append(point)
-            else:
-                theirs.append(point)
-
-        held = {cache_keys[point.key] for point in mine}
-
-        def publish(point: GridPoint, value: Dict[str, Any]) -> None:
-            self._cache_store(point, value)
-            cache.release_claim(cache_keys[point.key])
-            held.discard(cache_keys[point.key])
-            executed[point.key] = value
-            self._count_cache("cache.points_computed")
-
-        try:
-            if self.jobs > 1 and len(mine) > 1:
-                self._run_pool(mine, result.failures, on_result=publish)
-            elif mine:
-                self._run_serial(mine, result.failures, on_result=publish)
-        finally:
-            for key in held:  # exhausted retries: let waiters take over
-                cache.release_claim(key)
-            held.clear()
-        executed.update(self._await_claimed(theirs, cache_keys, result))
-        return executed
-
-    def _await_claimed(
-        self,
-        points: Sequence[GridPoint],
-        cache_keys: Dict[str, str],
-        result: GridResult,
-    ) -> Dict[str, Dict[str, Any]]:
-        """Wait for points a concurrent runner claimed.
-
-        Each point resolves one of three ways: the other runner publishes
-        the entry (a dedupe), its claim disappears without an entry (it
-        failed or died — claim the key and compute here, with this
-        runner's own retry budget), or its claim outlives
-        ``claim_ttl`` and is broken as stale.
-        """
-        cache = self.cache
-        assert cache is not None
-        executed: Dict[str, Dict[str, Any]] = {}
-        waiting = list(points)
-        while waiting:
-            progressed = False
-            still_waiting: List[GridPoint] = []
-            for point in waiting:
-                key = cache_keys[point.key]
-                cached = cache.get(key)
-                if cached is not None:
-                    executed[point.key] = cached
-                    result.deduped_keys.append(point.key)
-                    self._count_cache("cache.points_deduped")
-                    progressed = True
-                    continue
-                if cache.claimed(key):
-                    cache.break_stale_claim(key, self.claim_ttl)
-                if not cache.claimed(key) and cache.try_claim(key):
-                    try:
-                        serial = self._run_serial([point], result.failures)
-                        if point.key in serial:
-                            self._cache_store(point, serial[point.key])
-                            executed[point.key] = serial[point.key]
-                            self._count_cache("cache.points_computed")
-                    finally:
-                        cache.release_claim(key)
-                    progressed = True
-                    continue
-                still_waiting.append(point)
-            waiting = still_waiting
-            if waiting and not progressed:
-                time.sleep(self.poll_interval)
         return executed
 
     @staticmethod
@@ -803,11 +606,9 @@ class GridRunner:
     def _persist_failures(self, failures: List[FailureRecord]) -> None:
         """Append this run's failures to the cache's ``failures.jsonl``.
 
-        Append-only JSONL replaces the old read-modify-write of a single
-        ``failures.json`` array: two unlocked runners sharing a cache
-        directory could each read the same baseline and the second write
-        would silently drop the first's records (or interleave into
-        invalid JSON).  One buffered ``write`` of complete lines appends
+        Append-only, so two runners sharing a cache directory never drop
+        each other's records the way a read-modify-write of one JSON
+        array would.  One buffered ``write`` of complete lines appends
         atomically at line granularity on POSIX, and the tolerant reader
         (:func:`load_failure_records`) skips a torn tail instead of
         losing the whole log.

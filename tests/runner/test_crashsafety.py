@@ -1,7 +1,7 @@
-"""Crash- and concurrency-safety of the shared cache directory.
+"""Crash- and concurrency-safety of the result-cache directory.
 
-Two or more runner processes may share one ``--cache-dir``; these tests
-pin the repairs that make that safe:
+A runner may be killed mid-write, and two runner processes may share one
+``--cache-dir``; these tests pin the repairs that make that safe:
 
 * ``ResultCache.put`` publishes through a *unique* temporary name —
   the old fixed ``<key>.tmp`` let two writers interleave ``write`` and
@@ -15,8 +15,10 @@ pin the repairs that make that safe:
 import json
 import threading
 
+import pytest
+
 from repro.runner import ResultCache
-from repro.runner.grid import FailureRecord, GridRunner, load_failure_records
+from repro.runner.grid import GridRunner, load_failure_records
 
 
 def entry_for(cache, key, value):
@@ -140,7 +142,6 @@ class TestFailureLog:
         for line in lines:
             record = json.loads(line)
             assert record["error"] == "RuntimeError: boom"
-        assert not (tmp_path / "failures.json").exists()
 
     def test_reader_survives_a_torn_tail(self, tmp_path, monkeypatch):
         self.run_failing_point(tmp_path, monkeypatch)
@@ -150,23 +151,6 @@ class TestFailureLog:
         records = load_failure_records(tmp_path)
         assert len(records) == 1
         assert records[0].error == "RuntimeError: boom"
-
-    def test_reader_merges_the_legacy_json_file(self, tmp_path, monkeypatch):
-        legacy = [
-            {"key": "old:point", "attempt": 1, "error": "OldError: x",
-             "traceback": "tb"},
-            "not-a-record",
-        ]
-        (tmp_path / "failures.json").write_text(json.dumps(legacy))
-        self.run_failing_point(tmp_path, monkeypatch)
-        records = load_failure_records(tmp_path)
-        assert [record.key for record in records][0] == "old:point"
-        assert len(records) == 2
-        assert all(isinstance(r, FailureRecord) for r in records)
-
-    def test_reader_tolerates_corrupt_legacy_json(self, tmp_path):
-        (tmp_path / "failures.json").write_text("{torn")
-        assert load_failure_records(tmp_path) == []
 
     def test_reader_on_an_empty_directory(self, tmp_path):
         assert load_failure_records(tmp_path) == []
@@ -184,44 +168,28 @@ class TestFailureLogWarnings:
         good = ('{"key": "k", "attempt": 1, "error": "E: x",'
                 ' "traceback": "tb"}')
         path.write_text(f"{good}\n{{torn json\n{good}\n")
-        seen = []
-        records = load_failure_records(tmp_path, warn=seen.append)
+        with pytest.warns(UserWarning) as seen:
+            records = load_failure_records(tmp_path)
         assert len(records) == 2
         assert len(seen) == 1
-        assert seen[0].startswith(f"{path}:2: malformed failure record")
+        assert str(seen[0].message).startswith(
+            f"{path}:2: malformed failure record"
+        )
 
     def test_wrong_shape_line_warns(self, tmp_path):
-        (tmp_path / "failures.jsonl").write_text('["not", "a", "dict"]\n')
-        seen = []
-        assert load_failure_records(tmp_path, warn=seen.append) == []
+        path = tmp_path / "failures.jsonl"
+        path.write_text('["not", "a", "dict"]\n')
+        with pytest.warns(UserWarning) as seen:
+            assert load_failure_records(tmp_path) == []
         assert len(seen) == 1
-        assert "not a failure record" in seen[0]
+        assert str(seen[0].message) == f"{path}:1: not a failure record"
 
-    def test_torn_tail_stays_silent(self, tmp_path):
+    def test_torn_tail_stays_silent(self, tmp_path, recwarn):
         """An unterminated final line is normal crash residue of a
         killed writer, not corruption worth warning about."""
         (tmp_path / "failures.jsonl").write_text('{"key": "half')
-        seen = []
-        assert load_failure_records(tmp_path, warn=seen.append) == []
-        assert seen == []
-
-    def test_legacy_non_record_entry_warns(self, tmp_path):
-        (tmp_path / "failures.json").write_text(
-            '[{"key": "k", "attempt": 1, "error": "E", "traceback": ""},'
-            ' "not-a-record"]'
-        )
-        seen = []
-        records = load_failure_records(tmp_path, warn=seen.append)
-        assert len(records) == 1
-        assert len(seen) == 1
-        assert "entry 2 is not a failure record" in seen[0]
-
-    def test_corrupt_legacy_file_warns(self, tmp_path):
-        (tmp_path / "failures.json").write_text("{torn")
-        seen = []
-        assert load_failure_records(tmp_path, warn=seen.append) == []
-        assert len(seen) == 1
-        assert "malformed legacy failure log" in seen[0]
+        assert load_failure_records(tmp_path) == []
+        assert len(recwarn) == 0
 
     def test_default_warn_goes_through_the_warnings_module(
         self, tmp_path, recwarn
@@ -230,3 +198,4 @@ class TestFailureLogWarnings:
         load_failure_records(tmp_path)
         assert len(recwarn) == 1
         assert "malformed failure record" in str(recwarn[0].message)
+        assert recwarn[0].filename == __file__
