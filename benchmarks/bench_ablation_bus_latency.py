@@ -9,13 +9,11 @@ commit count — the correctness contract — never moves.  A second sweep
 compares the three arbitration policies at a fixed latency.
 """
 
-from dataclasses import replace
-
 from benchmarks.conftest import SEED
 from repro.analysis.report import render_table
-from repro.interconnect import POLICIES, InterconnectConfig
+from repro.interconnect import POLICIES
+from repro.spec import RunConfig
 from repro.tm.bulk import BulkScheme
-from repro.tm.params import TM_DEFAULTS
 from repro.tm.system import TmSystem
 from repro.workloads.kernels import build_tm_workload
 
@@ -23,21 +21,18 @@ LATENCIES = [0, 2, 4, 8, 16]
 POLICY_LATENCY = 8
 
 
-def _run(config: InterconnectConfig):
-    params = replace(TM_DEFAULTS, interconnect=config)
+def _run(bus: str):
     traces = build_tm_workload(
         "sjbb2k", num_threads=8, txns_per_thread=8, seed=SEED
     )
-    return TmSystem(traces, BulkScheme(), params).run()
+    return TmSystem(traces, BulkScheme(), config=RunConfig(bus=bus)).run()
 
 
 def test_ablation_bus_latency(benchmark):
     def sweep():
         rows = []
         for latency in LATENCIES:
-            result = _run(
-                InterconnectConfig.parse(f"timed:latency={latency}")
-            )
+            result = _run(f"timed:latency={latency}")
             stats = result.stats
             rows.append(
                 [
@@ -73,11 +68,7 @@ def test_ablation_bus_policy(benchmark):
     def sweep():
         rows = []
         for policy in sorted(POLICIES):
-            result = _run(
-                InterconnectConfig.parse(
-                    f"timed:latency={POLICY_LATENCY},policy={policy}"
-                )
-            )
+            result = _run(f"timed:latency={POLICY_LATENCY},policy={policy}")
             stats = result.stats
             worst_port_wait = max(
                 stats.bus_wait_by_port.values(), default=0

@@ -46,6 +46,7 @@ from typing import Dict, List, Optional
 from repro.obs import Observability
 from repro.obs.tracer import EventTracer
 from repro.sim.trace import ThreadTrace, compute, load, store, tx_begin, tx_end
+from repro.spec import RunConfig
 from repro.tm.bulk import BulkScheme
 from repro.tm.eager import EagerScheme
 from repro.tm.lazy import LazyScheme
@@ -148,7 +149,7 @@ def run_scored(scheme, policy: Optional[str] = None) -> Dict[str, int]:
         scheme,
         TmParams(num_processors=4),
         obs=obs,
-        policy=policy,
+        config=RunConfig(policy=policy),
     )
     stats = system.run().stats
     return {

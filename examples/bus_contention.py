@@ -17,25 +17,20 @@ Run:  python examples/bus_contention.py
 
 import os
 import sys
-from dataclasses import replace
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from tm_bank import build_traces  # noqa: E402
 
-from repro.interconnect import InterconnectConfig  # noqa: E402
+from repro.spec import RunConfig  # noqa: E402
 from repro.tm.bulk import BulkScheme  # noqa: E402
-from repro.tm.params import TM_DEFAULTS  # noqa: E402
 from repro.tm.system import TmSystem  # noqa: E402
 
 LATENCIES = [0, 2, 4, 8, 16]
 
 
 def run_with_latency(latency: int):
-    params = replace(
-        TM_DEFAULTS,
-        interconnect=InterconnectConfig.parse(f"timed:latency={latency}"),
-    )
-    return TmSystem(build_traces(), BulkScheme(), params).run()
+    config = RunConfig(bus=f"timed:latency={latency}")
+    return TmSystem(build_traces(), BulkScheme(), config=config).run()
 
 
 def main() -> None:

@@ -6,23 +6,29 @@ or checkpoint) with shared parameters and returns the measurements that
 feed the corresponding table or figure.  Which schemes exist — and in
 what order they run and print — comes from the
 :mod:`repro.spec.registry`, never from literal lists here.
+
+Every driver takes the run options (``bus``, ``sig_backend``,
+``policy``, ``trace``, ``trace_store``) as keywords, builds one
+:class:`~repro.spec.RunConfig` from them, and hands it to every
+per-scheme system.  With ``trace``, the workload is the stored trace
+(``app`` then only labels the comparison) and ``obs`` also receives the
+reader's streaming counters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.analysis.bandwidth import commit_bandwidth_ratio, normalized_breakdown
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Observability
 from repro.checkpoint.params import CHECKPOINT_DEFAULTS, CheckpointParams
-from repro.interconnect import InterconnectConfig
 from repro.checkpoint.stats import CheckpointStats
 from repro.checkpoint.system import CheckpointSystem
 from repro.checkpoint.workload import build_checkpoint_workload
-from repro.spec import resolve_scheme, scheme_entries, scheme_names
+from repro.spec import RunConfig, resolve_scheme, scheme_entries, scheme_names
 from repro.tls.params import TLS_DEFAULTS, TlsParams
 from repro.tls.stats import TlsStats
 from repro.tls.system import TlsSystem, simulate_sequential
@@ -31,57 +37,6 @@ from repro.tm.stats import TmStats
 from repro.tm.system import DisambiguationSample, TmSystem
 from repro.workloads.kernels import build_tm_workload
 from repro.workloads.tls_spec import build_tls_workload
-
-
-def _apply_bus(params, bus: Optional[str]):
-    """Overlay a ``--bus-model`` spec string onto substrate parameters.
-
-    ``None`` (the default everywhere) leaves ``params`` untouched — the
-    object identity is preserved so default runs cannot diverge from the
-    golden artifacts through an accidental re-construction.
-    """
-    if bus is None:
-        return params
-    return replace(params, interconnect=InterconnectConfig.parse(bus))
-
-
-def _replay_workload(kind: str, trace: str, trace_store, obs):
-    """Materialise a stored trace as the ``kind`` substrate's workload.
-
-    ``trace`` is a trace id in the content-addressed store at
-    ``trace_store`` (a :class:`~repro.trace.TraceStore` or a directory
-    path).  Decoding is pure, so a given id always materialises the
-    identical workload objects — the replayed run is as deterministic as
-    a generated one.  ``obs`` threads the reader's streaming counters
-    (``trace.chunks_read`` / ``trace.bytes_streamed`` /
-    ``trace.records_replayed``) into the run's metrics.
-    """
-    from repro.errors import ConfigurationError
-    from repro.trace import load_trace_workload
-
-    if trace_store is None:
-        raise ConfigurationError(
-            "trace replay needs a store: pass trace_store= "
-            "(CLI: --trace-store) alongside the trace id"
-        )
-    return load_trace_workload(kind, trace_store, trace, obs=obs)
-
-
-def _apply_sig_backend(params, sig_backend: Optional[str]):
-    """Overlay a ``--sig-backend`` name onto substrate parameters.
-
-    Follows the :func:`_apply_bus` contract: ``None`` preserves the
-    params object identity (golden-artifact safety).  A given name is
-    validated against the backend registry immediately so a typo raises
-    the typed :class:`~repro.errors.UnknownBackendError` before any
-    simulation work.
-    """
-    if sig_backend is None:
-        return params
-    from repro.core.backend import backend_entry
-
-    backend_entry(sig_backend)
-    return replace(params, sig_backend=sig_backend)
 
 
 @dataclass
@@ -149,11 +104,7 @@ def run_tm_comparison(
     include_partial: bool = False,
     collect_samples: bool = False,
     obs: "Optional[Observability]" = None,
-    bus: Optional[str] = None,
-    sig_backend: Optional[str] = None,
-    trace: Optional[str] = None,
-    trace_store: "Optional[object]" = None,
-    policy: Optional[str] = None,
+    **run_options: Any,
 ) -> TmComparison:
     """Run one TM application under every scheme.
 
@@ -165,45 +116,32 @@ def run_tm_comparison(
     metrics registry and event tracer; each run stamps its own
     ``scheme=...`` context so the merged stream stays attributable.
 
-    ``bus`` (optional) is an interconnect spec string such as
-    ``"timed:latency=4,policy=round-robin"`` selecting the timed bus
-    model for every per-scheme run; ``None`` keeps the legacy bus.
-
-    ``sig_backend`` (optional) selects the signature storage backend by
-    registry name; ``None`` keeps the params' backend (``packed`` by
-    default).  Every backend is bit-identical, so results do not change.
-
-    ``trace`` (optional) replays a stored trace id from the store at
-    ``trace_store`` instead of generating the workload; ``app`` then
-    only labels the comparison, and ``num_processors`` follows the
-    trace's thread count.
-
-    ``policy`` (optional) attaches a scheme hot-swap policy spec (see
-    :mod:`repro.spec.policy`) to every per-scheme run; each run still
-    *starts* on its registry scheme, so the comparison remains
-    per-scheme while adaptive runs may migrate at commit boundaries.
-    ``None`` and ``"static"`` keep every run byte-identical to a
-    policy-less build.
+    ``run_options`` are :class:`~repro.spec.RunConfig` fields.  A
+    replayed trace also sizes ``num_processors``; under a swap
+    ``policy`` each run still *starts* on its registry scheme.
     """
-    params = _apply_bus(params, bus)
-    params = _apply_sig_backend(params, sig_backend)
+    config = RunConfig(**run_options)
     comparison = TmComparison(app=app)
     # One build serves every scheme: traces are immutable (tuples of
     # frozen events), and rebuilding with the same seed produced the
     # identical sequence anyway.
-    if trace is not None:
-        traces = _replay_workload("tm", trace, trace_store, obs)
-        if len(traces) != params.num_processors:
-            # A replayed trace carries its own thread count; the system
-            # must be sized to it, not to the generator default.
-            params = replace(params, num_processors=len(traces))
-    else:
+    if config.trace is None:
         traces = build_tm_workload(
             app,
             num_threads=params.num_processors,
             txns_per_thread=txns_per_thread,
             seed=seed,
         )
+    else:
+        from repro.trace import load_trace_workload
+
+        traces = load_trace_workload(
+            "tm", config.trace_store, config.trace, obs=obs
+        )
+        if len(traces) != params.num_processors:
+            # A replayed trace carries its own thread count; the system
+            # must be sized to it, not to the generator default.
+            params = replace(params, num_processors=len(traces))
     for entry in scheme_entries("tm", include_variants=include_partial):
         # Variants (Bulk-Partial) carry parameter overrides and skip
         # sample collection — they exist for Figure 11's extra bar, not
@@ -215,7 +153,7 @@ def run_tm_comparison(
             run_params,
             collect_samples=collect_samples and not entry.variant,
             obs=obs,
-            policy=policy,
+            config=config,
         )
         result = system.run()
         comparison.cycles[entry.name] = result.cycles
@@ -247,37 +185,28 @@ def run_tls_comparison(
     params: TlsParams = TLS_DEFAULTS,
     schemes: Optional[List[str]] = None,
     obs: "Optional[Observability]" = None,
-    bus: Optional[str] = None,
-    sig_backend: Optional[str] = None,
-    trace: Optional[str] = None,
-    trace_store: "Optional[object]" = None,
-    policy: Optional[str] = None,
+    **run_options: Any,
 ) -> TlsComparison:
-    """Run one TLS application under every registered TLS scheme.
-
-    ``bus`` (optional) selects the interconnect model by spec string;
-    ``None`` keeps the legacy synchronous bus.  ``sig_backend``
-    (optional) selects the signature storage backend by registry name.
-    ``trace`` (optional) replays a stored trace id from ``trace_store``
-    instead of generating the task stream.  ``policy`` (optional)
-    attaches a scheme hot-swap policy to every per-scheme run; ``None``
-    and ``"static"`` keep runs byte-identical to a policy-less build.
-    """
-    params = _apply_bus(params, bus)
-    params = _apply_sig_backend(params, sig_backend)
+    """Run one TLS application under every registered TLS scheme
+    (``run_options`` are :class:`~repro.spec.RunConfig` fields)."""
+    config = RunConfig(**run_options)
     if schemes is None:
         schemes = list(scheme_names("tls"))
     comparison = TlsComparison(app=app)
     # Tasks are immutable static descriptors; the sequential baseline
     # and every scheme share one build (same seed == same sequence).
-    if trace is not None:
-        tasks = _replay_workload("tls", trace, trace_store, obs)
-    else:
+    if config.trace is None:
         tasks = build_tls_workload(app, num_tasks=num_tasks, seed=seed)
+    else:
+        from repro.trace import load_trace_workload
+
+        tasks = load_trace_workload(
+            "tls", config.trace_store, config.trace, obs=obs
+        )
     comparison.sequential_cycles = simulate_sequential(tasks, params)
     for name in schemes:
         result = TlsSystem(
-            tasks, resolve_scheme("tls", name), params, obs=obs, policy=policy
+            tasks, resolve_scheme("tls", name), params, obs=obs, config=config
         ).run()
         result.stats.sequential_cycles = comparison.sequential_cycles
         comparison.cycles[name] = result.cycles
@@ -314,30 +243,24 @@ def run_checkpoint_comparison(
     rollback_depth: int = 1,
     params: CheckpointParams = CHECKPOINT_DEFAULTS,
     obs: "Optional[Observability]" = None,
-    bus: Optional[str] = None,
-    sig_backend: Optional[str] = None,
-    trace: Optional[str] = None,
-    trace_store: "Optional[object]" = None,
-    policy: Optional[str] = None,
+    **run_options: Any,
 ) -> CheckpointComparison:
-    """Run one checkpoint workload under every registered scheme.
+    """Run one checkpoint workload under every registered scheme
+    (``run_options`` are :class:`~repro.spec.RunConfig` fields).
 
     Every scheme consumes the identical (immutable) epoch stream at the
     same rollback depth, so cycle and bandwidth ratios are meaningful.
-    ``bus`` (optional) selects the interconnect model by spec string;
-    ``sig_backend`` (optional) selects the signature storage backend.
-    ``trace`` (optional) replays a stored trace id from ``trace_store``
-    instead of generating the epoch stream.  ``policy`` (optional)
-    attaches a scheme hot-swap policy to every per-scheme run; ``None``
-    and ``"static"`` keep runs byte-identical to a policy-less build.
     """
-    params = _apply_bus(params, bus)
-    params = _apply_sig_backend(params, sig_backend)
+    config = RunConfig(**run_options)
     comparison = CheckpointComparison(app=app, rollback_depth=rollback_depth)
-    if trace is not None:
-        epochs = _replay_workload("checkpoint", trace, trace_store, obs)
-    else:
+    if config.trace is None:
         epochs = build_checkpoint_workload(app, num_epochs=num_epochs, seed=seed)
+    else:
+        from repro.trace import load_trace_workload
+
+        epochs = load_trace_workload(
+            "checkpoint", config.trace_store, config.trace, obs=obs
+        )
     for name in scheme_names("checkpoint"):
         system = CheckpointSystem(
             resolve_scheme("checkpoint", name),
@@ -345,7 +268,7 @@ def run_checkpoint_comparison(
             params,
             rollback_depth=rollback_depth,
             obs=obs,
-            policy=policy,
+            config=config,
         )
         stats = system.run()
         comparison.cycles[name] = stats.cycles

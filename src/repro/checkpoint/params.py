@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 from repro.cache.geometry import CacheGeometry, TM_L1_GEOMETRY
 from repro.core.signature_config import SignatureConfig, default_tm_config
-from repro.interconnect.config import DEFAULT_INTERCONNECT, InterconnectConfig
 
 
 @dataclass(frozen=True)
@@ -30,10 +29,6 @@ class CheckpointParams:
     #: Live checkpoints the processor can hold — one BDM version context
     #: each (Figure 7: contexts buffer "multiple checkpoints").
     max_live_checkpoints: int = 4
-    #: Signature storage backend (``repro.core.backend`` registry name).
-    #: All backends are bit-identical; ``numpy`` falls back to ``packed``
-    #: when unavailable.
-    sig_backend: str = "packed"
 
     # -- timing (cycles) ------------------------------------------------
     #: L1 hit latency (Table 5: round trip 2 cycles).
@@ -55,8 +50,6 @@ class CheckpointParams:
     commit_occupancy_cycles: int = 10
     #: Bus transfer rate for converting packet bytes into occupancy.
     bus_bytes_per_cycle: int = 16
-    #: Interconnect timing model (legacy synchronous bus by default).
-    interconnect: InterconnectConfig = DEFAULT_INTERCONNECT
 
 
 #: The default checkpoint configuration (TM cache/bus, 4 checkpoints).

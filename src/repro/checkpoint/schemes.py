@@ -28,6 +28,7 @@ from repro.cache.geometry import CacheGeometry, TM_L1_GEOMETRY
 from repro.checkpoint.params import CheckpointParams
 from repro.checkpoint.processor import CheckpointedProcessor
 from repro.coherence.message import MessageKind
+from repro.core.backend.base import SignatureBackend
 from repro.core.rle import rle_encode
 from repro.errors import SimulationError
 from repro.mem.address import WORD_SHIFT, byte_to_line, byte_to_word
@@ -41,8 +42,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class CheckpointScheme(SpecScheme):
     """Hook surface a checkpoint scheme implements."""
 
-    def make_engine(self, params: CheckpointParams):
-        """Build the scheme's checkpointed execution engine."""
+    def make_engine(
+        self, params: CheckpointParams, backend: SignatureBackend
+    ):
+        """Build the scheme's checkpointed execution engine; ``backend``
+        is the signature backend the system resolved for the run."""
         raise NotImplementedError
 
     def commit_packet(
@@ -83,15 +87,15 @@ class BulkCheckpointScheme(CheckpointScheme):
     name = "Bulk"
     state_kind = "signature"
 
-    def make_engine(self, params: CheckpointParams) -> CheckpointedProcessor:
-        from repro.core.backend import resolve_backend
-
+    def make_engine(
+        self, params: CheckpointParams, backend: SignatureBackend
+    ) -> CheckpointedProcessor:
         return CheckpointedProcessor(
             memory=WordMemory(),
             config=params.signature_config,
             geometry=params.geometry,
             max_checkpoints=params.max_live_checkpoints,
-            backend=resolve_backend(params.sig_backend),
+            backend=backend,
         )
 
     def commit_packet(
@@ -262,7 +266,9 @@ class ExactCheckpointScheme(CheckpointScheme):
 
     name = "Exact"
 
-    def make_engine(self, params: CheckpointParams) -> ExactCheckpointEngine:
+    def make_engine(
+        self, params: CheckpointParams, backend: SignatureBackend
+    ) -> ExactCheckpointEngine:
         return ExactCheckpointEngine(
             memory=WordMemory(),
             geometry=params.geometry,

@@ -29,6 +29,7 @@ from repro.coherence.message import MessageKind
 from repro.errors import ConfigurationError
 from repro.mem.address import LINE_SHIFT, WORD_SHIFT
 from repro.obs import Observability
+from repro.spec.config import RunConfig
 from repro.spec.system import SpecSystemCore
 
 
@@ -61,7 +62,7 @@ class CheckpointSystem(SpecSystemCore):
         params: CheckpointParams = CHECKPOINT_DEFAULTS,
         rollback_depth: int = 1,
         obs: Optional[Observability] = None,
-        policy: Optional[str] = None,
+        config: Optional[RunConfig] = None,
     ) -> None:
         if rollback_depth < 1:
             raise ConfigurationError(
@@ -75,10 +76,10 @@ class CheckpointSystem(SpecSystemCore):
         self.scheme = scheme
         self.stats = CheckpointStats()
         self._init_spec_core(
-            params, obs, prefix="checkpoint",
+            params, obs, config, prefix="checkpoint",
             unit_timer="checkpoint.epoch_cycles",
         )
-        self.engine = scheme.make_engine(params)
+        self.engine = scheme.make_engine(params, self.resolve_sig_backend())
         self.epochs = epochs
         self.rollback_depth = rollback_depth
         self.clock = 0
@@ -90,7 +91,6 @@ class CheckpointSystem(SpecSystemCore):
         else:
             self._m_takes = None
             self._m_rollbacks = None
-        self.attach_swap_policy(policy)
 
     @property
     def memory(self):
@@ -250,7 +250,7 @@ class CheckpointSystem(SpecSystemCore):
         checkpoint ids the replacement engine mints.
         """
         logs = dict(old.export_processor_state(self, None))
-        new_engine = new.make_engine(self.params)
+        new_engine = new.make_engine(self.params, self.resolve_sig_backend())
         # The architectural state carries over; only the speculative
         # representation is rebuilt.
         new_engine.memory = self.engine.memory

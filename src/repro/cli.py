@@ -21,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.analysis.accuracy import collect_tm_samples, sweep_signature_configs
 from repro.analysis.experiments import run_tls_comparison, run_tm_comparison
@@ -37,8 +37,7 @@ from repro.analysis.report import (
 from repro.checkpoint.workload import CHECKPOINT_WORKLOADS
 from repro.core.signature_config import TABLE8_CONFIGS
 from repro.errors import ConfigurationError, TraceError
-from repro.interconnect import BUS_MODELS, POLICIES, InterconnectConfig
-from repro.spec import scheme_names
+from repro.spec import RunConfig, scheme_names
 from repro.workloads.kernels import TM_KERNELS
 from repro.workloads.tls_spec import TLS_APPLICATIONS
 
@@ -51,157 +50,50 @@ def _warn_stderr(message: str) -> None:
 def _add_run_arguments(
     parser: argparse.ArgumentParser, replay: bool = True
 ) -> None:
-    """The run-option flags shared by the simulation subcommands; each
-    has a ``_*_spec`` reader, and :func:`_run_knobs` collects them all.
-
-    The ``--sig-backend`` choices come from the backend registry, never
-    a literal list; the ``--scheme-policy`` grammar lives in
-    :mod:`repro.spec.policy`.  The trace-replay pair (``replay``) is
-    both or neither: a trace id only means something inside one store,
-    and a store alone does not select a trace.
-    """
+    """One flag per :class:`~repro.spec.RunConfig` field (the
+    trace-replay pair only where ``replay``); :func:`_run_config` reads
+    them back."""
     from repro.core.backend import DEFAULT_BACKEND_NAME, backend_names
 
-    group = parser.add_argument_group("interconnect")
+    group = parser.add_argument_group("run options")
     group.add_argument(
-        "--bus-model", choices=BUS_MODELS, default="legacy",
-        help="bus timing model (default: legacy synchronous bus; any "
-        "non-default --bus-* knob implies 'timed')",
-    )
-    group.add_argument(
-        "--bus-latency", type=int, default=0, metavar="CYCLES",
-        help="request-to-grant arbitration latency (timed model)",
+        "--bus", default="legacy", metavar="SPEC",
+        help="interconnect model: 'legacy' (default) or "
+        "'timed[:latency=N,policy=P,window=N]' (see docs/INTERCONNECT.md)",
     )
     group.add_argument(
-        "--bus-policy", choices=sorted(POLICIES), default="fifo",
-        help="arbitration policy for simultaneously pending requests",
+        "--sig-backend", default=DEFAULT_BACKEND_NAME, metavar="NAME",
+        help=f"signature storage backend: {', '.join(backend_names())} "
+        "(all bit-identical; 'numpy' falls back to 'packed' without numpy)",
     )
     group.add_argument(
-        "--bus-window", type=int, default=0, metavar="N",
-        help="max in-flight non-commit messages (0 = unbounded)",
-    )
-    parser.add_argument(
-        "--sig-backend", choices=backend_names(), default=DEFAULT_BACKEND_NAME,
-        help="signature storage backend (all are bit-identical; 'numpy' "
-        "vectorises batch operations and falls back to 'packed' when "
-        "numpy is unavailable)",
-    )
-    parser.add_argument(
         "--scheme-policy", default="static", metavar="SPEC",
         help="scheme hot-swap policy consulted at commit boundaries "
         "('static' never swaps; e.g. 'threshold:squash_rate>0.2,"
         "window=64' migrates Eager<->Bulk under contention)",
     )
-    if not replay:
-        return
-    group = parser.add_argument_group("trace replay")
-    group.add_argument(
-        "--trace-store", default=None, metavar="DIR",
-        help="on-disk trace store directory (see 'repro trace')",
-    )
-    group.add_argument(
-        "--trace-id", default=None, metavar="ID",
-        help="replay this stored trace instead of generating the workload",
-    )
-
-
-def _sig_backend_spec(args: argparse.Namespace) -> Optional[str]:
-    """The non-default ``--sig-backend`` choice, or ``None`` at default.
-
-    ``None`` means callers pass *no* backend knob at all, keeping grid
-    cache keys and the golden artifacts byte-identical to builds that
-    predate the flag (the :func:`_bus_spec` contract).
-    """
-    from repro.core.backend import DEFAULT_BACKEND_NAME
-
-    name = getattr(args, "sig_backend", DEFAULT_BACKEND_NAME)
-    if name == DEFAULT_BACKEND_NAME:
-        return None
-    return name
-
-
-def _scheme_policy_spec(args: argparse.Namespace) -> Optional[str]:
-    """The non-default ``--scheme-policy`` spec, or ``None`` at default.
-
-    ``None`` means callers pass *no* policy knob at all, keeping grid
-    cache keys and the golden artifacts byte-identical to builds that
-    predate the flag (the :func:`_sig_backend_spec` contract).  The
-    spec is validated here so a typo fails before any simulation work.
-    """
-    spec = getattr(args, "scheme_policy", "static")
-    if spec is None or spec == "static":
-        return None
-    from repro.spec.policy import parse_policy
-
-    parse_policy(spec)
-    return spec
-
-
-def _trace_spec(
-    args: argparse.Namespace,
-) -> Tuple[Optional[str], Optional[str]]:
-    """The ``(trace_id, store_dir)`` of the replay flags.
-
-    ``(None, None)`` when replay was not requested; raises
-    :class:`~repro.errors.ConfigurationError` when exactly one of the
-    two flags was given.  Both-``None`` callers pass no trace knob at
-    all, keeping cache keys and golden artifacts byte-identical to
-    pre-trace builds.
-    """
-    trace = getattr(args, "trace_id", None)
-    store = getattr(args, "trace_store", None)
-    if (trace is None) != (store is None):
-        missing = "--trace-store" if store is None else "--trace-id"
-        raise ConfigurationError(
-            f"trace replay needs both flags; missing {missing}"
+    if replay:
+        group.add_argument(
+            "--trace-id", default=None, metavar="ID",
+            help="replay this stored trace instead of generating the "
+            "workload (needs --trace-store)",
         )
-    return trace, store
-
-
-def _bus_spec(args: argparse.Namespace) -> Optional[str]:
-    """The canonical interconnect spec of the ``--bus-*`` flags.
-
-    ``None`` when every flag is at its default — callers then pass *no*
-    bus knob at all, keeping grid-point keys, cache keys, and therefore
-    the golden artifacts byte-identical to pre-interconnect builds.  Any
-    non-default knob implies the timed model.
-    """
-    model = getattr(args, "bus_model", "legacy")
-    latency = getattr(args, "bus_latency", 0)
-    policy = getattr(args, "bus_policy", "fifo")
-    window = getattr(args, "bus_window", 0)
-    if model == "legacy" and latency == 0 and policy == "fifo" and window == 0:
-        return None
-    return InterconnectConfig(
-        model="timed",
-        arbitration_latency=latency,
-        policy=policy,
-        max_in_flight=window,
-    ).spec()
-
-
-def _run_knobs(args: argparse.Namespace) -> Dict[str, Any]:
-    """The run-option keywords a subcommand passes to its comparison
-    driver, or to every point of its grid.
-
-    Only non-default options appear (the ``_*_spec`` contract), and
-    every one is validated here, so a bad flag fails before any output
-    file, cache directory, or simulation exists.
-    """
-    knobs = {
-        name: value
-        for name, value in (
-            ("bus", _bus_spec(args)),
-            ("sig_backend", _sig_backend_spec(args)),
-            ("policy", _scheme_policy_spec(args)),
+        group.add_argument(
+            "--trace-store", default=None, metavar="DIR",
+            help="on-disk trace store directory (see 'repro trace')",
         )
-        if value is not None
-    }
-    trace, trace_store = _trace_spec(args)
-    if trace is not None:
-        knobs["trace"] = trace
-        knobs["trace_store"] = trace_store
-    return knobs
+
+
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    """The validated run options of a subcommand's flags, built before
+    any output file, cache directory, or simulation exists."""
+    return RunConfig(
+        bus=args.bus,
+        sig_backend=args.sig_backend,
+        policy=args.scheme_policy,
+        trace=getattr(args, "trace_id", None),
+        trace_store=getattr(args, "trace_store", None),
+    )
 
 
 def _run_grid(args: argparse.Namespace, cache_dir: Any, points: Any) -> Any:
@@ -340,7 +232,7 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _cmd_tm(args: argparse.Namespace) -> int:
-    knobs = _run_knobs(args)
+    knobs = _run_config(args).knobs()
     obs, writer = _open_observability(args)
     comparison = run_tm_comparison(
         args.app,
@@ -381,7 +273,7 @@ def _cmd_tm(args: argparse.Namespace) -> int:
 
 
 def _cmd_tls(args: argparse.Namespace) -> int:
-    knobs = _run_knobs(args)
+    knobs = _run_config(args).knobs()
     obs, writer = _open_observability(args)
     comparison = run_tls_comparison(
         args.app,
@@ -434,7 +326,7 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
             f"--max-depth {args.max_depth} exceeds the "
             f"{CHECKPOINT_DEFAULTS.max_live_checkpoints} live checkpoints"
         )
-    extra_knobs = _run_knobs(args)
+    extra_knobs = _run_config(args).knobs()
     bus = extra_knobs.get("bus")
     points = {
         depth: checkpoint_point(
@@ -540,7 +432,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
     from repro.runner import tls_point, tm_point
 
-    extra_knobs = _run_knobs(args)
+    extra_knobs = _run_config(args).knobs()
     bus = extra_knobs.get("bus")
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

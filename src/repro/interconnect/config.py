@@ -1,10 +1,9 @@
 """Configuration of the interconnect timing model.
 
 An :class:`InterconnectConfig` selects between the two bus models and
-carries the timed model's knobs.  It is a frozen dataclass of scalars so
-it can live inside the (frozen, hashable) substrate parameter
-dataclasses and round-trip through the runner's JSON grid-point knobs as
-one canonical *spec string*:
+carries the timed model's knobs.  It round-trips through one canonical
+*spec string* — the ``bus`` field of :class:`~repro.spec.RunConfig`,
+and so the CLI's ``--bus`` and the runner's JSON grid-point knob:
 
 ``"legacy"``
     The synchronous broadcast bus (:class:`~repro.coherence.bus.Bus`):

@@ -38,20 +38,9 @@ from repro.runner.serialize import (
     comparison_from_dict,
     comparison_to_dict,
 )
+from repro.spec.config import LABEL_HIDDEN, RUN_OPTIONS, RunConfig
 
 Knobs = Tuple[Tuple[str, Any], ...]
-
-#: Knobs that select an implementation strategy, not an experiment: the
-#: signature-backend contract (pinned by the cross-backend conformance
-#: suite) guarantees bit-identical results for every backend, so these
-#: knobs are excluded from a point's canonical *label* — which names
-#: artifacts (trace keys, per-point metrics, reconciliation headers) that
-#: must stay byte-identical across backends.  The execution/cache payload
-#: still carries them, so cached results never leak across backends.
-#: ``policy`` (the scheme hot-swap policy) is deliberately NOT here: an
-#: adaptive policy changes simulation results, so it must stay visible in
-#: both the label and the cache key.
-_LABEL_INVISIBLE_KNOBS = frozenset({"sig_backend"})
 
 
 class GridExecutionError(SimulationError):
@@ -81,14 +70,15 @@ class GridPoint:
     def key(self) -> str:
         """Canonical identity of the point: kind, app, seed, knobs.
 
-        Implementation-strategy knobs (:data:`_LABEL_INVISIBLE_KNOBS`)
-        are omitted — they cannot change results, and artifact labels
-        must not depend on them.
+        Run options in :data:`LABEL_HIDDEN` (the signature backend) are
+        omitted: they cannot change results, and the artifacts this
+        label names must not depend on them.  The payload keeps them,
+        so cached results never leak across backends.
         """
         knob_text = ",".join(
             f"{name}={value!r}"
             for name, value in self.knobs
-            if name not in _LABEL_INVISIBLE_KNOBS
+            if name not in LABEL_HIDDEN
         )
         return f"{self.kind}:{self.app}:seed={self.seed}:{knob_text}"
 
@@ -102,19 +92,32 @@ class GridPoint:
         }
 
 
+def _point(
+    kind: str, app: str, seed: int, knobs: Dict[str, Any]
+) -> GridPoint:
+    """A grid point whose run options are validated through a
+    :class:`RunConfig`, of which only the non-default ones become
+    knobs."""
+    config = RunConfig(
+        **{name: knobs.pop(name) for name in RUN_OPTIONS if name in knobs}
+    )
+    knobs.update(config.knobs())
+    return GridPoint(kind, app, seed, tuple(sorted(knobs.items())))
+
+
 def tm_point(app: str, seed: int = 42, **knobs: Any) -> GridPoint:
     """A TM grid point (extra knobs go to ``run_tm_comparison``)."""
-    return GridPoint("tm", app, seed, tuple(sorted(knobs.items())))
+    return _point("tm", app, seed, knobs)
 
 
 def tls_point(app: str, seed: int = 42, **knobs: Any) -> GridPoint:
     """A TLS grid point (extra knobs go to ``run_tls_comparison``)."""
-    return GridPoint("tls", app, seed, tuple(sorted(knobs.items())))
+    return _point("tls", app, seed, knobs)
 
 
 def checkpoint_point(app: str, seed: int = 42, **knobs: Any) -> GridPoint:
     """A checkpoint grid point (knobs go to ``run_checkpoint_comparison``)."""
-    return GridPoint("checkpoint", app, seed, tuple(sorted(knobs.items())))
+    return _point("checkpoint", app, seed, knobs)
 
 
 #: Relative cost per workload unit of one grid point, by substrate kind.

@@ -66,15 +66,22 @@ class MinClockScheduler:
             self._pop_counter.inc()
         return heapq.heappop(self._heap)
 
-    def account_bulk(self, pushes: int) -> None:
-        """Credit pushes performed directly on the underlying heap.
+    def account_bulk(self, pushes: int, stale: int) -> None:
+        """Credit work performed directly on the underlying heap.
 
-        The systems' metrics-off fast path drains ``_heap`` with plain
+        ``TmSystem.run`` drains ``_heap`` with plain
         ``heappush``/``heappop`` (identical ordering, no per-entry
-        bookkeeping) and reports its push count here so
-        :attr:`total_steps` stays correct.
+        bookkeeping) and reports its pushes and stale pops here once,
+        so :attr:`total_steps` and the ``scheduler.*`` counters end with
+        the totals the per-entry methods would have counted.  The caller
+        must have drained the heap: then every entry ever queued was
+        popped exactly once, which is the pop count.
         """
         self._enqueued += pushes
+        if self._push_counter is not None:
+            self._push_counter.inc(pushes)
+            self._pop_counter.inc(self._enqueued)
+            self._stale_counter.inc(stale)
 
     def note_stale_pop(self) -> None:
         """Callers report entries they discarded as stale (squash-bumped

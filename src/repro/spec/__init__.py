@@ -13,12 +13,16 @@ unity:
 * :mod:`repro.spec.stats` — :class:`SpecStats`, the stats base holding
   the shared derived metrics exactly once;
 * :mod:`repro.spec.system` — :class:`SpecSystemCore`, the bus wiring,
-  metrics, and trace-event plumbing the substrate simulators share.
+  metrics, and trace-event plumbing the substrate simulators share;
+* :mod:`repro.spec.config` — :class:`RunConfig`, the one definition of
+  the run options (bus, signature backend, swap policy, trace replay)
+  every layer threads from the CLI to the systems.
 
 See ``docs/ARCHITECTURE.md`` for the hook lifecycle and the recipe for
 adding a fourth substrate or a new scheme.
 """
 
+from repro.spec.config import RunConfig
 from repro.spec.registry import (
     SchemeEntry,
     register_scheme,
@@ -34,6 +38,7 @@ from repro.spec.stats import SpecStats
 from repro.spec.system import SpecSystemCore
 
 __all__ = [
+    "RunConfig",
     "SchemeEntry",
     "SpecScheme",
     "SpecStats",

@@ -27,8 +27,11 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from repro.coherence.message import BandwidthCategory, MessageKind
-from repro.interconnect import DEFAULT_INTERCONNECT, TimedBus, build_bus
+from repro.core.backend import resolve_backend
+from repro.interconnect import InterconnectConfig, TimedBus, build_bus
 from repro.obs import Observability
+from repro.spec.config import DEFAULT_RUN_CONFIG, RunConfig
+from repro.spec.policy import PolicyView, parse_policy
 
 
 class SpecSystemCore:
@@ -38,18 +41,28 @@ class SpecSystemCore:
         self,
         params: Any,
         obs: Optional[Observability],
+        config: Optional[RunConfig],
         *,
         prefix: str,
         unit_timer: str,
     ) -> None:
-        """Wire the bus and the always-present instruments.
+        """Wire the instruments and apply the run options of ``config``
+        (the defaults when ``None``): build the bus, resolve the
+        signature backend, and attach the swap policy.
 
         ``prefix`` namespaces the substrate's metrics (``"tm"`` produces
         ``tm.commits``, ``tm.squashes``, ...); ``unit_timer`` names the
         begin-to-commit cycle timer (``tm.txn_cycles``,
-        ``tls.task_cycles``, ``checkpoint.epoch_cycles``).
+        ``tls.task_cycles``, ``checkpoint.epoch_cycles``).  Callers set
+        ``self.scheme`` first: the swap policy checks it.
         """
+        # Every attribute set here counts against a system's budget: from
+        # 30 instance attributes on, CPython 3.11 gives each instance an
+        # unshared dict and every attribute load on the hot paths gets
+        # slower.  TmSystem (28) and CheckpointSystem (25) are under it;
+        # TlsSystem (30) is not.
         self.params = params
+        config = config or DEFAULT_RUN_CONFIG
         self._spec_prefix = prefix
         self.metrics = obs.metrics if obs is not None else None
         self.tracer = obs.tracer if obs is not None else None
@@ -61,7 +74,7 @@ class SpecSystemCore:
         #: flag covers metrics and tracer exactly.
         self.obs_enabled = obs is not None
         self.bus = build_bus(
-            getattr(params, "interconnect", DEFAULT_INTERCONNECT),
+            InterconnectConfig.parse(config.bus),
             commit_occupancy_cycles=params.commit_occupancy_cycles,
             bytes_per_cycle=params.bus_bytes_per_cycle,
             metrics=self.metrics,
@@ -84,35 +97,25 @@ class SpecSystemCore:
         # commit boundary checks; static runs never get past it, so the
         # refactor costs the default configuration one attribute load.
         self._swap_policy = None
-        self._policy_view = None
         self._swap_tracking = False
         self._swap_count = 0
         self._resident_since = 0
         self._resident_cycles: Dict[str, int] = {}
+        # A fallback resolution (numpy unavailable) warns through the
+        # run's tracer when one is attached, else through warnings.
+        self._sig_backend = resolve_backend(
+            config.sig_backend,
+            warn=self.tracer.warn if self.tracer is not None else None,
+        )
+        self.attach_swap_policy(config.policy)
 
     # ------------------------------------------------------------------
     # Signature backend
     # ------------------------------------------------------------------
 
     def resolve_sig_backend(self) -> Any:
-        """The params' signature backend, resolved once per system.
-
-        Reads the ``sig_backend`` knob (``"packed"`` when the substrate's
-        params predate it) through the backend registry; a fallback
-        resolution (numpy unavailable) warns through the run's tracer
-        when one is attached, else through :mod:`warnings`.
-        """
-        backend = getattr(self, "_sig_backend", None)
-        if backend is None:
-            from repro.core.backend import (
-                DEFAULT_BACKEND_NAME,
-                resolve_backend,
-            )
-
-            name = getattr(self.params, "sig_backend", DEFAULT_BACKEND_NAME)
-            warn = self.tracer.warn if self.tracer is not None else None
-            backend = self._sig_backend = resolve_backend(name, warn=warn)
-        return backend
+        """The run's signature backend, resolved once at construction."""
+        return self._sig_backend
 
     # ------------------------------------------------------------------
     # Scheme hot-swap
@@ -127,8 +130,6 @@ class SpecSystemCore:
         fresh :class:`~repro.spec.policy.SwapPolicy` consulted at every
         commit boundary through :meth:`_maybe_policy_swap`.
         """
-        from repro.spec.policy import PolicyView, parse_policy
-
         policy = parse_policy(spec)
         if policy is None:
             return
@@ -140,7 +141,6 @@ class SpecSystemCore:
             # definition.  Variant runs are therefore pinned static.
             return
         self._swap_policy = policy
-        self._policy_view = PolicyView(self)
         self._swap_tracking = True
 
     def _resident_entry_is_variant(self) -> bool:
@@ -235,7 +235,7 @@ class SpecSystemCore:
         policy = self._swap_policy
         if policy is None:
             return
-        target = policy.decide(self._policy_view, self.scheme.name, now)
+        target = policy.decide(PolicyView(self), self.scheme.name, now)
         if target is not None and target != self.scheme.name:
             self.swap_scheme(target, now=now, reason="policy")
 

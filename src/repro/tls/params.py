@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 from repro.cache.geometry import CacheGeometry, TLS_L1_GEOMETRY
 from repro.core.signature_config import SignatureConfig, default_tls_config
-from repro.interconnect.config import DEFAULT_INTERCONNECT, InterconnectConfig
 
 
 @dataclass(frozen=True)
@@ -24,10 +23,6 @@ class TlsParams:
     #: retain a finished task's state and run the next task (the
     #: multi-versioned cache motivation of Section 2).
     bdm_contexts: int = 4
-    #: Signature storage backend (``repro.core.backend`` registry name).
-    #: All backends are bit-identical; ``numpy`` batches the commit-time
-    #: disambiguation and falls back to ``packed`` when unavailable.
-    sig_backend: str = "packed"
     #: Resident task slots per processor (1 = stall until commit;
     #: >1 exercises multi-versioning and the Wr-Wr Set Restriction
     #: conflicts of Table 6).
@@ -44,8 +39,6 @@ class TlsParams:
     # -- bus -------------------------------------------------------------
     commit_occupancy_cycles: int = 6
     bus_bytes_per_cycle: int = 16
-    #: Interconnect timing model (legacy synchronous bus by default).
-    interconnect: InterconnectConfig = DEFAULT_INTERCONNECT
 
     # -- policy ----------------------------------------------------------
     #: Hard cap on restarts of a single task (livelock guard).

@@ -32,6 +32,7 @@ from repro.mem.memory import WordMemory
 from repro.obs import Observability
 from repro.sim.engine import MinClockScheduler
 from repro.sim.trace import EventKind, MemEvent
+from repro.spec.config import RunConfig
 from repro.spec.system import SpecSystemCore
 from repro.tls.conflict import TlsScheme
 from repro.tls.params import TLS_DEFAULTS, TlsParams
@@ -82,17 +83,18 @@ class TlsSystem(SpecSystemCore):
         collect_samples: bool = False,
         max_samples: int = 4000,
         obs: Optional[Observability] = None,
-        policy: Optional[str] = None,
+        config: Optional[RunConfig] = None,
     ) -> None:
         if not tasks:
             raise SimulationError("a TLS system needs at least one task")
         self.scheme = scheme
         self.memory = WordMemory()
-        # Bus, observability unpacking, and the shared instruments
-        # (tls.commits / tls.commit_packet_bytes / tls.task_cycles) come
-        # from the substrate core; only the dispatch counter is TLS-only.
+        # Bus, observability unpacking, the run options, and the shared
+        # instruments (tls.commits / tls.commit_packet_bytes /
+        # tls.task_cycles) come from the substrate core; only the
+        # dispatch counter is TLS-only.
         self._init_spec_core(
-            params, obs, prefix="tls", unit_timer="tls.task_cycles"
+            params, obs, config, prefix="tls", unit_timer="tls.task_cycles"
         )
         if self.metrics is not None:
             self._m_dispatches = self.metrics.counter("tls.dispatches")
@@ -117,7 +119,6 @@ class TlsSystem(SpecSystemCore):
         self._scheduler: Optional[MinClockScheduler] = None
         for proc in self.processors:
             scheme.setup_processor(self, proc)
-        self.attach_swap_policy(policy)
 
     # ------------------------------------------------------------------
     # Run loop

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 from repro.cache.geometry import CacheGeometry, TM_L1_GEOMETRY
 from repro.core.signature_config import SignatureConfig, default_tm_config
-from repro.interconnect.config import DEFAULT_INTERCONNECT, InterconnectConfig
 
 
 @dataclass(frozen=True)
@@ -36,10 +35,6 @@ class TmParams:
     signature_config: SignatureConfig = field(default_factory=default_tm_config)
     #: Version contexts per BDM (running + preempted threads).
     bdm_contexts: int = 4
-    #: Signature storage backend (``repro.core.backend`` registry name).
-    #: All backends are bit-identical; ``numpy`` batches the commit-time
-    #: disambiguation and falls back to ``packed`` when unavailable.
-    sig_backend: str = "packed"
 
     # -- timing (cycles) ------------------------------------------------
     #: L1 hit latency (Table 5: round trip 2 cycles).
@@ -63,9 +58,6 @@ class TmParams:
     commit_occupancy_cycles: int = 10
     #: Bus transfer rate for converting packet bytes into occupancy.
     bus_bytes_per_cycle: int = 16
-    #: Interconnect timing model (legacy synchronous bus by default;
-    #: ``timed`` adds arbitration latency and a transfer pipeline).
-    interconnect: InterconnectConfig = DEFAULT_INTERCONNECT
 
     # -- policy ----------------------------------------------------------
     #: Eager only: enable the footnote-2 mitigation (let the

@@ -33,6 +33,7 @@ from repro.mem.memory import WordMemory
 from repro.obs import Observability
 from repro.sim.engine import MinClockScheduler
 from repro.sim.trace import EventKind, MemEvent, ThreadTrace
+from repro.spec.config import RunConfig
 from repro.spec.system import SpecSystemCore
 from repro.tm.conflict import TmScheme
 from repro.tm.params import TM_DEFAULTS, TmParams
@@ -70,16 +71,19 @@ class TmSystem(SpecSystemCore):
         collect_samples: bool = False,
         max_samples: int = 4000,
         obs: Optional[Observability] = None,
-        policy: Optional[str] = None,
+        config: Optional[RunConfig] = None,
     ) -> None:
         if not traces:
             raise SimulationError("a TM system needs at least one thread trace")
         self.scheme = scheme
         self.memory = WordMemory()
-        # Bus, observability unpacking, and the shared instruments
-        # (tm.commits / tm.commit_packet_bytes / tm.txn_cycles) come from
-        # the substrate core; only TM-specific counters are wired here.
-        self._init_spec_core(params, obs, prefix="tm", unit_timer="tm.txn_cycles")
+        # Bus, observability unpacking, the run options, and the shared
+        # instruments (tm.commits / tm.commit_packet_bytes /
+        # tm.txn_cycles) come from the substrate core; only TM-specific
+        # counters are wired here.
+        self._init_spec_core(
+            params, obs, config, prefix="tm", unit_timer="tm.txn_cycles"
+        )
         if self.metrics is not None:
             self._m_txn_begins = self.metrics.counter("tm.txn_begins")
             self._m_overflow = self.metrics.counter("tm.overflow_accesses")
@@ -120,7 +124,6 @@ class TmSystem(SpecSystemCore):
         scheme.setup(self)
         for proc in self.processors:
             scheme.setup_processor(self, proc)
-        self.attach_swap_policy(policy)
 
     # ------------------------------------------------------------------
     # Run loop
@@ -141,43 +144,28 @@ class TmSystem(SpecSystemCore):
                 proc.done = True
             else:
                 scheduler.push(proc.clock, proc.pid, proc.epoch)
+        # Drain the scheduler's heap directly: the pop/push ordering is
+        # bit-identical to its methods, minus their per-entry counter
+        # bookkeeping.  Mid-step pushes (squash re-queues, waiter
+        # releases) go through scheduler.push into the same heap and are
+        # seen here.
         step = self._step
-        if self.metrics is None:
-            # Metrics-off fast path: drain the scheduler's heap directly.
-            # The pop/push ordering is bit-identical to the method path —
-            # only the per-entry counter bookkeeping is skipped, and the
-            # push total is credited in bulk afterwards.  Mid-step pushes
-            # (squash re-queues, waiter releases) go through
-            # scheduler.push into the same heap and are seen here.
-            heap = scheduler._heap
-            heappush_ = heapq.heappush
-            heappop_ = heapq.heappop
-            pushes = 0
-            while heap:
-                _, pid, epoch = heappop_(heap)
-                proc = processors[pid]
-                if proc.done or epoch != proc.epoch or proc.waiting_on is not None:
-                    continue
-                step(proc)
-                if proc.done or proc.waiting_on is not None:
-                    continue
-                heappush_(heap, (proc.clock, pid, proc.epoch))
-                pushes += 1
-            scheduler.account_bulk(pushes)
-        else:
-            while True:
-                entry = scheduler.pop()
-                if entry is None:
-                    break
-                _, pid, epoch = entry
-                proc = processors[pid]
-                if proc.done or epoch != proc.epoch or proc.waiting_on is not None:
-                    scheduler.note_stale_pop()
-                    continue
-                step(proc)
-                if proc.done or proc.waiting_on is not None:
-                    continue
-                scheduler.push(proc.clock, proc.pid, proc.epoch)
+        heap = scheduler._heap
+        heappush_ = heapq.heappush
+        heappop_ = heapq.heappop
+        pushes = stale = 0
+        while heap:
+            _, pid, epoch = heappop_(heap)
+            proc = processors[pid]
+            if proc.done or epoch != proc.epoch or proc.waiting_on is not None:
+                stale += 1
+                continue
+            step(proc)
+            if proc.done or proc.waiting_on is not None:
+                continue
+            heappush_(heap, (proc.clock, pid, proc.epoch))
+            pushes += 1
+        scheduler.account_bulk(pushes, stale)
         self._scheduler = None
 
         stuck = [p.pid for p in self.processors if not p.done]

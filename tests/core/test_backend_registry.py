@@ -223,6 +223,34 @@ class TestWorkerWarningSuppression:
         assert resolved == ["numpy"]
 
 
+@pytest.mark.parametrize(
+    "driver, app, size",
+    [
+        ("run_tm_comparison", "mc", {"txns_per_thread": 2}),
+        ("run_tls_comparison", "gzip", {"num_tasks": 8}),
+        ("run_checkpoint_comparison", "predictor", {"num_epochs": 8}),
+    ],
+)
+def test_degraded_run_warns_once_through_its_tracer(
+    broken_backend, restore_suppression, driver, app, size
+):
+    """Every substrate resolves its backend through the system, so an
+    instrumented run reports the fallback as one trace ``warning`` event
+    and never as a Python warning."""
+    from repro.analysis import experiments
+    from repro.obs import Observability
+
+    suppress_fallback_warnings(False)
+    obs = Observability()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        getattr(experiments, driver)(
+            app, obs=obs, sig_backend=broken_backend, **size
+        )
+    assert obs.tracer.summary()["events"].get("warning") == 1
+    assert caught == []
+
+
 class TestNumpyUnavailable:
     """The real ``numpy`` entry, with the import forced to fail —
     proving ``--sig-backend numpy`` degrades on a numpy-less host."""
@@ -251,17 +279,11 @@ class TestNumpyUnavailable:
     def test_degraded_runs_still_work(self, numpy_missing):
         """A whole simulation requested with the numpy backend runs on
         the packed fallback and produces the default-backend results."""
-        from dataclasses import replace
-
         from repro.analysis.experiments import run_tm_comparison
-        from repro.tm.params import TM_DEFAULTS
 
         with pytest.warns(RuntimeWarning):
             degraded = run_tm_comparison(
-                "mc",
-                txns_per_thread=2,
-                seed=3,
-                params=replace(TM_DEFAULTS, sig_backend="numpy"),
+                "mc", txns_per_thread=2, seed=3, sig_backend="numpy"
             )
         baseline = run_tm_comparison("mc", txns_per_thread=2, seed=3)
         assert degraded.cycles == baseline.cycles

@@ -13,7 +13,6 @@ The contract under test is the paper's superset-semantics guarantee:
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -22,6 +21,7 @@ from repro.core.disambiguation import disambiguate
 from repro.core.signature import Signature
 from repro.core.signature_config import default_tm_config
 from repro.sim.trace import EventKind
+from repro.spec import RunConfig
 from repro.tls.bulk import TlsBulkScheme
 from repro.tls.eager import TlsEagerScheme
 from repro.tls.system import TlsSystem
@@ -29,8 +29,6 @@ from repro.tm.bulk import BulkScheme
 from repro.tm.eager import EagerScheme
 from repro.tm.lazy import LazyScheme
 from repro.tm.system import TmSystem
-from repro.tls.params import TLS_DEFAULTS
-from repro.tm.params import TM_DEFAULTS
 from repro.workloads.kernels import build_tm_workload
 from repro.workloads.tls_spec import build_tls_workload
 
@@ -173,7 +171,7 @@ class TestTmDifferential:
         bulk = TmSystem(
             workload(),
             spy,
-            params=replace(TM_DEFAULTS, sig_backend=sig_backend),
+            config=RunConfig(sig_backend=sig_backend),
         ).run()
         eager = TmSystem(workload(), EagerScheme()).run()
         lazy = TmSystem(workload(), LazyScheme()).run()
@@ -236,7 +234,7 @@ class TestTlsDifferential:
         bulk = TlsSystem(
             workload(),
             spy,
-            params=replace(TLS_DEFAULTS, sig_backend=sig_backend),
+            config=RunConfig(sig_backend=sig_backend),
         ).run()
         eager = TlsSystem(workload(), TlsEagerScheme()).run()
 
@@ -344,7 +342,7 @@ class TestBackendRunIdentity:
             return TmSystem(
                 traces,
                 BulkScheme(),
-                params=replace(TM_DEFAULTS, sig_backend=sig_backend),
+                config=RunConfig(sig_backend=sig_backend),
             ).run()
 
         results = {
@@ -364,7 +362,7 @@ class TestBackendRunIdentity:
             return TlsSystem(
                 tasks,
                 TlsBulkScheme(),
-                params=replace(TLS_DEFAULTS, sig_backend=sig_backend),
+                config=RunConfig(sig_backend=sig_backend),
             ).run()
 
         results = {

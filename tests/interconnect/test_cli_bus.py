@@ -1,38 +1,48 @@
-"""CLI wiring of the interconnect flags."""
+"""CLI wiring of the ``--bus`` flag."""
 
 import pytest
 
-from repro.cli import _bus_spec, build_parser, main
+from repro.cli import _run_config, build_parser, main
+from repro.errors import ConfigurationError
 
 
-class TestBusSpecResolution:
-    def test_defaults_resolve_to_no_spec(self):
-        args = build_parser().parse_args(["tm", "mc"])
-        assert _bus_spec(args) is None
+@pytest.mark.parametrize(
+    "argv, knob",
+    [
+        (["tm", "mc"], None),
+        (["tm", "mc", "--bus", "legacy"], None),
+        (["tm", "mc", "--bus", "timed"],
+         "timed:latency=0,policy=fifo,window=0"),
+        (["tls", "gzip", "--bus", "timed:latency=4"],
+         "timed:latency=4,policy=fifo,window=0"),
+        (["checkpoint", "predictor", "--bus", "timed:policy=round-robin"],
+         "timed:latency=0,policy=round-robin,window=0"),
+        (["reproduce", "--bus", "timed:window=8,latency=2"],
+         "timed:latency=2,policy=fifo,window=8"),
+    ],
+    ids=["default", "explicit-legacy", "timed", "tls", "checkpoint",
+         "reproduce"],
+)
+def test_bus_flag_sets_the_canonical_knob(argv, knob):
+    """The default bus leaves no knob (cache keys stay pre-interconnect);
+    any other spec becomes its canonical form."""
+    config = _run_config(build_parser().parse_args(argv))
+    assert config.knobs().get("bus") == knob
 
-    def test_explicit_timed_model(self):
-        args = build_parser().parse_args(["tm", "mc", "--bus-model", "timed"])
-        assert _bus_spec(args) == "timed:latency=0,policy=fifo,window=0"
 
-    def test_nondefault_knob_implies_timed(self):
-        args = build_parser().parse_args(["tls", "gzip", "--bus-latency", "4"])
-        assert _bus_spec(args) == "timed:latency=4,policy=fifo,window=0"
-        args = build_parser().parse_args(
-            ["checkpoint", "predictor", "--bus-policy", "round-robin"]
-        )
-        assert _bus_spec(args) == "timed:latency=0,policy=round-robin,window=0"
-
-    def test_unknown_policy_rejected_at_parse_time(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["tm", "mc", "--bus-policy", "chaos"])
-
-    def test_unknown_model_rejected_at_parse_time(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["tm", "mc", "--bus-model", "warp"])
-
-    def test_reproduce_accepts_bus_flags(self):
-        args = build_parser().parse_args(["reproduce", "--bus-latency", "2"])
-        assert _bus_spec(args) == "timed:latency=2,policy=fifo,window=0"
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("warp", "unknown bus model"),
+        ("timed:policy=chaos", "unknown arbitration policy"),
+        ("legacy:latency=1", "takes no options"),
+    ],
+    ids=["unknown-model", "unknown-policy", "legacy-options"],
+)
+def test_bad_bus_spec_is_a_configuration_error(spec, message):
+    args = build_parser().parse_args(["tm", "mc", "--bus", spec])
+    with pytest.raises(ConfigurationError, match=message):
+        _run_config(args)
 
 
 class TestContentionOutput:
@@ -42,7 +52,8 @@ class TestContentionOutput:
 
     def test_timed_tm_run_prints_contention_table(self, capsys):
         assert main([
-            "tm", "mc", "--txns", "3", "--seed", "1", "--bus-latency", "4",
+            "tm", "mc", "--txns", "3", "--seed", "1",
+            "--bus", "timed:latency=4",
         ]) == 0
         out = capsys.readouterr().out
         assert "Interconnect contention (timed:latency=4" in out
@@ -53,7 +64,7 @@ class TestContentionOutput:
         legacy_out = capsys.readouterr().out
         assert main([
             "tls", "gzip", "--tasks", "30", "--seed", "2",
-            "--bus-latency", "8",
+            "--bus", "timed:latency=8",
         ]) == 0
         timed_out = capsys.readouterr().out
         assert "Interconnect contention" in timed_out
@@ -62,7 +73,7 @@ class TestContentionOutput:
     def test_timed_checkpoint_prints_per_depth_tables(self, capsys):
         assert main([
             "checkpoint", "predictor", "--epochs", "12", "--seed", "3",
-            "--max-depth", "2", "--jobs", "1", "--bus-latency", "2",
+            "--max-depth", "2", "--jobs", "1", "--bus", "timed:latency=2",
         ]) == 0
         out = capsys.readouterr().out
         assert "Interconnect contention (depth 1" in out

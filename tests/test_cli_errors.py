@@ -9,7 +9,7 @@ from repro.cli import main
     "argv, message",
     [
         (["tm", "cb", "--scheme-policy", "bogus:x"], "unknown swap policy"),
-        (["tm", "cb", "--bus-latency", "-3"], "latency"),
+        (["tm", "cb", "--bus", "timed:latency=-3"], "latency"),
         (["tm", "cb", "--trace-store", "{store}", "--trace-id", "abc"],
          "abc"),
     ],
@@ -32,7 +32,7 @@ def test_typed_input_errors_exit_2_without_a_traceback(
         ["checkpoint", "predictor", "--cache-dir", "{out}", "--trace-id", "x"],
         ["checkpoint", "predictor", "--cache-dir", "{out}",
          "--scheme-policy", "bogus:x"],
-        ["reproduce", "--out", "{out}", "--bus-latency", "-1"],
+        ["reproduce", "--out", "{out}", "--bus", "timed:latency=-3"],
     ],
     ids=["checkpoint-lone-trace-id", "checkpoint-bad-policy",
          "reproduce-bad-bus"],
