@@ -11,40 +11,19 @@
 Run:  python examples/eager_pathologies.py
 """
 
+from repro.analysis.fig12 import figure_12a_threads, figure_12b_threads
 from repro.errors import SimulationError
-from repro.sim.trace import ThreadTrace, compute, load, store, tx_begin, tx_end
 from repro.tm.eager import EagerScheme
 from repro.tm.lazy import LazyScheme
 from repro.tm.params import TmParams
 from repro.tm.system import TmSystem
-
-COUNTER = 0x5000
-
-
-def rmw_thread(tid):
-    """ld A ... st A with work after the store (Figure 12a)."""
-    return ThreadTrace(
-        tid,
-        [tx_begin(), load(COUNTER), compute(30), store(COUNTER, tid),
-         compute(120), tx_end()],
-    )
-
-
-def reader_writer_threads():
-    """Figure 12b: reader commits first, writer stores in between."""
-    reader = ThreadTrace(0, [tx_begin(), load(0xA000), compute(300), tx_end()])
-    writer = ThreadTrace(
-        1,
-        [tx_begin(), compute(100), store(0xA000, 9), compute(600), tx_end()],
-    )
-    return [reader, writer]
 
 
 def main() -> None:
     print("=== Figure 12(a): symmetric read-modify-write ===")
     try:
         TmSystem(
-            [rmw_thread(0), rmw_thread(1)],
+            figure_12a_threads(),
             EagerScheme(),
             TmParams(eager_livelock_mitigation=False, max_attempts_per_txn=30),
         ).run()
@@ -53,7 +32,7 @@ def main() -> None:
         print(f"eager, unmitigated : LIVELOCK — {error}")
 
     mitigated = TmSystem(
-        [rmw_thread(0), rmw_thread(1)],
+        figure_12a_threads(),
         EagerScheme(),
         TmParams(eager_livelock_mitigation=True),
     ).run()
@@ -61,13 +40,13 @@ def main() -> None:
           f"{mitigated.stats.squashes} squashes and "
           f"{mitigated.stats.mitigation_stalls} stalls")
 
-    lazy = TmSystem([rmw_thread(0), rmw_thread(1)], LazyScheme()).run()
+    lazy = TmSystem(figure_12a_threads(), LazyScheme()).run()
     print(f"lazy               : completed with {lazy.stats.squashes} "
           "squashes (committer wins)\n")
 
     print("=== Figure 12(b): reader-then-writer ===")
-    eager_b = TmSystem(reader_writer_threads(), EagerScheme()).run()
-    lazy_b = TmSystem(reader_writer_threads(), LazyScheme()).run()
+    eager_b = TmSystem(figure_12b_threads(), EagerScheme()).run()
+    lazy_b = TmSystem(figure_12b_threads(), LazyScheme()).run()
     print(f"eager : {eager_b.stats.squashes} squash(es) — the reader is "
           "killed by the later store")
     print(f"lazy  : {lazy_b.stats.squashes} squashes — the reader commits "

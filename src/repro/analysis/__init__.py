@@ -4,6 +4,7 @@
   TLS comparisons (Figures 10, 11, 13, 14; Tables 6 and 7).
 * :mod:`repro.analysis.accuracy` — the signature size-vs-accuracy study
   (Figure 15, Table 8).
+* :mod:`repro.analysis.fig12` — the Figure 12 Eager-pathology scenarios.
 * :mod:`repro.analysis.bandwidth` — bandwidth normalisation helpers.
 * :mod:`repro.analysis.report` — plain-text table/figure rendering.
 """

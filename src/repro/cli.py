@@ -405,14 +405,8 @@ def _cmd_accuracy(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig12(_args: argparse.Namespace) -> int:
-    # Reuse the benchmark module's scenario builder.
-    sys.path.insert(0, "benchmarks")
-    try:
-        from bench_fig12_eager_pathologies import run_all_cases
-    except ImportError:
-        print("run from the repository root (benchmarks/ must be present)",
-              file=sys.stderr)
-        return 1
+    from repro.analysis.fig12 import run_all_cases
+
     results, *_ = run_all_cases()
     for case, outcome in results.items():
         print(f"{case:24s} {outcome}")
@@ -581,7 +575,7 @@ def _print_ingest_result(result: Any) -> None:
         print("store already holds this content (deduplicated)")
     print(
         f"{result.num_streams} stream(s), {result.num_records} record(s), "
-        f"{result.num_chunks} chunk(s), {result.encoded_bytes} encoded bytes"
+        f"{result.encoded_bytes} encoded bytes"
     )
     print(result.trace_id)
 
@@ -598,8 +592,7 @@ def _cmd_trace_ingest(args: argparse.Namespace) -> int:
         "checkpoint": lambda a: {"num_epochs": a.epochs},
     }[args.kind](args)
     result = INGESTERS[args.kind](
-        TraceStore(args.store), args.app, seed=args.seed,
-        chunk_bytes=args.chunk_kb * 1024, **sizing,
+        TraceStore(args.store), args.app, seed=args.seed, **sizing
     )
     _print_ingest_result(result)
     return 0
@@ -612,8 +605,7 @@ def _cmd_trace_import(args: argparse.Namespace) -> int:
     try:
         store = TraceStore(args.store)
         result = import_jsonl(
-            store, args.file, args.kind, label=args.label or "",
-            chunk_bytes=args.chunk_kb * 1024,
+            store, args.file, args.kind, label=args.label or ""
         )
     except OSError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -632,13 +624,12 @@ def _cmd_trace_list(args: argparse.Namespace) -> int:
         return 0
     rows = [
         [info.trace_id[:16], info.kind, info.label, info.num_streams,
-         info.num_records, info.num_chunks, info.encoded_bytes]
+         info.num_records, info.encoded_bytes]
         for info in infos
     ]
     print(
         render_table(
-            ["Id (prefix)", "Kind", "Label", "Streams", "Records", "Chunks",
-             "Bytes"],
+            ["Id (prefix)", "Kind", "Label", "Streams", "Records", "Bytes"],
             rows,
             title=f"Trace store: {args.store}",
         )
@@ -653,8 +644,8 @@ def _cmd_trace_info(args: argparse.Namespace) -> int:
     store = TraceStore(args.store)
     # Accept unambiguous id prefixes, mirroring the list output.
     matches = [
-        info for info in store.traces()
-        if info.trace_id.startswith(args.trace_id)
+        trace_id for trace_id in store.ids()
+        if trace_id.startswith(args.trace_id)
     ]
     if not matches:
         raise TraceError(
@@ -665,7 +656,7 @@ def _cmd_trace_info(args: argparse.Namespace) -> int:
             f"trace id prefix {args.trace_id!r} is ambiguous "
             f"({len(matches)} matches)"
         )
-    info = matches[0]
+    info = store.info(matches[0])
     if args.verify:
         store.reader(info.trace_id).verify()
     print(f"trace_id:      {info.trace_id}")
@@ -673,7 +664,6 @@ def _cmd_trace_info(args: argparse.Namespace) -> int:
     print(f"label:         {info.label}")
     print(f"streams:       {info.num_streams}")
     print(f"records:       {info.num_records}")
-    print(f"chunks:        {info.num_chunks}")
     print(f"encoded bytes: {info.encoded_bytes}")
     for key in sorted(info.meta):
         print(f"meta.{key}: {info.meta[key]}")
@@ -769,12 +759,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
 
-    def _add_store_flags(p: argparse.ArgumentParser) -> None:
+    def _add_store_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument("--store", required=True, metavar="DIR",
                        help="trace store directory (created if missing)")
-        p.add_argument("--chunk-kb", type=_positive_int, default=256,
-                       metavar="KB", help="encoded bytes per chunk file "
-                       "(does not change the trace id)")
 
     ingest = trace_sub.add_parser(
         "ingest", help="capture an instrumented workload into the store"
@@ -795,19 +782,19 @@ def build_parser() -> argparse.ArgumentParser:
     ingest_ckpt.add_argument("--epochs", type=_positive_int, default=64)
     for p in (ingest_tm, ingest_tls, ingest_ckpt):
         p.add_argument("--seed", type=int, default=42)
-        _add_store_flags(p)
+        _add_store_flag(p)
         p.set_defaults(func=_cmd_trace_ingest)
 
     trace_import = trace_sub.add_parser(
         "import", help="convert an external JSONL trace into the store"
     )
     trace_import.add_argument("file", help="JSON-lines trace file "
-                              "(repro.sim.traceio format)")
+                              "(format: docs/TRACES.md)")
     trace_import.add_argument("--kind", required=True,
                               choices=["tm", "tls", "checkpoint"])
     trace_import.add_argument("--label", default=None,
                               help="store label (default: the file stem)")
-    _add_store_flags(trace_import)
+    _add_store_flag(trace_import)
     trace_import.set_defaults(func=_cmd_trace_import)
 
     trace_list = trace_sub.add_parser("list", help="list stored traces")

@@ -42,7 +42,7 @@ counter, so the numbers read as "codec computes", not "codec calls".
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import Dict, List, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.decode import DeltaDecoder
@@ -141,8 +141,3 @@ class CodecKernels:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r})"
-
-
-def codec_of(signature: "Signature") -> "Optional[CodecKernels]":
-    """The codec serving a signature's backend (``None`` = scalar)."""
-    return signature._codec

@@ -30,7 +30,6 @@ from repro.cache.geometry import CacheGeometry
 from repro.core.backend.base import SignatureArena, SignatureBackend
 from repro.core.backend.codec import note_codec
 from repro.core.decode import CachedDecoder
-from repro.core.disambiguation import DisambiguationResult, disambiguate
 from repro.core.expansion import matched_lines
 from repro.core.signature import Signature
 from repro.core.signature_config import SignatureConfig
@@ -358,11 +357,6 @@ class BulkDisambiguationModule:
         context.delta_mask |= 1 << set_index
         return set_index
 
-    def _require_running(self) -> VersionContext:
-        if self.running is None:
-            raise SimulationError("no running speculative context in the BDM")
-        return self.running
-
     # ------------------------------------------------------------------
     # Set Restriction
     # ------------------------------------------------------------------
@@ -411,18 +405,6 @@ class BulkDisambiguationModule:
                     f"cache set {set_index} is claimed by {len(owners)} "
                     "speculative contexts"
                 )
-
-    # ------------------------------------------------------------------
-    # Bulk disambiguation of an incoming committed write signature
-    # ------------------------------------------------------------------
-
-    def disambiguate_context(
-        self, context: VersionContext, committed_write: Signature
-    ) -> DisambiguationResult:
-        """Equation 1 for one local context against an incoming W_C."""
-        return disambiguate(
-            committed_write, context.read_signature, context.write_signature
-        )
 
     # ------------------------------------------------------------------
     # Bulk invalidation (Section 4.3)

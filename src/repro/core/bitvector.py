@@ -95,10 +95,6 @@ class BitVector:
         """Number of set bits."""
         return popcount(self.value)
 
-    def set_positions(self) -> Iterator[int]:
-        """Positions of set bits, ascending."""
-        return iter_set_bits(self.value)
-
     def copy(self) -> "BitVector":
         """An independent copy."""
         return BitVector(self.width, self.value)

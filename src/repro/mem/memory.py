@@ -14,7 +14,7 @@ actually touched.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import Dict, Iterable, Tuple
 
 from repro.mem.address import words_of_line
 
@@ -55,10 +55,6 @@ class WordMemory:
             )
         for word_address, value in zip(words, values):
             self.store(word_address, value)
-
-    def touched_words(self) -> Iterator[int]:
-        """Iterate over every word address that has ever been stored."""
-        return iter(self._words)
 
     def snapshot(self) -> Dict[int, int]:
         """Return a copy of the touched-word map (for state comparison)."""

@@ -494,10 +494,6 @@ class GridRunner:
                 result.results[key] = entry
         return result
 
-    def run_comparisons(self, points: Sequence[GridPoint]) -> Dict[str, Any]:
-        """Run and reconstruct: point key -> comparison object."""
-        return self.run(points).comparisons()
-
     # ------------------------------------------------------------------
     # Execution strategies
     # ------------------------------------------------------------------

@@ -12,12 +12,6 @@ from repro.sim.trace import (
 )
 from repro.sim.rng import SubstreamRng
 from repro.sim.engine import MinClockScheduler
-from repro.sim.traceio import (
-    load_tls_tasks,
-    load_tm_traces,
-    save_tls_tasks,
-    save_tm_traces,
-)
 
 __all__ = [
     "EventKind",
@@ -30,8 +24,4 @@ __all__ = [
     "tx_end",
     "SubstreamRng",
     "MinClockScheduler",
-    "load_tls_tasks",
-    "load_tm_traces",
-    "save_tls_tasks",
-    "save_tm_traces",
 ]

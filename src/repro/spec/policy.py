@@ -85,14 +85,6 @@ class PolicyView:
         """Cycles units spent waiting for the bus (timed model; else 0)."""
         return getattr(self._system.bus, "wait_cycles", 0)
 
-    def squash_count(self, cause: str) -> int:
-        """The per-cause squash counter (PR-2), 0 when metrics are off."""
-        metrics = self._system.metrics
-        if metrics is None:
-            return 0
-        prefix = self._system._spec_prefix
-        return metrics.counter(f"{prefix}.squashes.{cause}").value
-
 
 def _cumulative(view: PolicyView, metric: str) -> int:
     """The cumulative counter behind one supported rate metric."""

@@ -7,7 +7,7 @@ from typing import Any, Dict, List, Optional
 from repro.cache.cache import Cache
 from repro.cache.geometry import CacheGeometry
 from repro.mem.overflow import OverflowArea
-from repro.sim.trace import MemEvent, ThreadTrace
+from repro.sim.trace import ThreadTrace
 from repro.tm.txstate import TxnState
 
 
@@ -67,10 +67,6 @@ class TmProcessor:
     def in_txn(self) -> bool:
         """Whether the processor is inside a transaction."""
         return self.txn is not None
-
-    def current_event(self) -> MemEvent:
-        """The event at the cursor."""
-        return self.trace.events[self.cursor]
 
     def at_end(self) -> bool:
         """Whether the trace is exhausted."""

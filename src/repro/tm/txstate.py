@@ -266,10 +266,6 @@ class TxnState:
             union.union_update(section.write_signature)
         return union
 
-    def reads_word_of_line(self, line_address: int) -> bool:
-        """Whether the exact read set covers a line (for stats)."""
-        return line_address in self.all_read_granules()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"TxnState(txn={self.txn_id}, sections={len(self.sections)}, "

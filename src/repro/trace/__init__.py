@@ -4,9 +4,13 @@ The substrates were built trace-driven from day one, but every run so
 far generated its workload in-process.  This package turns the workload
 into *data*:
 
-* :mod:`repro.trace.store` — a content-addressed store (SQLite index +
-  chunked, zlib-compressed record files; trace ids are SHA-256 over the
-  canonical record stream) with a bounded-memory streaming reader;
+* :mod:`repro.trace.records` — the record vocabulary, its canonical
+  encoding, and the one codec between event records and simulator
+  events;
+* :mod:`repro.trace.store` — a content-addressed store (one
+  zlib-compressed record file and one info file per trace; trace ids
+  are SHA-256 over the canonical record stream) whose every read
+  re-checks the content against the id;
 * :mod:`repro.trace.ingest` — capture the instrumented kernels (TM),
   task generators (TLS), and epoch streams (checkpoint) into the store,
   or convert external JSONL traces;
@@ -16,7 +20,7 @@ into *data*:
 CLI: ``python -m repro trace ingest|import|list|info``, and
 ``--trace-store``/``--trace-id`` on the ``tm``/``tls``/``checkpoint``
 subcommands.  Replay is deterministic: one trace id ⇒ byte-identical
-comparison artifacts at any ``--jobs`` count and any chunk size.
+comparison artifacts at any ``--jobs`` count.
 """
 
 from repro.trace.ingest import (
@@ -35,7 +39,6 @@ from repro.trace.replay import (
     load_trace_workload,
 )
 from repro.trace.store import (
-    DEFAULT_CHUNK_BYTES,
     IngestResult,
     TraceInfo,
     TraceReader,
@@ -44,7 +47,6 @@ from repro.trace.store import (
 )
 
 __all__ = [
-    "DEFAULT_CHUNK_BYTES",
     "INGESTERS",
     "IngestResult",
     "TRACE_KINDS",

@@ -10,33 +10,35 @@ ingested trace carries genuine data flow, not a statistical profile:
 * :func:`ingest_checkpoint` — the checkpoint epoch streams, stored with
   one epoch marker per epoch.
 
-Plus :func:`import_jsonl`, a converter for the external JSON-lines
-format of :mod:`repro.sim.traceio` (dict headers + compact event
-arrays), extended with ``{"kind": "epoch", "mispredicted": ...}``
-headers for checkpoint traces — the integration path for traces captured
-outside this repository (e.g. by a binary-instrumentation run).
+Plus :func:`import_jsonl`, a converter for traces captured outside this
+repository (e.g. by a binary-instrumentation run).  Its input is one
+JSON value per line, blank lines skipped: a dict header opens each
+replay unit — ``{"kind": "thread", "id": 3}`` (TM),
+``{"kind": "task", "id": 7, "spawn": 12}`` (TLS),
+``{"kind": "epoch", "mispredicted": false}`` (checkpoint) — and the
+event arrays of :mod:`repro.trace.records` follow it.
 
 Ingest is deterministic: the same (kind, app, sizing, seed) always
-produces the same record stream and therefore the same trace id, at any
-chunk size.
+produces the same record stream and therefore the same trace id.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Sequence, Union
 
 from repro.errors import TraceError
 from repro.sim.trace import ThreadTrace
-from repro.sim.traceio import decode_event_row, encode_event_row
-from repro.trace.records import header_row
-from repro.trace.store import (
-    DEFAULT_CHUNK_BYTES,
-    IngestResult,
-    TraceStore,
+from repro.trace.records import (
+    HEADER_TAGS,
+    decode_event,
+    decode_record,
+    encode_event,
+    header_row,
+    validate_record,
 )
+from repro.trace.store import IngestResult, TraceStore, open_store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.checkpoint.workload import CheckpointEpoch
@@ -50,17 +52,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 def tm_records(traces: Sequence[ThreadTrace]) -> Iterator[list]:
     """The record stream of a TM thread-trace list."""
     for trace in traces:
-        yield list(header_row("tm", trace.thread_id))
+        yield header_row("tm", trace.thread_id)
         for event in trace.events:
-            yield encode_row(event)
+            yield encode_event(event)
 
 
 def tls_records(tasks: "Sequence[TlsTask]") -> Iterator[list]:
     """The record stream of a TLS task list."""
     for task in tasks:
-        yield list(header_row("tls", task.task_id, task.spawn_cursor))
+        yield header_row("tls", task.task_id, task.spawn_cursor)
         for event in task.events:
-            yield encode_row(event)
+            yield encode_event(event)
 
 
 def checkpoint_records(
@@ -68,7 +70,7 @@ def checkpoint_records(
 ) -> Iterator[list]:
     """The record stream of a checkpoint epoch list."""
     for epoch in epochs:
-        yield list(header_row("checkpoint", int(epoch.mispredicted)))
+        yield header_row("checkpoint", int(epoch.mispredicted))
         for op, address, value in epoch.ops:
             if op == "load":
                 yield ["l", address]
@@ -76,11 +78,6 @@ def checkpoint_records(
                 yield ["s", address, value]
             else:  # pragma: no cover - generator never emits others
                 raise TraceError(f"unknown checkpoint op {op!r}")
-
-
-def encode_row(event) -> list:
-    """One simulator event in record form."""
-    return encode_event_row(event)
 
 
 # ----------------------------------------------------------------------
@@ -93,11 +90,8 @@ def _ingest(
     label: str,
     meta: dict,
     rows: Iterable[list],
-    chunk_bytes: int,
 ) -> IngestResult:
-    if not isinstance(store, TraceStore):
-        store = TraceStore(store)
-    writer = store.writer(kind, label=label, meta=meta, chunk_bytes=chunk_bytes)
+    writer = open_store(store).writer(kind, label=label, meta=meta)
     try:
         writer.add_all(rows)
         return writer.finish()
@@ -112,7 +106,6 @@ def ingest_tm(
     num_threads: int = 8,
     txns_per_thread: int = 12,
     seed: int = 42,
-    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
 ) -> IngestResult:
     """Capture one Table 4 TM kernel run into the store."""
     from repro.workloads.kernels import build_tm_workload
@@ -127,7 +120,7 @@ def ingest_tm(
         "txns_per_thread": txns_per_thread,
         "seed": seed,
     }
-    return _ingest(store, "tm", app, meta, tm_records(traces), chunk_bytes)
+    return _ingest(store, "tm", app, meta, tm_records(traces))
 
 
 def ingest_tls(
@@ -135,14 +128,13 @@ def ingest_tls(
     app: str,
     num_tasks: int = 160,
     seed: int = 42,
-    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
 ) -> IngestResult:
     """Capture one Table 6 TLS task stream into the store."""
     from repro.workloads.tls_spec import build_tls_workload
 
     tasks = build_tls_workload(app, num_tasks=num_tasks, seed=seed)
     meta = {"app": app, "num_tasks": num_tasks, "seed": seed}
-    return _ingest(store, "tls", app, meta, tls_records(tasks), chunk_bytes)
+    return _ingest(store, "tls", app, meta, tls_records(tasks))
 
 
 def ingest_checkpoint(
@@ -150,7 +142,6 @@ def ingest_checkpoint(
     app: str,
     num_epochs: int = 64,
     seed: int = 42,
-    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
 ) -> IngestResult:
     """Capture one checkpoint epoch stream into the store."""
     from repro.checkpoint.workload import build_checkpoint_workload
@@ -158,7 +149,7 @@ def ingest_checkpoint(
     epochs = build_checkpoint_workload(app, num_epochs=num_epochs, seed=seed)
     meta = {"app": app, "num_epochs": num_epochs, "seed": seed}
     return _ingest(
-        store, "checkpoint", app, meta, checkpoint_records(epochs), chunk_bytes
+        store, "checkpoint", app, meta, checkpoint_records(epochs)
     )
 
 
@@ -174,70 +165,37 @@ INGESTERS = {
 # External JSONL conversion
 # ----------------------------------------------------------------------
 
-def _jsonl_rows(path: Path, kind: str) -> Iterator[list]:
-    """Translate one external JSONL file into store records.
+#: Trace kind -> the external header's ``kind`` and its record fields.
+_JSONL_HEADERS = {
+    "tm": ("thread", ("id",)),
+    "tls": ("task", ("id", "spawn")),
+    "checkpoint": ("epoch", ("mispredicted",)),
+}
 
-    Accepts the :mod:`repro.sim.traceio` format: a dict header per
-    replay unit (``{"kind": "thread", "id": ...}`` for TM,
-    ``{"kind": "task", "id": ..., "spawn": ...}`` for TLS,
-    ``{"kind": "epoch", "mispredicted": ...}`` for checkpoint) followed
-    by compact event arrays.  Events are round-tripped through the
-    simulator's event constructors so malformed input fails here, at
-    conversion time, never at replay time.
-    """
-    header_kinds = {"tm": "thread", "tls": "task", "checkpoint": "epoch"}
-    expected = header_kinds[kind]
-    saw_header = False
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise TraceError(
-                    f"{path}:{line_number}: not JSON: {line[:60]!r}"
-                ) from error
-            if isinstance(row, dict):
-                if row.get("kind") != expected:
-                    raise TraceError(
-                        f"{path}:{line_number}: expected a {expected!r} "
-                        f"header for a {kind} trace, got {row!r}"
-                    )
-                saw_header = True
-                if kind == "tm":
-                    yield list(header_row("tm", int(row["id"])))
-                elif kind == "tls":
-                    yield list(
-                        header_row("tls", int(row["id"]), int(row["spawn"]))
-                    )
-                else:
-                    yield list(
-                        header_row(
-                            "checkpoint", int(bool(row["mispredicted"]))
-                        )
-                    )
-            else:
-                if not saw_header:
-                    raise TraceError(
-                        f"{path}:{line_number}: event before any header"
-                    )
-                if kind == "checkpoint":
-                    if not (
-                        isinstance(row, list)
-                        and row
-                        and row[0] in ("l", "s")
-                    ):
-                        raise TraceError(
-                            f"{path}:{line_number}: checkpoint traces hold "
-                            f"only loads and stores, got {row!r}"
-                        )
-                    yield row
-                else:
-                    # Validate through the event constructors, then
-                    # re-encode canonically.
-                    yield encode_row(decode_event_row(row))
+
+def _jsonl_row(line: bytes, kind: str) -> List:
+    """One external JSONL line as a validated store record."""
+    row = decode_record(line)
+    if isinstance(row, dict):
+        header_kind, names = _JSONL_HEADERS[kind]
+        if row.get("kind") != header_kind:
+            raise TraceError(
+                f"expected a {header_kind!r} header for a {kind} trace, "
+                f"got {row!r}"
+            )
+        missing = [name for name in names if name not in row]
+        if missing:
+            raise TraceError(f"header {row!r} lacks {', '.join(missing)}")
+        fields = [row[name] for name in names]
+        if kind == "checkpoint":
+            fields = [int(bool(fields[0]))]
+        row = header_row(kind, *fields)
+    validate_record(row, kind)
+    if row[0] != HEADER_TAGS[kind]:
+        # The event constructors' own checks (addresses, cycle counts)
+        # fail here, at conversion time, never at replay time.
+        decode_event(row)
+    return row
 
 
 def import_jsonl(
@@ -245,21 +203,29 @@ def import_jsonl(
     path: "Union[str, os.PathLike[str]]",
     kind: str,
     label: str = "",
-    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
 ) -> IngestResult:
-    """Convert an external JSONL trace file into the store."""
+    """Convert an external JSONL trace file into the store.
+
+    A malformed line raises :class:`~repro.errors.TraceError` naming
+    ``file:line`` and leaves the store unchanged.
+    """
     source = Path(path)
-    if kind not in INGESTERS:
-        raise TraceError(
-            f"unknown trace kind {kind!r} "
-            f"(kinds: {', '.join(sorted(INGESTERS))})"
-        )
-    meta = {"imported_from": source.name}
-    return _ingest(
-        store,
-        kind,
-        label or source.stem,
-        meta,
-        _jsonl_rows(source, kind),
-        chunk_bytes,
+    writer = open_store(store).writer(
+        kind, label=label or source.stem,
+        meta={"imported_from": source.name},
     )
+    try:
+        with open(source, "rb") as handle:
+            for line_number, line in enumerate(handle, 1):
+                if not line.strip():
+                    continue
+                try:
+                    writer.add(_jsonl_row(line, kind))
+                except TraceError as error:
+                    raise TraceError(
+                        f"{source}:{line_number}: {error}"
+                    ) from error
+        return writer.finish()
+    except BaseException:
+        writer.abort()
+        raise

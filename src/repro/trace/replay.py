@@ -7,13 +7,13 @@ Each adapter plugs into the same seam the synthetic generators feed —
 replayed run differs from a generated one *only* in where the events
 came from.  Decoding is pure: the same trace id always materialises the
 identical workload objects, which is what makes replayed comparison
-artifacts byte-identical across worker counts and chunk sizes.
+artifacts byte-identical across worker counts.
 
-The adapters stream through :class:`~repro.trace.store.TraceReader`
-(one chunk resident at a time) while accumulating the replay units;
-the workload objects themselves are what the substrates require, so
-total memory is proportional to the trace's event count, exactly as
-with the generators.
+The adapters stream through :class:`~repro.trace.store.TraceReader`,
+which checks the whole record stream against the trace id before
+:meth:`load` returns; the workload objects themselves are what the
+substrates require, so total memory is proportional to the trace's
+event count, exactly as with the generators.
 """
 
 from __future__ import annotations
@@ -22,29 +22,13 @@ import os
 from typing import TYPE_CHECKING, Any, List, Optional, Union
 
 from repro.errors import TraceError
-from repro.sim.trace import MemEvent, ThreadTrace, compute, load, store as store_event, tx_begin, tx_end
-from repro.trace.store import TraceReader, TraceStore
+from repro.sim.trace import MemEvent, ThreadTrace
+from repro.trace.records import decode_event
+from repro.trace.store import TraceReader, TraceStore, open_store
 
 if TYPE_CHECKING:  # runtime imports are deferred (substrate layering)
     from repro.checkpoint.workload import CheckpointEpoch
     from repro.tls.task import TlsTask
-
-_EVENT_DECODERS = {
-    "l": lambda row: load(row[1]),
-    "s": lambda row: store_event(row[1], row[2]),
-    "c": lambda row: compute(row[1]),
-    "b": lambda row: tx_begin(),
-    "e": lambda row: tx_end(),
-}
-
-
-def open_store(
-    store: "Union[TraceStore, str, os.PathLike[str]]",
-) -> TraceStore:
-    """Accept a :class:`TraceStore` or a directory path."""
-    if isinstance(store, TraceStore):
-        return store
-    return TraceStore(store)
 
 
 class _TraceWorkload:
@@ -68,14 +52,6 @@ class _TraceWorkload:
                 f"a {self.kind!r} workload cannot replay it"
             )
 
-    def _decode_event(self, row: List) -> MemEvent:
-        decoder = _EVENT_DECODERS.get(row[0])
-        if decoder is None:
-            raise TraceError(
-                f"record {row!r} is not an event of a {self.kind!r} trace"
-            )
-        return decoder(row)
-
 
 class TraceTmWorkload(_TraceWorkload):
     """Replays a stored TM trace as the thread list a
@@ -94,7 +70,7 @@ class TraceTmWorkload(_TraceWorkload):
                 thread_id = row[1]
                 events = []
             else:
-                events.append(self._decode_event(row))
+                events.append(decode_event(row))
         if thread_id is not None:
             traces.append(ThreadTrace(thread_id, events))
         if not traces:
@@ -123,7 +99,7 @@ class TraceTlsWorkload(_TraceWorkload):
                 header = row
                 events = []
             else:
-                events.append(self._decode_event(row))
+                events.append(decode_event(row))
         if header is not None:
             tasks.append(TlsTask(header[1], events, header[2]))
         if not tasks:
@@ -153,12 +129,8 @@ class TraceCheckpointWorkload(_TraceWorkload):
                 ops = []
             elif row[0] == "l":
                 ops.append(("load", row[1], 0))
-            elif row[0] == "s":
+            else:  # the reader admits only E/l/s in a checkpoint trace
                 ops.append(("store", row[1], row[2]))
-            else:  # pragma: no cover - ingest validation rejects these
-                raise TraceError(
-                    f"record {row!r} is not a checkpoint trace record"
-                )
         if mispredicted is not None:
             epochs.append(CheckpointEpoch(tuple(ops), mispredicted))
         if not epochs:

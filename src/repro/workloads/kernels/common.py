@@ -127,10 +127,6 @@ class AddressSpace:
             return bases[record] + field * BYTES_PER_WORD
         return self._arrays[name] + index * BYTES_PER_WORD
 
-    def size_of(self, name: str) -> int:
-        """Number of words in an array."""
-        return self._sizes[name]
-
 
 class TraceBuilder:
     """Accumulates one thread's events, tracking a software view of

@@ -1,17 +1,10 @@
-"""The CLI's fig12 subcommand (imports the benchmark scenario)."""
-
-import os
-
-import pytest
+"""The CLI's fig12 subcommand runs from any working directory."""
 
 from repro.cli import main
 
 
-@pytest.mark.skipif(
-    not os.path.isdir("benchmarks"),
-    reason="needs the repository root as the working directory",
-)
-def test_fig12_command(capsys):
+def test_fig12_command(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     assert main(["fig12"]) == 0
     out = capsys.readouterr().out
     assert "livelock detected" in out
