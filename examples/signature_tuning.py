@@ -13,11 +13,7 @@ under random bit permutations — reproducing Figure 15's findings:
 Run:  python examples/signature_tuning.py
 """
 
-from repro.analysis.accuracy import (
-    average_compressed_bits,
-    collect_tm_samples,
-    sweep_signature_configs,
-)
+from repro.analysis.accuracy import collect_tm_samples, sweep_signature_configs
 from repro.analysis.report import render_table
 from repro.core.signature_config import TABLE8_CONFIGS
 
@@ -43,9 +39,7 @@ def main() -> None:
                 [
                     row.name,
                     row.full_size_bits,
-                    round(average_compressed_bits(
-                        TABLE8_CONFIGS[row.name], samples
-                    )),
+                    round(row.avg_compressed_bits),
                     100 * row.fp_nominal,
                     100 * row.fp_best,
                     100 * row.fp_worst,

@@ -15,11 +15,12 @@ permutations cheap.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.permutation import BitPermutation
-from repro.core.rle import rle_size_bits
+from repro.core.rle import rle_encode_scalar
 from repro.core.signature import Signature
 from repro.core.signature_config import SignatureConfig
 from repro.sim.rng import SubstreamRng
@@ -61,6 +62,77 @@ def collect_tm_samples(
     return samples
 
 
+class _InternedSamples:
+    """Samples stored once per distinct address and distinct set.
+
+    ``addresses`` lists each distinct address once, ``sets`` each
+    distinct address set as a tuple of indices into ``addresses``, and
+    ``triples`` each sample ``(W_C, R_R, W_R)`` as three indices into
+    ``sets``; ``committed`` counts the samples carrying each ``W_C``.
+    A configuration is then evaluated with one encode per distinct
+    address and one register per distinct set.
+    """
+
+    def __init__(self, samples: Sequence[DisambiguationSample]) -> None:
+        address_ids: Dict[int, int] = {}
+        set_ids: Dict[FrozenSet[int], int] = {}
+        self.sets: List[Tuple[int, ...]] = []
+        self.triples: List[Tuple[int, int, int]] = []
+        for sample in samples:
+            triple = []
+            for members in sample:
+                key = frozenset(members)
+                index = set_ids.get(key)
+                if index is None:
+                    index = set_ids[key] = len(self.sets)
+                    self.sets.append(tuple(
+                        address_ids.setdefault(address, len(address_ids))
+                        for address in key
+                    ))
+                triple.append(index)
+            self.triples.append(tuple(triple))
+        self.addresses: List[int] = list(address_ids)
+        self.committed = Counter(triple[0] for triple in self.triples)
+
+    def registers(self, config: SignatureConfig) -> List[Signature]:
+        """Every distinct set's register under ``config``, by set index."""
+        masks = config.flat_masks(self.addresses)
+        registers = []
+        for members in self.sets:
+            mask = 0
+            for index in members:
+                mask |= masks[index]
+            register = Signature(config)
+            register.add_mask(mask)
+            registers.append(register)
+        return registers
+
+    def false_positive_fraction(self, registers: List[Signature]) -> float:
+        """Fraction of samples where Equation 1 fires on ``registers``."""
+        if not self.triples:
+            return 0.0
+        false_positives = 0
+        for committed, reads, writes in self.triples:
+            w_c = registers[committed]
+            if w_c.intersects(registers[reads]) or w_c.intersects(
+                registers[writes]
+            ):
+                false_positives += 1
+        return false_positives / len(self.triples)
+
+    def average_compressed_bits(self, registers: List[Signature]) -> float:
+        """Mean RLE size of the samples' committed write registers."""
+        if not self.triples:
+            return 0.0
+        # The scalar encoder is what rle_encode runs for these packed
+        # registers, minus its memo: sizing the sweep's registers there
+        # would file each one in the shared configuration's RLE memo.
+        total = 0
+        for committed, count in self.committed.items():
+            total += count * 8 * len(rle_encode_scalar(registers[committed]))
+        return total / len(self.triples)
+
+
 def false_positive_fraction(
     config: SignatureConfig,
     samples: Sequence[DisambiguationSample],
@@ -70,16 +142,8 @@ def false_positive_fraction(
     Each sample's address sets are already at the configuration's
     granularity (line addresses, from the TM runs).
     """
-    if not samples:
-        return 0.0
-    false_positives = 0
-    for committed_writes, receiver_reads, receiver_writes in samples:
-        w_c = Signature.from_addresses(config, committed_writes)
-        r_r = Signature.from_addresses(config, receiver_reads)
-        w_r = Signature.from_addresses(config, receiver_writes)
-        if w_c.intersects(r_r) or w_c.intersects(w_r):
-            false_positives += 1
-    return false_positives / len(samples)
+    interned = _InternedSamples(samples)
+    return interned.false_positive_fraction(interned.registers(config))
 
 
 def average_compressed_bits(
@@ -88,12 +152,8 @@ def average_compressed_bits(
 ) -> float:
     """Average RLE-compressed size of the committed write signatures —
     Table 8's *Compressed Size* column, measured on this workload."""
-    if not samples:
-        return 0.0
-    total = 0
-    for committed_writes, _, _ in samples:
-        total += rle_size_bits(Signature.from_addresses(config, committed_writes))
-    return total / len(samples)
+    interned = _InternedSamples(samples)
+    return interned.average_compressed_bits(interned.registers(config))
 
 
 @dataclass(frozen=True)
@@ -119,29 +179,33 @@ def sweep_signature_configs(
     """Evaluate each configuration bare and under random permutations.
 
     Matches Figure 15's structure: the nominal (no-permutation) fraction
-    per configuration plus the min/max over a permutation sweep.
+    per configuration plus the min/max over a permutation sweep.  The
+    samples are interned once; each configuration (nominal or permuted)
+    then encodes every distinct address once and builds every distinct
+    set's register once, and fills no memo of ``configs``.
     """
+    interned = _InternedSamples(samples)
     rng = SubstreamRng(seed)
     rows: List[AccuracyRow] = []
     for name in sorted(configs, key=lambda n: (len(n), n)):
         config = configs[name]
-        nominal = false_positive_fraction(config, samples)
+        registers = interned.registers(config)
+        nominal = interned.false_positive_fraction(registers)
         fractions = [nominal]
         for index in range(permutations_per_config):
             permutation = BitPermutation.shuffled(
                 config.granularity.address_bits,
                 rng.stream("figure15", name, index),
             )
+            permuted = config.with_permutation(permutation)
             fractions.append(
-                false_positive_fraction(
-                    config.with_permutation(permutation), samples
-                )
+                interned.false_positive_fraction(interned.registers(permuted))
             )
         rows.append(
             AccuracyRow(
                 name=name,
                 full_size_bits=config.size_bits,
-                avg_compressed_bits=average_compressed_bits(config, samples),
+                avg_compressed_bits=interned.average_compressed_bits(registers),
                 fp_nominal=nominal,
                 fp_best=min(fractions),
                 fp_worst=max(fractions),

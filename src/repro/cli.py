@@ -416,11 +416,14 @@ def _cmd_fig12(_args: argparse.Namespace) -> int:
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     """Run the whole evaluation and archive tables + CSVs to a directory.
 
-    The (application × scheme) sweeps behind Figures 10-15 and Tables
-    6-8 execute through the parallel :class:`~repro.runner.GridRunner`:
+    The (application × scheme) sweeps behind Figures 10-14 and Tables
+    6-7 execute through the parallel :class:`~repro.runner.GridRunner`:
     ``--jobs`` controls the worker count, and finished grid points are
     cached under ``<out>/.cache`` (disable with ``--no-cache``) so an
-    interrupted or repeated run only recomputes what changed.
+    interrupted or repeated run only recomputes the grid points that
+    changed.  Figure 15 / Table 8 are not grid points: their sample
+    collection and signature sweep run in this process on every run,
+    whether or not the cache is warm.
     """
     import pathlib
 
@@ -679,6 +682,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -693,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tm = sub.add_parser("tm", help="run one TM workload under every scheme")
     tm.add_argument("app", choices=sorted(TM_KERNELS))
-    tm.add_argument("--txns", type=int, default=10,
+    tm.add_argument("--txns", type=_positive_int, default=10,
                     help="transactions per thread")
     tm.add_argument("--seed", type=int, default=42)
     tm.add_argument("--partial", action="store_true",
@@ -707,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tls = sub.add_parser("tls", help="run one TLS workload under every scheme")
     tls.add_argument("app", choices=sorted(TLS_APPLICATIONS))
-    tls.add_argument("--tasks", type=int, default=120)
+    tls.add_argument("--tasks", type=_positive_int, default=120)
     tls.add_argument("--seed", type=int, default=42)
     tls.add_argument("--trace-out", default=None, metavar="PATH",
                     help="write the full event trace as JSONL")
@@ -743,11 +753,12 @@ def build_parser() -> argparse.ArgumentParser:
     accuracy = sub.add_parser(
         "accuracy", help="the Figure 15 signature accuracy sweep"
     )
-    accuracy.add_argument("--samples", type=int, default=250,
+    accuracy.add_argument("--samples", type=_positive_int, default=250,
                           help="samples per application")
-    accuracy.add_argument("--txns", type=int, default=6)
+    accuracy.add_argument("--txns", type=_positive_int, default=6)
     accuracy.add_argument("--seed", type=int, default=7)
-    accuracy.add_argument("--permutations", type=int, default=2)
+    accuracy.add_argument("--permutations", type=_non_negative_int,
+                          default=2)
     accuracy.set_defaults(func=_cmd_accuracy)
 
     sub.add_parser(
@@ -816,9 +827,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     reproduce.add_argument("--out", default="results",
                            help="output directory")
-    reproduce.add_argument("--tm-txns", type=int, default=10)
-    reproduce.add_argument("--tls-tasks", type=int, default=120)
-    reproduce.add_argument("--samples", type=int, default=200)
+    reproduce.add_argument("--tm-txns", type=_positive_int, default=10)
+    reproduce.add_argument("--tls-tasks", type=_positive_int, default=120)
+    reproduce.add_argument("--samples", type=_positive_int, default=200)
     reproduce.add_argument("--seed", type=int, default=42)
     reproduce.add_argument("--jobs", type=_positive_int, default=None,
                            help="worker processes for the sweeps "

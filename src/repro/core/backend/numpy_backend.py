@@ -65,8 +65,8 @@ class NumpyLayout:
     Built once per :class:`~repro.core.signature_config.SignatureConfig`
     (see :func:`layout_for`): the word count, the permutation's byte
     tables as ndarray lookup tables, each field's (offset, chunk shift,
-    chunk mask) triple, and the per-field word masks used for emptiness
-    reductions over word arrays.
+    chunk mask) triple (the configuration's own encode plan), and the
+    per-field word masks used for emptiness reductions over word arrays.
     """
 
     __slots__ = (
@@ -88,12 +88,7 @@ class NumpyLayout:
             np.array(table, dtype=np.int64)
             for table in config.permutation._byte_tables
         ]
-        self.field_specs = [
-            (field_offset, chunk_offset, (1 << chunk_size) - 1)
-            for field_offset, chunk_offset, chunk_size in zip(
-                layout.field_offsets, layout.chunk_offsets, layout.chunk_sizes
-            )
-        ]
+        self.field_specs = config._field_plan
         self.field_word_masks = np.stack(
             [self.words_from_int(mask) for mask in layout.field_masks]
         )

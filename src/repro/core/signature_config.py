@@ -14,7 +14,7 @@ used for TM (line addresses, 26 bits) and TLS (word addresses, 30 bits).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.fields import ChunkLayout
 from repro.core.memo import (
@@ -137,6 +137,21 @@ class SignatureConfig:
         object.__setattr__(
             self, "_rle_cache", LruCache("rle", DEFAULT_RLE_CAPACITY)
         )
+        # The fused encoder's per-field plan (see _encode_mask): one
+        # (field offset, chunk offset, chunk mask) triple per field.
+        layout = self.layout
+        object.__setattr__(
+            self,
+            "_field_plan",
+            tuple(
+                (field_offset, chunk_offset, (1 << chunk_size) - 1)
+                for field_offset, chunk_offset, chunk_size in zip(
+                    layout.field_offsets,
+                    layout.chunk_offsets,
+                    layout.chunk_sizes,
+                )
+            ),
+        )
 
     @classmethod
     def make(
@@ -163,8 +178,34 @@ class SignatureConfig:
         return self.layout.signature_bits
 
     def encode(self, address: int) -> Tuple[int, ...]:
-        """Permute an address and return its chunk values (one per field)."""
+        """Permute an address and return its chunk values (one per field).
+
+        The spec-level reference: the mask paths below run the fused
+        :meth:`_encode_mask` instead, and the tests hold them to this.
+        """
         return self.layout.chunk_values(self.permutation.apply(address))
+
+    def _encode_mask(self, address: int) -> int:
+        """The fused encoder: permute, slice and one-hot decode in one go.
+
+        Looks the address up in the permutation's byte tables, then sets
+        each field's bit at its chunk value — the OR of
+        ``1 << (field offset + chunk)`` over :meth:`encode`, without the
+        intermediate permuted address and chunk tuple.  It is the one
+        place masks are computed: the memo misses of :meth:`flat_mask`
+        and :meth:`flat_mask_many`, and every address of
+        :meth:`flat_masks`.
+        """
+        permuted = 0
+        shift = 0
+        for table in self.permutation._byte_tables:
+            permuted |= table[(address >> shift) & 0xFF]
+            shift += 8
+        mask = 0
+        for field_offset, chunk_offset, chunk_mask in self._field_plan:
+            chunk = (permuted >> chunk_offset) & chunk_mask
+            mask |= 1 << (field_offset + chunk)
+        return mask
 
     def flat_mask(self, address: int) -> int:
         """The address's one-bit-per-field mask in the flattened signature.
@@ -186,9 +227,7 @@ class SignatureConfig:
             cache.hits += 1
             return mask
         cache.misses += 1
-        mask = 0
-        for offset, chunk in zip(self.layout.field_offsets, self.encode(address)):
-            mask |= 1 << (offset + chunk)
+        mask = self._encode_mask(address)
         cache.put(address, mask)
         return mask
 
@@ -205,8 +244,7 @@ class SignatureConfig:
         cache = self._flat_mask_cache
         data = cache._data
         get = data.get
-        field_offsets = self.layout.field_offsets
-        encode = self.encode
+        encode_mask = self._encode_mask
         accumulated = 0
         hits = 0
         seen = set()
@@ -220,13 +258,22 @@ class SignatureConfig:
                 hits += 1
             else:
                 cache.misses += 1
-                mask = 0
-                for offset, chunk in zip(field_offsets, encode(address)):
-                    mask |= 1 << (offset + chunk)
+                mask = encode_mask(address)
                 cache.put(address, mask)
             accumulated |= mask
         cache.hits += hits
         return accumulated
+
+    def flat_masks(self, addresses: "Iterable[int]") -> List[int]:
+        """Each address's :meth:`flat_mask`, in order, bypassing the memo.
+
+        For a batch the memo would only fill, not serve: the Figure 15
+        sweep encodes every distinct sample address once per
+        configuration, so memoising those masks would keep one entry per
+        address alive in every configuration of ``TABLE8_CONFIGS``.  No
+        memo entry, hit or miss is recorded.
+        """
+        return list(map(self._encode_mask, addresses))
 
     def with_permutation(self, permutation: BitPermutation) -> "SignatureConfig":
         """The same configuration under a different bit permutation."""

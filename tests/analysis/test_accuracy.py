@@ -1,19 +1,114 @@
 """Tests for the signature accuracy harness (Figure 15 machinery)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.accuracy import (
+    AccuracyRow,
     average_compressed_bits,
     collect_tm_samples,
     false_positive_fraction,
     sweep_signature_configs,
 )
+from repro.core.permutation import BitPermutation
+from repro.core.rle import rle_size_bits
+from repro.core.signature import Signature
 from repro.core.signature_config import (
     SignatureConfig,
     TABLE8_CONFIGS,
     default_tm_config,
+    table8_config,
 )
 from repro.mem.address import Granularity
+from repro.sim.rng import SubstreamRng
+
+
+# The per-sample definitions the interned kernels must reproduce exactly:
+# three fresh registers per sample, one RLE size per sample.
+
+def reference_false_positive_fraction(config, samples):
+    if not samples:
+        return 0.0
+    false_positives = 0
+    for committed_writes, receiver_reads, receiver_writes in samples:
+        w_c = Signature.from_addresses(config, committed_writes)
+        r_r = Signature.from_addresses(config, receiver_reads)
+        w_r = Signature.from_addresses(config, receiver_writes)
+        if w_c.intersects(r_r) or w_c.intersects(w_r):
+            false_positives += 1
+    return false_positives / len(samples)
+
+
+def reference_average_compressed_bits(config, samples):
+    if not samples:
+        return 0.0
+    total = 0
+    for committed_writes, _, _ in samples:
+        total += rle_size_bits(Signature.from_addresses(config, committed_writes))
+    return total / len(samples)
+
+
+def reference_sweep(configs, samples, permutations_per_config=4, seed=11):
+    rng = SubstreamRng(seed)
+    rows = []
+    for name in sorted(configs, key=lambda n: (len(n), n)):
+        config = configs[name]
+        nominal = reference_false_positive_fraction(config, samples)
+        fractions = [nominal]
+        for index in range(permutations_per_config):
+            permutation = BitPermutation.shuffled(
+                config.granularity.address_bits,
+                rng.stream("figure15", name, index),
+            )
+            fractions.append(reference_false_positive_fraction(
+                config.with_permutation(permutation), samples
+            ))
+        rows.append(AccuracyRow(
+            name=name,
+            full_size_bits=config.size_bits,
+            avg_compressed_bits=reference_average_compressed_bits(
+                config, samples
+            ),
+            fp_nominal=nominal,
+            fp_best=min(fractions),
+            fp_worst=max(fractions),
+        ))
+    return rows
+
+
+# Fresh configurations, so the references' memo fills stay out of the
+# shared TABLE8_CONFIGS.  The tiny one aliases on most samples.
+KERNEL_CONFIGS = [
+    SignatureConfig.make((4, 4), Granularity.LINE, name="tiny"),
+] + [table8_config(name) for name in ("S1", "S9", "S14", "S23")]
+SWEEP_CONFIGS = {config.name: config for config in KERNEL_CONFIGS}
+
+
+@st.composite
+def sample_lists(draw):
+    """Samples over a few shared set objects: empty sets, one object
+    repeated across samples, equal but distinct frozensets, overlapping
+    (true-dependence) triples, and the empty list."""
+    pool = draw(st.lists(
+        st.one_of(st.integers(0, 255), st.integers(0, (1 << 26) - 1)),
+        min_size=1, max_size=24, unique=True,
+    ))
+    objects = draw(st.lists(
+        st.frozensets(st.sampled_from(pool), max_size=8),
+        min_size=1, max_size=8,
+    ))
+
+    def part():
+        chosen = draw(st.sampled_from(objects))
+        if draw(st.booleans()):
+            return frozenset(list(chosen))  # equal value, new object
+        return chosen
+
+    return [
+        (part(), part(), part())
+        for _ in range(draw(st.integers(0, 12)))
+    ]
 
 
 def hand_samples():
@@ -72,3 +167,76 @@ class TestSampleCollection:
         for wc, rr, wr in samples:
             assert wc  # empty write sets are filtered
             assert not (wc & rr) and not (wc & wr)
+
+
+class TestKernelsMatchTheReference:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(KERNEL_CONFIGS), sample_lists())
+    def test_single_configuration_functions(self, config, samples):
+        assert false_positive_fraction(config, samples) == (
+            reference_false_positive_fraction(config, samples)
+        )
+        assert average_compressed_bits(config, samples) == (
+            reference_average_compressed_bits(config, samples)
+        )
+
+    @settings(max_examples=15, deadline=None)
+    @given(sample_lists(), st.integers(0, 2))
+    def test_sweep_rows(self, samples, permutations):
+        assert sweep_signature_configs(
+            SWEEP_CONFIGS, samples, permutations_per_config=permutations
+        ) == reference_sweep(
+            SWEEP_CONFIGS, samples, permutations_per_config=permutations
+        )
+
+    def test_shared_and_equal_set_objects(self):
+        shared = frozenset({3, 4, 5})
+        samples = [
+            (shared, frozenset({7}), frozenset()),
+            (shared, frozenset({7}), shared),
+            (frozenset([3, 4, 5]), frozenset(), frozenset({6})),
+            (frozenset(), shared, shared),
+        ]
+        for config in KERNEL_CONFIGS:
+            assert false_positive_fraction(config, samples) == (
+                reference_false_positive_fraction(config, samples)
+            )
+            assert average_compressed_bits(config, samples) == (
+                reference_average_compressed_bits(config, samples)
+            )
+
+    def test_hand_samples_sweep(self):
+        samples = hand_samples()
+        assert sweep_signature_configs(SWEEP_CONFIGS, samples) == (
+            reference_sweep(SWEEP_CONFIGS, samples)
+        )
+
+    def test_empty_sample_list_sweep(self):
+        rows = sweep_signature_configs(SWEEP_CONFIGS, [])
+        assert rows == reference_sweep(SWEEP_CONFIGS, [])
+        for row in rows:
+            assert row.avg_compressed_bits == row.fp_nominal == 0.0
+            assert row.fp_best == row.fp_worst == 0.0
+
+
+def test_sweep_fills_no_shared_memo():
+    """Every configuration is evaluated without touching the memos of
+    the shared ``TABLE8_CONFIGS`` (which outlive the sweep)."""
+    samples = [
+        (frozenset({0x2A50000 + 37 * i, 0x2A60000 + i}),
+         frozenset({0x2B50000 + 41 * i}),
+         frozenset({0x2C50000 + i}))
+        for i in range(16)
+    ]
+
+    def sizes():
+        return {
+            name: (len(config._flat_mask_cache), len(config._rle_cache))
+            for name, config in TABLE8_CONFIGS.items()
+        }
+
+    before = sizes()
+    sweep_signature_configs(TABLE8_CONFIGS, samples, permutations_per_config=1)
+    false_positive_fraction(TABLE8_CONFIGS["S14"], samples)
+    average_compressed_bits(TABLE8_CONFIGS["S14"], samples)
+    assert sizes() == before

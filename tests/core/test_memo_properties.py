@@ -9,7 +9,12 @@ they are *strictly semantics-preserving*; these properties pin that:
 * :class:`~repro.core.decode.CachedDecoder` must return exactly what the
   uncached :class:`~repro.core.decode.DeltaDecoder` computes, including
   across cache-eviction boundaries (exercised with a deliberately tiny
-  capacity).
+  capacity);
+* the three mask kernels (``flat_mask``, ``flat_mask_many`` and the
+  unmemoised ``flat_masks``), which share one fused encoder, must equal
+  the spec-level mask built from ``SignatureConfig.encode`` under the
+  identity, the Table 5 and random permutations, and ``flat_masks`` must
+  leave the memo untouched.
 """
 
 import random
@@ -19,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.decode import CachedDecoder, DeltaDecoder
+from repro.core.permutation import BitPermutation
 from repro.core.signature import Signature
 from repro.core.signature_config import TABLE8_CHUNKS, table8_config
 from repro.mem.address import Granularity
@@ -116,3 +122,73 @@ def test_cached_decoder_exact_across_eviction_boundaries(name):
 
     assert cache.evictions > evictions_before
     assert len(cache) <= 2
+
+
+def _reference_mask(config, address):
+    """The spec-level mask: one bit per field, at the chunk ``encode``
+    gives."""
+    mask = 0
+    for offset, chunk in zip(config.layout.field_offsets, config.encode(address)):
+        mask |= 1 << (offset + chunk)
+    return mask
+
+
+def _kernel_configs(name):
+    """One Table 8 layout at both granularities under the identity, the
+    Table 5 and a random permutation, each with a cold memo."""
+    configs = []
+    for granularity in (Granularity.LINE, Granularity.WORD):
+        bits = granularity.address_bits
+        configs += [
+            table8_config(name, granularity),
+            table8_config(name, granularity, use_paper_permutation=True),
+            table8_config(
+                name,
+                granularity,
+                permutation=BitPermutation.shuffled(
+                    bits, random.Random(f"{name}/{granularity.value}")
+                ),
+            ),
+        ]
+    return configs
+
+
+@pytest.mark.parametrize("name", sorted(TABLE8_CHUNKS))
+@settings(max_examples=8, deadline=None)
+@given(address_lists)
+def test_mask_kernels_match_the_encode_reference(name, raw):
+    """Memo misses, memo hits, the batch OR and the unmemoised batch all
+    equal the mask built from ``encode``."""
+    for config in _kernel_configs(name):
+        top = _mask_for(config)
+        address_list = [address & top for address in raw] + [0, top]
+        expected = [_reference_mask(config, a) for a in address_list]
+        folded = 0
+        for mask in expected:
+            folded |= mask
+        assert config.flat_masks(address_list) == expected
+        # Misses first, then hits, on each memo path.
+        assert [config.flat_mask(a) for a in address_list] == expected
+        assert [config.flat_mask(a) for a in address_list] == expected
+        twin = config.with_permutation(config.permutation)
+        assert twin.flat_mask_many(address_list) == folded
+        assert twin.flat_mask_many(address_list) == folded
+
+
+@settings(max_examples=40, deadline=None)
+@given(configs, address_lists, address_lists)
+def test_flat_masks_leaves_the_memo_untouched(config, cached_raw, raw):
+    """``flat_masks`` records no entry, hit or miss, whatever the memo
+    already holds."""
+    top = _mask_for(config)
+    for address in cached_raw:
+        config.flat_mask(address & top)
+    cache = config._flat_mask_cache
+    before = (cache.hits, cache.misses, cache.evictions, dict(cache._data))
+    address_list = [address & top for address in cached_raw + raw]
+    assert config.flat_masks(address_list) == [
+        _reference_mask(config, address) for address in address_list
+    ]
+    assert (cache.hits, cache.misses, cache.evictions, dict(cache._data)) == (
+        before
+    )
