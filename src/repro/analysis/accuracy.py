@@ -23,10 +23,15 @@ from repro.core.permutation import BitPermutation
 from repro.core.rle import rle_encode_scalar
 from repro.core.signature import Signature
 from repro.core.signature_config import SignatureConfig
+from repro.errors import ConfigurationError
 from repro.sim.rng import SubstreamRng
 from repro.tm.lazy import LazyScheme
 from repro.tm.params import TM_DEFAULTS, TmParams
-from repro.tm.system import DisambiguationSample, TmSystem
+from repro.tm.system import (
+    DisambiguationSample,
+    _SampleBudgetFull,
+    _SamplingTmSystem,
+)
 from repro.workloads.kernels import TM_KERNELS, build_tm_workload
 
 
@@ -37,7 +42,20 @@ def collect_tm_samples(
     params: TmParams = TM_DEFAULTS,
     max_samples_per_app: int = 1500,
 ) -> List[DisambiguationSample]:
-    """Collect dependence-free disambiguation samples from TM runs."""
+    """Collect dependence-free disambiguation samples from TM runs.
+
+    Each application's exact Lazy run records its first
+    ``max_samples_per_app`` samples and ends at the commit that records
+    the last of them; a run that never fills its budget runs to the
+    end.  Samples with an empty committed write set are then dropped.
+    ``txns_per_thread`` and ``max_samples_per_app`` must be at least 1.
+    """
+    for name, value in (
+        ("txns_per_thread", txns_per_thread),
+        ("max_samples_per_app", max_samples_per_app),
+    ):
+        if value < 1:
+            raise ConfigurationError(f"{name} must be at least 1, got {value}")
     if apps is None:
         apps = sorted(TM_KERNELS)
     samples: List[DisambiguationSample] = []
@@ -48,17 +66,18 @@ def collect_tm_samples(
             txns_per_thread=txns_per_thread,
             seed=seed,
         )
-        system = TmSystem(
+        system = _SamplingTmSystem(
             traces,
             LazyScheme(),
             params,
             collect_samples=True,
             max_samples=max_samples_per_app,
         )
-        result = system.run()
-        samples.extend(
-            sample for sample in result.samples if sample[0]
-        )
+        try:
+            system.run()
+        except _SampleBudgetFull:
+            pass
+        samples.extend(sample for sample in system.samples if sample[0])
     return samples
 
 

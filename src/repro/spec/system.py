@@ -59,8 +59,8 @@ class SpecSystemCore:
         # Every attribute set here counts against a system's budget: from
         # 30 instance attributes on, CPython 3.11 gives each instance an
         # unshared dict and every attribute load on the hot paths gets
-        # slower.  TmSystem (28) and CheckpointSystem (25) are under it;
-        # TlsSystem (30) is not.
+        # slower.  TmSystem (28), TlsSystem (27) and CheckpointSystem
+        # (25) are under it, and a test holds them there.
         self.params = params
         config = config or DEFAULT_RUN_CONFIG
         self._spec_prefix = prefix

@@ -21,7 +21,7 @@ Correctness instrumentation
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.cache.cache import Cache
@@ -69,7 +69,6 @@ class TlsRunResult:
     cycles: int
     stats: TlsStats
     memory: WordMemory
-    samples: List = field(default_factory=list)
 
 
 class TlsSystem(SpecSystemCore):
@@ -80,8 +79,6 @@ class TlsSystem(SpecSystemCore):
         tasks: Sequence[TlsTask],
         scheme: TlsScheme,
         params: TlsParams = TLS_DEFAULTS,
-        collect_samples: bool = False,
-        max_samples: int = 4000,
         obs: Optional[Observability] = None,
         config: Optional[RunConfig] = None,
     ) -> None:
@@ -113,9 +110,6 @@ class TlsSystem(SpecSystemCore):
         #: task id -> clock at which its spawn was signalled.
         self.spawn_times: Dict[int, int] = {0: 0}
         self.last_commit_time = 0
-        self.collect_samples = collect_samples
-        self.max_samples = max_samples
-        self.samples: List = []
         self._scheduler: Optional[MinClockScheduler] = None
         for proc in self.processors:
             scheme.setup_processor(self, proc)
@@ -171,7 +165,6 @@ class TlsSystem(SpecSystemCore):
             cycles=self.stats.cycles,
             stats=self.stats,
             memory=self.memory,
-            samples=self.samples,
         )
 
     # ------------------------------------------------------------------
@@ -398,11 +391,9 @@ class TlsSystem(SpecSystemCore):
         line_address = byte_address >> LINE_SHIFT
         victim = self.scheme.eager_check_store(self, proc, state, byte_address)
         if victim is not None:
-            aggressor_word = byte_address >> WORD_SHIFT
             self._note_direct_squash_stats(
                 dependence=1, false_positive=False
             )
-            del aggressor_word
             self.squash_from(victim, now=proc.clock, cause="eager-conflict")
         gate = self.scheme.prepare_store(self, proc, state, line_address)
         if gate is not None:
@@ -602,19 +593,6 @@ class TlsSystem(SpecSystemCore):
                 continue
             exact_dep = self.scheme.exact_dependence(state, other)
             hit = self.scheme.receiver_conflict(self, state, other)
-            if (
-                self.collect_samples
-                and not exact_dep
-                and state.write_words
-                and len(self.samples) < self.max_samples
-            ):
-                self.samples.append(
-                    (
-                        frozenset(state.write_words),
-                        frozenset(other.read_words),
-                        frozenset(other.write_words),
-                    )
-                )
             if hit:
                 conflicting.append(other)
                 self._note_direct_squash_stats(

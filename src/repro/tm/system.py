@@ -871,3 +871,28 @@ class TmSystem(SpecSystemCore):
             for word, value in log.items():
                 reference.store(word, value)
         return reference
+
+
+class _SampleBudgetFull(Exception):
+    """Ends a :class:`_SamplingTmSystem` run at its last budgeted sample."""
+
+
+class _SamplingTmSystem(TmSystem):
+    """A Figure 15 sampling run (built with ``collect_samples=True``)
+    that ends at the commit that records its ``max_samples``-th sample.
+
+    Samples are appended only at commits, and none after the budget is
+    full, so the run records exactly the samples a full run would; the
+    rest of the run would only simulate.  :meth:`run` raises
+    :class:`_SampleBudgetFull` at that commit, and the caller reads
+    :attr:`samples`.  Every simulated step keeps the stale-read oracle
+    and every other check; only the deadlock check at the end of
+    :meth:`run` is skipped, because the remaining processors are
+    deliberately not run.  A run that never fills its budget returns
+    as a plain run does.
+    """
+
+    def _commit(self, proc: TmProcessor) -> None:
+        super()._commit(proc)
+        if len(self.samples) >= self.max_samples:
+            raise _SampleBudgetFull

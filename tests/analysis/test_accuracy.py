@@ -1,9 +1,12 @@
 """Tests for the signature accuracy harness (Figure 15 machinery)."""
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import accuracy
 from repro.analysis.accuracy import (
     AccuracyRow,
     average_compressed_bits,
@@ -11,6 +14,7 @@ from repro.analysis.accuracy import (
     false_positive_fraction,
     sweep_signature_configs,
 )
+from repro.analysis.experiments import run_tm_comparison
 from repro.core.permutation import BitPermutation
 from repro.core.rle import rle_size_bits
 from repro.core.signature import Signature
@@ -20,8 +24,14 @@ from repro.core.signature_config import (
     default_tm_config,
     table8_config,
 )
+from repro.errors import ConfigurationError
 from repro.mem.address import Granularity
 from repro.sim.rng import SubstreamRng
+from repro.spec import scheme_entries
+from repro.tm.lazy import LazyScheme
+from repro.tm.params import TM_DEFAULTS
+from repro.tm.system import TmSystem
+from repro.workloads.kernels import TM_KERNELS, build_tm_workload
 
 
 # The per-sample definitions the interned kernels must reproduce exactly:
@@ -168,6 +178,22 @@ class TestSampleCollection:
             assert wc  # empty write sets are filtered
             assert not (wc & rr) and not (wc & wr)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"max_samples_per_app": 0}, "max_samples_per_app"),
+        ({"max_samples_per_app": -3}, "max_samples_per_app"),
+        ({"txns_per_thread": 0}, "txns_per_thread"),
+        ({"txns_per_thread": -1}, "txns_per_thread"),
+        # lu ignores the transaction count, so it alone would sample.
+        ({"txns_per_thread": 0, "apps": ["lu"]}, "txns_per_thread"),
+    ])
+    def test_rejects_counts_below_one(self, monkeypatch, kwargs, name):
+        def no_build(*_args, **_kwargs):
+            raise AssertionError("a workload was built")
+
+        monkeypatch.setattr(accuracy, "build_tm_workload", no_build)
+        with pytest.raises(ConfigurationError, match=name):
+            collect_tm_samples(**kwargs)
+
 
 class TestKernelsMatchTheReference:
     @settings(max_examples=60, deadline=None)
@@ -240,3 +266,125 @@ def test_sweep_fills_no_shared_memo():
     false_positive_fraction(TABLE8_CONFIGS["S14"], samples)
     average_compressed_bits(TABLE8_CONFIGS["S14"], samples)
     assert sizes() == before
+
+
+# ----------------------------------------------------------------------
+# The sample budget stop
+# ----------------------------------------------------------------------
+
+TM_APPS = sorted(TM_KERNELS)
+
+
+@functools.lru_cache(maxsize=None)
+def full_lazy_runs(txns, budget, seed):
+    """Each application's Lazy run to completion with the same cap, as
+    ``collect_tm_samples`` ran it before the budget stop."""
+    return [
+        TmSystem(
+            build_tm_workload(
+                app,
+                num_threads=TM_DEFAULTS.num_processors,
+                txns_per_thread=txns,
+                seed=seed,
+            ),
+            LazyScheme(),
+            TM_DEFAULTS,
+            collect_samples=True,
+            max_samples=budget,
+        ).run()
+        for app in TM_APPS
+    ]
+
+
+def reference_samples(txns, budget, seed):
+    return [
+        sample
+        for result in full_lazy_runs(txns, budget, seed)
+        for sample in result.samples
+        if sample[0]
+    ]
+
+
+@pytest.fixture
+def record_tm_runs(monkeypatch):
+    """Starts recording every later ``TmSystem.run`` call, as
+    ``[system, result]``; ``result`` stays ``None`` for a run that
+    raised."""
+
+    def start():
+        calls = []
+        run = TmSystem.run
+
+        def recorded(system):
+            calls.append([system, None])
+            calls[-1][1] = run(system)
+            return calls[-1][1]
+
+        monkeypatch.setattr(TmSystem, "run", recorded)
+        return calls
+
+    return start
+
+
+class TestSampleBudgetStop:
+    @pytest.mark.parametrize("txns, budget", [(4, 30), (3, 100)])
+    def test_samples_equal_the_full_runs(self, record_tm_runs, txns, budget):
+        reference = reference_samples(txns, budget, 42)
+        runs = record_tm_runs()
+        samples = collect_tm_samples(
+            txns_per_thread=txns, seed=42, max_samples_per_app=budget
+        )
+        assert samples == reference
+        # One run per application, through TmSystem.run.
+        assert len(runs) == len(TM_APPS)
+
+    def test_full_budgets_stop_early(self, record_tm_runs):
+        full_runs = full_lazy_runs(4, 30, 42)
+        runs = record_tm_runs()
+        collect_tm_samples(txns_per_thread=4, seed=42, max_samples_per_app=30)
+        assert len(runs) == len(full_runs)
+        for (system, result), full in zip(runs, full_runs):
+            assert result is None  # stopped at its budget
+            assert len(system.samples) == 30
+            assert len(system.commit_order) < len(full.commit_order)
+            assert system.commit_order == (
+                full.commit_order[: len(system.commit_order)]
+            )
+
+    def test_unfilled_budgets_run_to_the_end(self, record_tm_runs):
+        full_runs = full_lazy_runs(3, 100, 42)
+        runs = record_tm_runs()
+        collect_tm_samples(
+            txns_per_thread=3, seed=42, max_samples_per_app=100
+        )
+        unfilled = 0
+        for (system, result), full in zip(runs, full_runs):
+            if len(full.samples) == 100:
+                continue
+            unfilled += 1
+            assert result is not None
+            assert result.cycles == full.cycles
+            assert result.commit_order == full.commit_order
+        assert unfilled == len(TM_APPS) - 1  # all but lu
+
+    def test_comparison_sampling_runs_to_completion(self, record_tm_runs):
+        traces = build_tm_workload(
+            "mc", num_threads=TM_DEFAULTS.num_processors,
+            txns_per_thread=4, seed=3,
+        )
+        full_runs = {}
+        for entry in scheme_entries("tm"):
+            full_runs[entry.name] = TmSystem(
+                traces, entry.factory(), TM_DEFAULTS, collect_samples=True
+            ).run()
+        runs = record_tm_runs()
+        comparison = run_tm_comparison(
+            "mc", txns_per_thread=4, seed=3, collect_samples=True
+        )
+        assert [type(system) for system, _ in runs] == (
+            [TmSystem] * len(full_runs)
+        )
+        for name, full in full_runs.items():
+            assert comparison.cycles[name] == full.cycles
+            assert comparison.stats[name] == full.stats
+            assert comparison.samples_by_scheme[name] == full.samples
