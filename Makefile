@@ -7,7 +7,7 @@ PYTHON ?= python
 
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test test-output verify bench bench-json bench-output examples figure clean
+.PHONY: install test test-output verify bench bench-json bench-output examples clean
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -39,10 +39,6 @@ examples:
 		echo "=== $$example ==="; \
 		$(PYTHON) $$example || exit 1; \
 	done
-
-# Regenerate a single figure/table, e.g. `make figure F=fig14`.
-figure:
-	$(PYTHON) -m pytest "benchmarks/bench_$(F)"*.py --benchmark-only -s
 
 clean:
 	find . -type d -name __pycache__ -exec rm -rf {} +

@@ -9,7 +9,6 @@ commit count — the correctness contract — never moves.  A second sweep
 compares the three arbitration policies at a fixed latency.
 """
 
-from benchmarks.conftest import SEED
 from repro.analysis.report import render_table
 from repro.interconnect import POLICIES
 from repro.spec import RunConfig
@@ -17,6 +16,7 @@ from repro.tm.bulk import BulkScheme
 from repro.tm.system import TmSystem
 from repro.workloads.kernels import build_tm_workload
 
+SEED = 42
 LATENCIES = [0, 2, 4, 8, 16]
 POLICY_LATENCY = 8
 

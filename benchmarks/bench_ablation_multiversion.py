@@ -11,13 +11,14 @@ the cycles lost to them.
 
 from dataclasses import replace
 
-from benchmarks.conftest import SEED, TM_TXNS
 from repro.analysis.report import render_table
 from repro.tm.bulk import BulkScheme
 from repro.tm.params import TM_DEFAULTS
 from repro.tm.system import TmSystem
 from repro.workloads.kernels import build_tm_workload
 
+SEED = 42
+TM_TXNS = 10
 APPS = ["cb", "mc", "sjbb2k"]
 
 

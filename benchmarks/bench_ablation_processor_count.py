@@ -13,7 +13,6 @@ predicts should be visible:
 
 from dataclasses import replace
 
-from benchmarks.conftest import SEED
 from repro.analysis.report import render_table
 from repro.tls.bulk import TlsBulkScheme
 from repro.tls.params import TLS_DEFAULTS
@@ -24,6 +23,7 @@ from repro.tm.system import TmSystem
 from repro.workloads.kernels import build_tm_workload
 from repro.workloads.tls_spec import build_tls_workload
 
+SEED = 42
 PROCESSOR_COUNTS = [2, 4, 8, 16]
 
 

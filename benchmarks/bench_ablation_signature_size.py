@@ -15,7 +15,6 @@ with and without RLE — the Section 6.1 compression ablation.
 
 from dataclasses import replace
 
-from benchmarks.conftest import SEED
 from repro.analysis.report import render_table
 from repro.core.signature_config import table8_config
 from repro.mem.address import Granularity
@@ -28,6 +27,7 @@ from repro.tm.system import TmSystem
 from repro.workloads.kernels import build_tm_workload
 from repro.workloads.tls_spec import build_tls_workload
 
+SEED = 42
 #: TM-eligible Table 8 configurations (first chunk >= 7 bits).
 TM_CONFIGS = ["S1", "S4", "S10", "S14", "S19", "S23"]
 #: TLS-eligible Table 8 configurations (first chunk >= 10 bits).

@@ -17,8 +17,8 @@ Quick start::
     r_receiver.add(0x1000 >> 6)
     assert w_committer.intersects(r_receiver)   # dependence: squash
 
-See ``examples/`` for complete TM and TLS runs and ``benchmarks/`` for
-the per-table/figure regeneration harness.
+See ``examples/`` for complete TM and TLS runs and ``python -m repro
+reproduce`` for every table and figure of the evaluation.
 """
 
 from repro.core.bdm import BulkDisambiguationModule, SetRestrictionAction, VersionContext

@@ -5,6 +5,8 @@
 * :mod:`repro.analysis.accuracy` — the signature size-vs-accuracy study
   (Figure 15, Table 8).
 * :mod:`repro.analysis.fig12` — the Figure 12 Eager-pathology scenarios.
+* :mod:`repro.analysis.claims` — the paper's shape claims as one table,
+  checked against the results ``repro reproduce`` holds.
 * :mod:`repro.analysis.bandwidth` — bandwidth normalisation helpers.
 * :mod:`repro.analysis.report` — plain-text table/figure rendering.
 """

@@ -1,6 +1,6 @@
 """End-to-end experiment drivers for the substrate comparisons.
 
-These are the functions the ``benchmarks/`` harness and the CLI call:
+These are the functions the grid runner and the CLI call:
 each runs one application under every scheme of one substrate (TM, TLS,
 or checkpoint) with shared parameters and returns the measurements that
 feed the corresponding table or figure.  Which schemes exist — and in

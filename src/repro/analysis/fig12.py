@@ -8,8 +8,8 @@
     Eager squashes the reader at the store; Lazy commits both without any
     squash.
 
-``repro fig12``, the Figure 12 benchmark and the ``eager_pathologies``
-example all run these scenarios.
+``repro fig12``, ``tests/analysis/test_fig12.py`` and the
+``eager_pathologies`` example all run these scenarios.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Plain-text rendering of tables and bar charts.
 
-The benchmark harness prints the same rows and series the paper's tables
-and figures report; these helpers keep that output consistent and
-readable in a terminal or a CI log.
+The CLI prints the same rows and series the paper's tables and figures
+report; these helpers keep that output consistent and readable in a
+terminal or a CI log.
 """
 
 from __future__ import annotations

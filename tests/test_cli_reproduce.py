@@ -1,5 +1,6 @@
 """The CLI's reproduce subcommand (small scale)."""
 
+from repro.analysis.claims import CLAIMS
 from repro.cli import main
 
 EXPECTED_FILES = [
@@ -11,14 +12,29 @@ EXPECTED_FILES = [
 ]
 
 
-def test_reproduce_archives_every_experiment(tmp_path):
+def test_reproduce_archives_every_experiment(tmp_path, capsys):
     out = tmp_path / "results"
     code = main([
         "reproduce", "--out", str(out),
         "--tm-txns", "3", "--tls-tasks", "16", "--samples", "30",
         "--seed", "5",
     ])
+    # At this sizing sjbb2k's Lazy run is slightly slower than its Eager
+    # run: the printed claims say so, and the exit status does not.
     assert code == 0
+    printed = capsys.readouterr().out
+    assert f"{len(CLAIMS) - 1} of {len(CLAIMS)} hold" in printed
+    results = [
+        line for line in printed.splitlines()
+        if line.endswith(("holds", "FAILS"))
+    ]
+    assert len(results) == len(CLAIMS)
+    failing = [line for line in results if line.endswith("FAILS")]
+    assert len(failing) == 1 and "sjbb2k" in failing[0]
+    # The claims are printed, not archived.
+    assert sorted(p.name for p in out.iterdir() if p.is_file()) == sorted(
+        EXPECTED_FILES
+    )
     for name in EXPECTED_FILES:
         path = out / name
         assert path.is_file(), name
