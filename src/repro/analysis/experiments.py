@@ -123,7 +123,7 @@ def run_tm_comparison(
     config = RunConfig(**run_options)
     comparison = TmComparison(app=app)
     # One build serves every scheme: traces are immutable (tuples of
-    # frozen events), and rebuilding with the same seed produced the
+    # named-tuple events), and rebuilding with the same seed produced the
     # identical sequence anyway.
     if config.trace is None:
         traces = build_tm_workload(

@@ -108,7 +108,7 @@ def build_checkpoint_workload(
     """Generate an epoch stream for one workload profile.
 
     Deterministic in ``(app, num_epochs, seed)``; no state leaks between
-    calls.
+    calls.  ``num_epochs`` must be at least 1.
     """
     profile = CHECKPOINT_WORKLOADS.get(app)
     if profile is None:
@@ -116,6 +116,8 @@ def build_checkpoint_workload(
             f"unknown checkpoint workload {app!r} "
             f"(known: {', '.join(sorted(CHECKPOINT_WORKLOADS))})"
         )
+    if num_epochs < 1:
+        raise ConfigurationError(f"num_epochs must be at least 1, got {num_epochs}")
     rng = random.Random(f"{app}:{seed}")
     cursor = 0
     epochs: List[CheckpointEpoch] = []

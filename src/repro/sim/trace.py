@@ -16,8 +16,7 @@ common event vocabulary both our simulators consume:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, NamedTuple, Sequence, Tuple
 
 from repro.errors import TraceError
 
@@ -32,56 +31,89 @@ class EventKind(enum.Enum):
     TX_END = "tx-end"
 
     # Members are singletons, so identity hashing is exact; the default
-    # Enum hash is a Python-level call and events are hashed whenever a
-    # frozen MemEvent is, i.e. constantly during workload handling.
+    # Enum hash is a Python-level call and an event's hash includes its
+    # kind's, so it would run whenever an event is hashed.
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
-class MemEvent:
-    """One trace event.
-
-    ``address`` is a byte address (LOAD/STORE only); ``value`` is the
-    stored word value (STORE only); ``cycles`` is the compute duration
-    (COMPUTE only).
-    """
-
+class _EventFields(NamedTuple):
     kind: EventKind
     address: int = 0
     value: int = 0
     cycles: int = 0
 
-    def __post_init__(self) -> None:
-        if self.kind in (EventKind.LOAD, EventKind.STORE):
-            if self.address < 0:
-                raise TraceError(f"negative address in {self.kind.value} event")
-        if self.kind is EventKind.COMPUTE and self.cycles <= 0:
+
+class MemEvent(_EventFields):
+    """One trace event: an immutable named tuple.
+
+    ``address`` is a byte address (LOAD/STORE only); ``value`` is the
+    stored word value (STORE only); ``cycles`` is the compute duration
+    (COMPUTE only).  Build events with the factories below; a direct
+    ``MemEvent(...)`` runs the same checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        kind: EventKind,
+        address: int = 0,
+        value: int = 0,
+        cycles: int = 0,
+    ) -> "MemEvent":
+        if kind is EventKind.LOAD or kind is EventKind.STORE:
+            if address < 0:
+                raise TraceError(f"negative address in {kind.value} event")
+        elif kind is EventKind.COMPUTE and cycles <= 0:
             raise TraceError("compute events need a positive cycle count")
+        return _new_event(cls, (kind, address, value, cycles))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "MemEvent":
+        # ``_replace`` builds through ``_make``; keep it checked too.
+        return cls(*iterable)
+
+
+# The factories build the tuple directly: kernels emit tens of thousands
+# of events, and skipping ``MemEvent.__new__``'s dispatch on the kind
+# makes each one cheaper.  Each runs its own kind's check.
+_new_event = tuple.__new__
+_LOAD = EventKind.LOAD
+_STORE = EventKind.STORE
+_COMPUTE = EventKind.COMPUTE
+_TX_BEGIN = MemEvent(EventKind.TX_BEGIN)
+_TX_END = MemEvent(EventKind.TX_END)
 
 
 def load(address: int) -> MemEvent:
     """A load event."""
-    return MemEvent(EventKind.LOAD, address=address)
+    if address < 0:
+        raise TraceError("negative address in load event")
+    return _new_event(MemEvent, (_LOAD, address, 0, 0))
 
 
 def store(address: int, value: int = 0) -> MemEvent:
     """A store event carrying the value written."""
-    return MemEvent(EventKind.STORE, address=address, value=value)
+    if address < 0:
+        raise TraceError("negative address in store event")
+    return _new_event(MemEvent, (_STORE, address, value, 0))
 
 
 def compute(cycles: int) -> MemEvent:
     """A block of non-memory work."""
-    return MemEvent(EventKind.COMPUTE, cycles=cycles)
+    if cycles <= 0:
+        raise TraceError("compute events need a positive cycle count")
+    return _new_event(MemEvent, (_COMPUTE, 0, 0, cycles))
 
 
 def tx_begin() -> MemEvent:
-    """A transaction-begin marker."""
-    return MemEvent(EventKind.TX_BEGIN)
+    """A transaction-begin marker (one shared instance)."""
+    return _TX_BEGIN
 
 
 def tx_end() -> MemEvent:
-    """A transaction-end marker."""
-    return MemEvent(EventKind.TX_END)
+    """A transaction-end marker (one shared instance)."""
+    return _TX_END
 
 
 class ThreadTrace:

@@ -47,11 +47,20 @@ def build_tm_workload(
     txns_per_thread: int = 24,
     seed: int = 0,
 ) -> List[ThreadTrace]:
-    """Build one of the Table 4 workloads by name."""
+    """Build one of the Table 4 workloads by name.
+
+    ``num_threads`` and ``txns_per_thread`` must be at least 1.
+    """
     if name not in TM_KERNELS:
         raise ConfigurationError(
             f"unknown TM workload {name!r}; choose from {sorted(TM_KERNELS)}"
         )
+    for size, value in (
+        ("num_threads", num_threads),
+        ("txns_per_thread", txns_per_thread),
+    ):
+        if value < 1:
+            raise ConfigurationError(f"{size} must be at least 1, got {value}")
     return TM_KERNELS[name](
         num_threads=num_threads, txns_per_thread=txns_per_thread, seed=seed
     )

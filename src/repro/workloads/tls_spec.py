@@ -78,12 +78,15 @@ def build_tls_workload(
     num_tasks: int = 200,
     seed: int = 0,
 ) -> List[TlsTask]:
-    """Generate the task list for one application profile."""
+    """Generate the task list for one application profile
+    (``num_tasks`` must be at least 1)."""
     if app not in TLS_APPLICATIONS:
         raise ConfigurationError(
             f"unknown TLS application {app!r}; choose from "
             f"{sorted(TLS_APPLICATIONS)}"
         )
+    if num_tasks < 1:
+        raise ConfigurationError(f"num_tasks must be at least 1, got {num_tasks}")
     profile = TLS_APPLICATIONS[app]
     rng = random.Random((seed << 8) ^ (sum(map(ord, app)) & 0xFFFF))
 

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import TraceError
 from repro.sim.trace import (
     EventKind,
+    MemEvent,
     ThreadTrace,
     compute,
     load,
@@ -13,6 +14,7 @@ from repro.sim.trace import (
     tx_begin,
     tx_end,
 )
+from repro.trace.records import decode_event, encode_event
 
 
 class TestEvents:
@@ -28,6 +30,40 @@ class TestEvents:
     def test_compute_needs_positive_cycles(self):
         with pytest.raises(TraceError):
             compute(0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: store(-1, 0),
+            lambda: MemEvent(EventKind.LOAD, -1),
+            lambda: MemEvent(EventKind.COMPUTE),
+            lambda: load(8)._replace(address=-1),
+        ],
+        ids=["store", "direct-load", "direct-compute", "replace"],
+    )
+    def test_every_constructor_checks_its_fields(self, make):
+        with pytest.raises(TraceError):
+            make()
+
+    def test_events_are_immutable_and_have_no_dict(self):
+        event = load(64)
+        assert not hasattr(event, "__dict__")
+        with pytest.raises(AttributeError):
+            event.address = 0
+
+    def test_markers_are_shared_instances(self):
+        assert tx_begin() is tx_begin()
+        assert tx_end() is tx_end()
+
+    @pytest.mark.parametrize(
+        "event",
+        [load(64), store(8, 99), compute(7), tx_begin(), tx_end()],
+        ids=lambda event: event.kind.value,
+    )
+    def test_record_round_trip_keeps_equality_and_hash(self, event):
+        decoded = decode_event(encode_event(event))
+        assert decoded == event
+        assert hash(decoded) == hash(event)
 
 
 class TestThreadTrace:
