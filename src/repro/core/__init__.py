@@ -3,7 +3,6 @@
 This package is a bit-exact software model of the hardware proposed in
 Sections 3-5 of the paper:
 
-* :mod:`repro.core.bitvector` — fixed-width bit vectors.
 * :mod:`repro.core.permutation` — the address bit permutation of Figure 2.
 * :mod:`repro.core.fields` — the C_i chunk / V_i field layout of Figure 2.
 * :mod:`repro.core.signature_config` — signature configurations, including
@@ -20,7 +19,6 @@ Sections 3-5 of the paper:
 * :mod:`repro.core.bdm` — the Bulk Disambiguation Module of Figure 7.
 """
 
-from repro.core.bitvector import BitVector
 from repro.core.permutation import BitPermutation
 from repro.core.fields import ChunkLayout
 from repro.core.signature_config import (
@@ -41,7 +39,6 @@ from repro.core.disambiguation import DisambiguationResult, disambiguate
 from repro.core.bdm import BulkDisambiguationModule, SetOwner, VersionContext
 
 __all__ = [
-    "BitVector",
     "BitPermutation",
     "ChunkLayout",
     "SignatureConfig",

@@ -66,6 +66,13 @@ class UnknownSchemeError(ConfigurationError):
             )
         super().__init__(message)
 
+    def __reduce__(self):
+        # Rebuild from the constructor's arguments, so the error crosses
+        # a process-pool boundary with its message and attributes intact.
+        return (
+            type(self), (self.substrate, self.name, self.known), self.__dict__
+        )
+
 
 class UnknownBackendError(ConfigurationError):
     """A signature-backend name is not in the backend registry.
@@ -85,6 +92,9 @@ class UnknownBackendError(ConfigurationError):
         super().__init__(
             f"unknown signature backend {name!r} (registered: {alternatives})"
         )
+
+    def __reduce__(self):
+        return type(self), (self.name, self.known), self.__dict__
 
 
 class SchemeSwapError(BulkError):
@@ -110,6 +120,13 @@ class SchemeSwapError(BulkError):
         super().__init__(
             f"cannot swap {substrate} scheme {current!r} -> {requested!r}: "
             f"{reason}"
+        )
+
+    def __reduce__(self):
+        return (
+            type(self),
+            (self.substrate, self.current, self.requested, self.reason),
+            self.__dict__,
         )
 
 

@@ -2,10 +2,11 @@
 
 The evaluation's figure and table drivers all reduce to sweeping
 ``run_tm_comparison`` / ``run_tls_comparison`` /
-``run_checkpoint_comparison`` over an (application × seed × knob) grid.  This package runs such grids across worker
-processes with deterministic merging, per-point retry, and an on-disk
-result cache keyed by parameters *and* simulator code — see
-``docs/RUNNER.md`` for the full contract.
+``run_checkpoint_comparison`` over an (application × seed × knob) grid.
+This package runs such grids across worker processes with deterministic
+merging, one attempt per point, and an on-disk result cache keyed by
+parameters *and* simulator code that stores each point as it finishes —
+see ``docs/RUNNER.md`` for the full contract.
 
 >>> from repro.runner import GridRunner, tm_point
 >>> runner = GridRunner(jobs=4)                        # doctest: +SKIP
@@ -18,7 +19,6 @@ from repro.runner.cache import (
     code_fingerprint,
 )
 from repro.runner.grid import (
-    FailureRecord,
     GridExecutionError,
     GridPoint,
     GridResult,
@@ -26,7 +26,6 @@ from repro.runner.grid import (
     checkpoint_point,
     default_jobs,
     execution_cost,
-    load_failure_records,
     submission_order,
     tls_point,
     tm_point,
@@ -39,7 +38,6 @@ from repro.runner.serialize import (
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
-    "FailureRecord",
     "GridExecutionError",
     "GridPoint",
     "GridResult",
@@ -52,7 +50,6 @@ __all__ = [
     "comparison_to_dict",
     "default_jobs",
     "execution_cost",
-    "load_failure_records",
     "submission_order",
     "tls_point",
     "tm_point",

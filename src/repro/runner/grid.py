@@ -12,26 +12,26 @@ worker count, because
 * the merge orders points by their canonical keys, never by completion
   order.
 
-Failures are retried per point; whatever still fails after the retry
-budget lands in the runner's :attr:`~GridRunner.failure_log` instead of
-poisoning the whole sweep.  With a cache directory configured
-(:mod:`repro.runner.cache`), finished points are persisted and re-running
-a sweep only recomputes points whose parameters or simulator code
+A point is a pure function of its parameters, so it runs once: the
+first point to raise stops the run.  With a cache directory configured
+(:mod:`repro.runner.cache`), each point is persisted as it finishes, and
+re-running a sweep, even one that was interrupted or failed, only
+recomputes points that are missing or whose parameters or simulator code
 changed.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
-import traceback
-import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError, TraceError
 from repro.runner.cache import ResultCache
 from repro.runner.serialize import (
     canonical_json,
@@ -44,7 +44,8 @@ Knobs = Tuple[Tuple[str, Any], ...]
 
 
 class GridExecutionError(SimulationError):
-    """A grid point kept failing after exhausting its retry budget."""
+    """A grid point raised something other than a typed input error; the
+    message names the point's key and the cause is chained."""
 
 
 @dataclass(frozen=True)
@@ -243,75 +244,6 @@ def _warm_worker() -> None:
 
 
 @dataclass
-class FailureRecord:
-    """One failed execution attempt of one grid point."""
-
-    key: str
-    attempt: int
-    error: str
-    traceback: str
-
-
-def _failure_from_dict(row: Any) -> Optional[FailureRecord]:
-    """A persisted failure row as a record, or ``None`` if malformed."""
-    if not isinstance(row, dict):
-        return None
-    try:
-        return FailureRecord(
-            key=str(row["key"]),
-            attempt=int(row["attempt"]),
-            error=str(row["error"]),
-            traceback=str(row.get("traceback", "")),
-        )
-    except (KeyError, TypeError, ValueError):
-        return None
-
-
-def load_failure_records(
-    directory: "str | os.PathLike[str]",
-) -> List[FailureRecord]:
-    """Every failure record persisted in a cache directory's
-    append-only ``failures.jsonl`` (one JSON object per line).
-
-    Malformed lines are *reported*, not silently dropped: each one is
-    described (``file:line`` plus the reason) through
-    :func:`warnings.warn` — a corrupted failure log hiding real failure
-    history is itself a failure worth surfacing.  The one expected
-    exception is a killed writer's torn tail: an unterminated final line
-    is normal crash residue and stays silent.
-    """
-    path = pathlib.Path(directory) / "failures.jsonl"
-    if not path.exists():
-        return []
-    records: List[FailureRecord] = []
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as error:
-        warnings.warn(f"{path}: unreadable failure log ({error})", stacklevel=2)
-        return records
-    torn_tail = bool(text) and not text.endswith("\n")
-    lines = text.splitlines()
-    for number, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            row = json.loads(stripped)
-        except json.JSONDecodeError as error:
-            if not (torn_tail and number == len(lines)):
-                warnings.warn(f"{path}:{number}: malformed failure record "
-                              f"({error})", stacklevel=2)
-            continue  # a killed writer's torn tail stays silent
-        record = _failure_from_dict(row)
-        if record is None:
-            warnings.warn(f"{path}:{number}: not a failure record",
-                          stacklevel=2)
-        else:
-            records.append(record)
-    return records
-
-
-@dataclass
 class GridResult:
     """The deterministic merge of one grid execution."""
 
@@ -319,8 +251,6 @@ class GridResult:
     results: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     #: Keys that were served from the on-disk cache.
     cached_keys: List[str] = field(default_factory=list)
-    #: Every failed attempt (including ones whose point later succeeded).
-    failures: List[FailureRecord] = field(default_factory=list)
     #: Point key -> metrics snapshot (observability runs only).
     metrics: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     #: Point key -> deterministic trace summary (observability runs only).
@@ -392,9 +322,6 @@ class GridRunner:
     jobs:
         Worker processes.  ``None`` auto-detects (:func:`default_jobs`);
         ``1`` runs in-process with no pool at all.
-    retries:
-        How many times one point is *re*-tried after a failure (so each
-        point runs at most ``retries + 1`` times).
     cache_dir:
         Directory for the on-disk result cache; ``None`` disables caching.
     observability:
@@ -409,21 +336,16 @@ class GridRunner:
     def __init__(
         self,
         jobs: Optional[int] = None,
-        retries: int = 1,
         cache_dir: "Optional[str | os.PathLike[str]]" = None,
         observability: bool = False,
     ) -> None:
         if jobs is not None and jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
         self.jobs = default_jobs() if jobs is None else jobs
-        self.retries = retries
         self.cache: Optional[ResultCache] = (
             None if cache_dir is None else ResultCache(cache_dir)
         )
         self.observability = observability
-        self.failure_log: List[FailureRecord] = []
 
     def _payload(self, point: GridPoint) -> Dict[str, Any]:
         """The point's execution/cache payload.  Only observability runs
@@ -438,15 +360,16 @@ class GridRunner:
     # Public API
     # ------------------------------------------------------------------
 
-    def run(
-        self, points: Iterable[GridPoint], allow_failures: bool = False
-    ) -> GridResult:
+    def run(self, points: Iterable[GridPoint]) -> GridResult:
         """Execute every point and return the deterministic merge.
 
-        Raises :class:`GridExecutionError` if any point exhausts its
-        retry budget, unless ``allow_failures`` is set — then failed
-        points are simply absent from the results and recorded in the
-        failure log.
+        Each point that is not in the cache runs once and is cached as
+        soon as it finishes.  The first point to raise stops the run: no
+        point that is not yet running or handed to a pool worker starts,
+        a :class:`~repro.errors.ConfigurationError` or
+        :class:`~repro.errors.TraceError` reaches the caller as itself,
+        and any other error becomes a :class:`GridExecutionError` that
+        names the point's key, chained to the cause.
         """
         ordered = sorted(set(points), key=lambda point: point.key)
         if len(ordered) != len({point.key for point in ordered}):
@@ -463,27 +386,22 @@ class GridRunner:
             else:
                 pending.append(point)
 
-        if pending:
-            # Longest-processing-time-first: a trailing expensive TM
-            # point must not execute alone after the cheap points drain.
-            pending = submission_order(pending)
-            if self.jobs > 1 and len(pending) > 1:
-                executed = self._run_pool(pending, result.failures)
-            else:
-                executed = self._run_serial(pending, result.failures)
-            for point in pending:
-                if point.key in executed:
-                    self._cache_store(point, executed[point.key])
-                    computed[point.key] = executed[point.key]
+        # Longest-processing-time-first: a trailing expensive TM point
+        # must not execute alone after the cheap points drain.
+        with closing(self._finished(submission_order(pending))) as finished:
+            for point, outcome in finished:
+                try:
+                    entry = outcome()
+                except (ConfigurationError, TraceError):
+                    raise
+                except Exception as error:
+                    raise GridExecutionError(
+                        f"grid point {point.key} failed: "
+                        f"{type(error).__name__}: {error}"
+                    ) from error
+                self._cache_store(point, entry)
+                computed[point.key] = entry
 
-        self.failure_log.extend(result.failures)
-        self._persist_failures(result.failures)
-        dead = [point.key for point in ordered if point.key not in computed]
-        if dead and not allow_failures:
-            raise GridExecutionError(
-                f"{len(dead)} grid point(s) failed after "
-                f"{self.retries + 1} attempt(s): {', '.join(dead)}"
-            )
         for key in sorted(computed):
             entry = computed[key]
             if self.observability:
@@ -495,77 +413,48 @@ class GridRunner:
         return result
 
     # ------------------------------------------------------------------
-    # Execution strategies
+    # Execution
     # ------------------------------------------------------------------
 
-    def _run_serial(
-        self, points: Sequence[GridPoint], failures: List[FailureRecord]
-    ) -> Dict[str, Dict[str, Any]]:
-        executed: Dict[str, Dict[str, Any]] = {}
-        for point in points:
-            for attempt in range(1, self.retries + 2):
-                try:
-                    value = _execute_point(self._payload(point))
-                except Exception as error:  # noqa: BLE001 - logged + re-raised
-                    failures.append(
-                        FailureRecord(
-                            key=point.key,
-                            attempt=attempt,
-                            error=f"{type(error).__name__}: {error}",
-                            traceback=traceback.format_exc(),
-                        )
-                    )
-                else:
-                    executed[point.key] = value
-                    break
-        return executed
+    def _finished(
+        self, points: Sequence[GridPoint]
+    ) -> Iterator[Tuple[GridPoint, Callable[[], Dict[str, Any]]]]:
+        """Yield ``(point, outcome)`` as each point finishes, where
+        ``outcome()`` returns the point's result or raises its error.
 
-    def _run_pool(
-        self, points: Sequence[GridPoint], failures: List[FailureRecord]
-    ) -> Dict[str, Dict[str, Any]]:
-        executed: Dict[str, Dict[str, Any]] = {}
-        workers = min(self.jobs, len(points))
+        With one worker (or one point) each point runs in-process when
+        its outcome is called, so a point after the one that raised never
+        starts.  Otherwise the points go to a process pool; closing the
+        generator cancels every point the pool has not yet handed to a
+        worker and waits for the rest.
+        """
+        if self.jobs == 1 or len(points) < 2:
+            for point in points:
+                yield point, partial(_execute_point, self._payload(point))
+            return
         self._preresolve_backends(points)
         # Workers start warm (drivers imported, signature catalogue and
         # scheme registry built) so only the first point of a run, not
         # every worker's first point, pays Python start-up costs.
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_warm_worker
+            max_workers=min(self.jobs, len(points)), initializer=_warm_worker
         ) as pool:
-            attempts = {point.key: 1 for point in points}
-            by_key = {point.key: point for point in points}
             futures = {
-                pool.submit(_execute_point, self._payload(point)): point.key
+                pool.submit(_execute_point, self._payload(point)): point
                 for point in points
             }
-            while futures:
-                done, _ = wait(futures, return_when=FIRST_COMPLETED)
-                for future in done:
-                    key = futures.pop(future)
-                    error = future.exception()
-                    if error is None:
-                        executed[key] = future.result()
-                        continue
-                    attempt = attempts[key]
-                    failures.append(
-                        FailureRecord(
-                            key=key,
-                            attempt=attempt,
-                            error=f"{type(error).__name__}: {error}",
-                            traceback="".join(
-                                traceback.format_exception(
-                                    type(error), error, error.__traceback__
-                                )
-                            ),
-                        )
-                    )
-                    if attempt <= self.retries:
-                        attempts[key] = attempt + 1
-                        retry = pool.submit(
-                            _execute_point, self._payload(by_key[key])
-                        )
-                        futures[retry] = key
-        return executed
+            try:
+                running = set(futures)
+                while running:
+                    done, running = wait(running, return_when=FIRST_COMPLETED)
+                    # Successes first, so a failure in the same batch
+                    # does not keep them out of the cache.
+                    for future in sorted(
+                        done, key=lambda ready: ready.exception() is not None
+                    ):
+                        yield futures[future], future.result
+            finally:
+                pool.shutdown(cancel_futures=True)
 
     @staticmethod
     def _preresolve_backends(points: Sequence[GridPoint]) -> None:
@@ -601,32 +490,3 @@ class GridRunner:
             return
         payload = self._payload(point)
         self.cache.put(self.cache.key_for(payload), payload, result)
-
-    def _persist_failures(self, failures: List[FailureRecord]) -> None:
-        """Append this run's failures to the cache's ``failures.jsonl``.
-
-        Append-only, so two runners sharing a cache directory never drop
-        each other's records the way a read-modify-write of one JSON
-        array would.  One buffered ``write`` of complete lines appends
-        atomically at line granularity on POSIX, and the tolerant reader
-        (:func:`load_failure_records`) skips a torn tail instead of
-        losing the whole log.
-        """
-        if self.cache is None or not failures:
-            return
-        lines = "".join(
-            json.dumps(
-                {
-                    "key": record.key,
-                    "attempt": record.attempt,
-                    "error": record.error,
-                    "traceback": record.traceback,
-                },
-                sort_keys=True,
-            )
-            + "\n"
-            for record in failures
-        )
-        path = self.cache.directory / "failures.jsonl"
-        with open(path, "a", encoding="utf-8") as stream:
-            stream.write(lines)

@@ -1,11 +1,9 @@
-"""Tests for the fixed-width bit vector."""
+"""Tests for the bit-vector helpers."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.bitvector import BitVector, iter_set_bits, popcount
-from repro.errors import ConfigurationError
+from repro.core.bitvector import iter_set_bits, popcount
 
 
 class TestPopcount:
@@ -32,57 +30,3 @@ class TestIterSetBits:
     def test_round_trip(self, positions):
         value = sum(1 << p for p in positions)
         assert set(iter_set_bits(value)) == positions
-
-
-class TestBitVector:
-    def test_rejects_bad_width(self):
-        with pytest.raises(ConfigurationError):
-            BitVector(0)
-
-    def test_rejects_oversized_value(self):
-        with pytest.raises(ConfigurationError):
-            BitVector(4, 16)
-
-    def test_set_test_clear(self):
-        vec = BitVector(64)
-        vec.set(63)
-        assert vec.test(63)
-        vec.clear_bit(63)
-        assert not vec.test(63)
-
-    def test_out_of_range_raises(self):
-        vec = BitVector(8)
-        with pytest.raises(IndexError):
-            vec.set(8)
-        with pytest.raises(IndexError):
-            vec.test(-1)
-
-    def test_gang_clear(self):
-        vec = BitVector.from_positions(32, [1, 5, 31])
-        vec.clear()
-        assert vec.is_zero()
-
-    def test_and_or_xor(self):
-        a = BitVector(8, 0b1100)
-        b = BitVector(8, 0b1010)
-        assert (a & b).value == 0b1000
-        assert (a | b).value == 0b1110
-        assert (a ^ b).value == 0b0110
-
-    def test_width_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            BitVector(8) & BitVector(16)
-
-    def test_copy_is_independent(self):
-        vec = BitVector(8, 1)
-        dup = vec.copy()
-        dup.set(3)
-        assert vec.value == 1
-
-    def test_equality_and_hash(self):
-        assert BitVector(8, 5) == BitVector(8, 5)
-        assert BitVector(8, 5) != BitVector(9, 5)
-        assert hash(BitVector(8, 5)) == hash(BitVector(8, 5))
-
-    def test_len_is_width(self):
-        assert len(BitVector(100)) == 100

@@ -7,18 +7,12 @@ A runner may be killed mid-write, and two runner processes may share one
   the old fixed ``<key>.tmp`` let two writers interleave ``write`` and
   ``replace`` and publish a torn entry;
 * stale temporaries are swept when a cache opens, and garbage entries
-  are unlinked on read so the slot repairs itself;
-* the failure log is append-only JSONL with a tolerant reader — a torn
-  tail loses one line, not the whole history.
+  are unlinked on read so the slot repairs itself.
 """
 
-import json
 import threading
 
-import pytest
-
 from repro.runner import ResultCache
-from repro.runner.grid import GridRunner, load_failure_records
 
 
 def entry_for(cache, key, value):
@@ -119,83 +113,3 @@ class TestSelfRepair:
         key = "8" * 64
         (tmp_path / f"{key}.json").write_text("[1, 2, 3]")
         assert cache.get(key) is None
-
-
-class TestFailureLog:
-    def run_failing_point(self, tmp_path, monkeypatch):
-        import repro.runner.grid as grid_module
-
-        def broken(payload):
-            raise RuntimeError("boom")
-
-        monkeypatch.setattr(grid_module, "_execute_point", broken)
-        from repro.runner import tm_point
-
-        runner = GridRunner(jobs=1, retries=0, cache_dir=tmp_path)
-        runner.run([tm_point("mc", txns_per_thread=2)], allow_failures=True)
-
-    def test_failures_are_appended_as_jsonl(self, tmp_path, monkeypatch):
-        self.run_failing_point(tmp_path, monkeypatch)
-        self.run_failing_point(tmp_path, monkeypatch)
-        lines = (tmp_path / "failures.jsonl").read_text().splitlines()
-        assert len(lines) == 2
-        for line in lines:
-            record = json.loads(line)
-            assert record["error"] == "RuntimeError: boom"
-
-    def test_reader_survives_a_torn_tail(self, tmp_path, monkeypatch):
-        self.run_failing_point(tmp_path, monkeypatch)
-        path = tmp_path / "failures.jsonl"
-        with open(path, "a", encoding="utf-8") as stream:
-            stream.write('{"key": "half-written')  # killed mid-append
-        records = load_failure_records(tmp_path)
-        assert len(records) == 1
-        assert records[0].error == "RuntimeError: boom"
-
-    def test_reader_on_an_empty_directory(self, tmp_path):
-        assert load_failure_records(tmp_path) == []
-
-
-class TestFailureLogWarnings:
-    """Malformed log content is reported with file:line, never silently
-    skipped — a corrupted failure log hiding real failure history is
-    itself a failure worth surfacing."""
-
-    def test_malformed_interior_line_warns_with_file_and_line(
-        self, tmp_path
-    ):
-        path = tmp_path / "failures.jsonl"
-        good = ('{"key": "k", "attempt": 1, "error": "E: x",'
-                ' "traceback": "tb"}')
-        path.write_text(f"{good}\n{{torn json\n{good}\n")
-        with pytest.warns(UserWarning) as seen:
-            records = load_failure_records(tmp_path)
-        assert len(records) == 2
-        assert len(seen) == 1
-        assert str(seen[0].message).startswith(
-            f"{path}:2: malformed failure record"
-        )
-
-    def test_wrong_shape_line_warns(self, tmp_path):
-        path = tmp_path / "failures.jsonl"
-        path.write_text('["not", "a", "dict"]\n')
-        with pytest.warns(UserWarning) as seen:
-            assert load_failure_records(tmp_path) == []
-        assert len(seen) == 1
-        assert str(seen[0].message) == f"{path}:1: not a failure record"
-
-    def test_torn_tail_stays_silent(self, tmp_path, recwarn):
-        """An unterminated final line is normal crash residue of a
-        killed writer, not corruption worth warning about."""
-        (tmp_path / "failures.jsonl").write_text('{"key": "half')
-        assert load_failure_records(tmp_path) == []
-        assert len(recwarn) == 0
-
-    def test_default_warn_goes_through_the_warnings_module(
-        self, tmp_path, recwarn
-    ):
-        (tmp_path / "failures.jsonl").write_text("{torn\n")
-        load_failure_records(tmp_path)
-        assert len(recwarn) == 1
-        assert "malformed failure record" in str(recwarn[0].message)
-        assert recwarn[0].filename == __file__

@@ -1,11 +1,13 @@
-"""Unit tests for grid points, retry/failure handling, and the cache."""
+"""Unit tests for grid points, one-attempt execution, and the cache."""
 
 import json
+from concurrent.futures import wait as futures_wait
 
 import pytest
 
 import repro.runner.grid as grid_module
 from repro.analysis.experiments import run_tls_comparison, run_tm_comparison
+from repro.errors import ConfigurationError
 from repro.runner import (
     GridExecutionError,
     GridRunner,
@@ -192,72 +194,93 @@ class TestSerializationRoundTrip:
             assert rebuilt.speedup(scheme) == comparison.speedup(scheme)
 
 
-class TestRetryAndFailureLog:
-    def test_flaky_point_is_retried_and_succeeds(self, monkeypatch, tmp_path):
-        real = grid_module._execute_point
-        calls = {"count": 0}
+class TestOneAttemptPerPoint:
+    """A point is a pure function of its parameters: it runs once, and
+    the first point to raise stops the run."""
 
-        def flaky(payload):
-            calls["count"] += 1
-            if calls["count"] == 1:
-                raise RuntimeError("transient failure")
-            return real(payload)
+    def test_a_raising_point_runs_once_and_no_later_point_starts(
+        self, monkeypatch
+    ):
+        calls = []
 
-        monkeypatch.setattr(grid_module, "_execute_point", flaky)
-        runner = GridRunner(jobs=1, retries=1, cache_dir=tmp_path)
-        result = runner.run([tm_point("mc", txns_per_thread=2)])
-        assert len(result.results) == 1
-        assert [record.attempt for record in result.failures] == [1]
-        assert "transient failure" in result.failures[0].error
-        # The failure log is persisted next to the cache (append-only
-        # JSONL: one complete JSON object per line).
-        lines = (tmp_path / "failures.jsonl").read_text().splitlines()
-        persisted = [json.loads(line) for line in lines]
-        assert persisted[0]["key"] == tm_point("mc", txns_per_thread=2).key
-        records = grid_module.load_failure_records(tmp_path)
-        assert [record.key for record in records] == [
-            tm_point("mc", txns_per_thread=2).key
-        ]
-
-    def test_permanent_failure_raises_after_budget(self, monkeypatch):
         def broken(payload):
+            calls.append(payload["app"])
             raise RuntimeError("always broken")
 
         monkeypatch.setattr(grid_module, "_execute_point", broken)
-        runner = GridRunner(jobs=1, retries=2)
-        with pytest.raises(GridExecutionError):
-            runner.run([tm_point("mc", txns_per_thread=2)])
-        assert len(runner.failure_log) == 3  # 1 attempt + 2 retries
+        first = tm_point("cb", txns_per_thread=2)
+        with pytest.raises(GridExecutionError) as excinfo:
+            GridRunner(jobs=1).run([tm_point("mc", txns_per_thread=2), first])
+        assert calls == ["cb"]
+        assert first.key in str(excinfo.value)
+        assert isinstance(excinfo.value.__cause__, RuntimeError)
 
-    def test_allow_failures_keeps_the_healthy_points(self, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_point_s_own_configuration_error_reaches_the_caller(self, jobs):
+        runner = GridRunner(jobs=jobs)
+        with pytest.raises(ConfigurationError, match="no-such-app"):
+            runner.run([
+                tm_point("mc", txns_per_thread=1),
+                tm_point("no-such-app", txns_per_thread=1),
+            ])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_any_other_error_names_the_point(self, jobs):
+        bad = tm_point("mc", txns_per_thread=1, no_such_knob=1)
+        runner = GridRunner(jobs=jobs)
+        with pytest.raises(GridExecutionError) as excinfo:
+            runner.run([tm_point("cb", txns_per_thread=1), bad])
+        assert bad.key in str(excinfo.value)
+        assert isinstance(excinfo.value.__cause__, TypeError)
+
+    def test_a_pool_caches_the_successes_of_a_failing_batch(
+        self, monkeypatch, tmp_path
+    ):
+        # Hand both points back in one batch, the failing one included.
+        monkeypatch.setattr(
+            grid_module, "wait",
+            lambda futures, return_when: futures_wait(futures),
+        )
+        good = tm_point("mc", txns_per_thread=1)
+        with pytest.raises(ConfigurationError):
+            GridRunner(jobs=2, cache_dir=tmp_path).run(
+                [good, tm_point("no-such-app", txns_per_thread=1)]
+            )
+        rerun = GridRunner(jobs=1, cache_dir=tmp_path).run([good])
+        assert rerun.cached_keys == [good.key]
+
+    def test_an_interrupted_run_keeps_its_finished_points(
+        self, monkeypatch, tmp_path
+    ):
         real = grid_module._execute_point
+        points = [
+            tm_point(app, txns_per_thread=1)
+            for app in ("cb", "jgrt", "lu", "mc")
+        ]
+        calls = []
 
-        def selective(payload):
-            if payload["app"] == "mc":
-                raise RuntimeError("mc is broken")
+        def counted(payload):
+            calls.append(payload["app"])
             return real(payload)
 
-        monkeypatch.setattr(grid_module, "_execute_point", selective)
-        runner = GridRunner(jobs=1, retries=0)
-        result = runner.run(
-            [tm_point("mc", txns_per_thread=2), tm_point("cb", txns_per_thread=2)],
-            allow_failures=True,
-        )
-        assert list(result.results) == [tm_point("cb", txns_per_thread=2).key]
-        assert result.failures[0].key == tm_point("mc", txns_per_thread=2).key
+        def interrupted_at_the_third(payload):
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return counted(payload)
 
-    def test_pool_path_retries_too(self):
-        # A bad knob makes the worker raise inside the pool; the runner
-        # must retry it (attempts recorded) and finally report failure.
-        runner = GridRunner(jobs=2, retries=1)
-        points = [
-            tm_point("mc", txns_per_thread=2),
-            tm_point("no-such-app", txns_per_thread=2),
-        ]
-        result = runner.run(points, allow_failures=True)
-        assert list(result.results) == [tm_point("mc", txns_per_thread=2).key]
-        bad_key = tm_point("no-such-app", txns_per_thread=2).key
-        assert [r.attempt for r in result.failures if r.key == bad_key] == [1, 2]
+        monkeypatch.setattr(
+            grid_module, "_execute_point", interrupted_at_the_third
+        )
+        with pytest.raises(KeyboardInterrupt):
+            GridRunner(jobs=1, cache_dir=tmp_path).run(points)
+        assert calls == ["cb", "jgrt"]
+
+        calls.clear()
+        monkeypatch.setattr(grid_module, "_execute_point", counted)
+        rerun = GridRunner(jobs=1, cache_dir=tmp_path).run(points)
+        assert rerun.cached_keys == [point.key for point in points[:2]]
+        assert calls == ["lu", "mc"]
+        assert list(rerun.results) == [point.key for point in points]
 
 
 class TestResultCache:
@@ -286,5 +309,3 @@ class TestResultCache:
     def test_jobs_validation(self):
         with pytest.raises(ValueError):
             GridRunner(jobs=0)
-        with pytest.raises(ValueError):
-            GridRunner(retries=-1)

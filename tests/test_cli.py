@@ -44,7 +44,6 @@ class TestCommands:
     def test_accuracy(self, capsys):
         assert main([
             "accuracy", "--samples", "40", "--txns", "3",
-            "--permutations", "1",
         ]) == 0
         out = capsys.readouterr().out
         assert "S14" in out and "false positives" in out

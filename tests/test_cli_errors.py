@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import main
 
 
 @pytest.mark.parametrize(
@@ -64,8 +64,6 @@ def test_removed_service_commands_are_invalid_choices(capsys, command):
         (["accuracy", "--samples", "0"],
          "argument --samples: must be >= 1, got 0"),
         (["accuracy", "--txns", "-1"], "argument --txns: must be >= 1, got -1"),
-        (["accuracy", "--permutations", "-2"],
-         "argument --permutations: must be >= 0, got -2"),
         (["reproduce", "--out", "{out}", "--samples", "0"],
          "argument --samples: must be >= 1, got 0"),
         (["reproduce", "--out", "{out}", "--tm-txns", "0"],
@@ -74,8 +72,7 @@ def test_removed_service_commands_are_invalid_choices(capsys, command):
          "argument --tls-tasks: must be >= 1, got -1"),
     ],
     ids=["tm-txns-0", "tm-txns-neg", "tls-tasks-0", "tls-tasks-neg",
-         "accuracy-samples-0", "accuracy-txns-neg",
-         "accuracy-permutations-neg", "reproduce-samples-0",
+         "accuracy-samples-0", "accuracy-txns-neg", "reproduce-samples-0",
          "reproduce-tm-txns-0", "reproduce-tls-tasks-neg"],
 )
 def test_workload_size_flags_reject_out_of_range_values(
@@ -91,6 +88,17 @@ def test_workload_size_flags_reject_out_of_range_values(
     assert not out.exists()
 
 
-def test_zero_permutations_is_a_valid_sweep():
-    args = build_parser().parse_args(["accuracy", "--permutations", "0"])
-    assert args.permutations == 0
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_checkpoint_replay_of_an_unknown_trace_exits_2(tmp_path, capfd, jobs):
+    """The checkpoint sweep runs its points through the grid runner,
+    in-process or in pool workers; the point's own TraceError must still
+    reach the user as one ``error:`` line."""
+    store = tmp_path / "store"
+    store.mkdir()
+    assert main([
+        "checkpoint", "predictor", "--max-depth", "2", "--jobs", jobs,
+        "--trace-store", str(store), "--trace-id", "deadbeef",
+    ]) == 2
+    lines = capfd.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: trace 'deadbeef' is not in the store")

@@ -1,5 +1,7 @@
 """Tests for the exception hierarchy."""
 
+import pickle
+
 import pytest
 
 from repro.errors import (
@@ -8,9 +10,12 @@ from repro.errors import (
     DeltaInexactError,
     OverflowAreaError,
     ProtocolError,
+    SchemeSwapError,
     SetRestrictionError,
     SimulationError,
     TraceError,
+    UnknownBackendError,
+    UnknownSchemeError,
 )
 
 ALL_ERRORS = [
@@ -41,3 +46,23 @@ class TestHierarchy:
             except BulkError:
                 caught += 1
         assert caught == len(ALL_ERRORS)
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        UnknownSchemeError("checkpoint", "Nope", ["Exact", "Bulk"]),
+        UnknownSchemeError("gpu", known=["tm", "tls"]),
+        UnknownBackendError("cuda", ["pure", "packed"]),
+        SchemeSwapError("tm", "Eager", "Bulk", "not at a commit boundary"),
+    ],
+    ids=["unknown-scheme", "unknown-substrate", "unknown-backend",
+         "scheme-swap"],
+)
+def test_errors_with_their_own_init_survive_a_pickle_round_trip(error):
+    """A grid point's error crosses the process-pool boundary by pickle
+    and must reach the caller unchanged."""
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error)
+    assert vars(copy) == vars(error)
