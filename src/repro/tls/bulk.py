@@ -264,8 +264,17 @@ class TlsBulkScheme(TlsScheme):
         state: TaskState,
         byte_address: int,
     ) -> None:
-        bdm = self.bdm_of(proc)
-        bdm.set_running(self.ctx_of(proc, state.task_id))
+        # Per-access path: the scheme-state dict is probed directly
+        # (bdm_of/ctx_of add two frames per recorded access).
+        scheme_state = proc.scheme_state
+        bdm = scheme_state["bdm"]
+        context = scheme_state["ctx"].get(state.task_id)
+        if context is None:
+            raise SimulationError(
+                f"task {state.task_id} has no BDM context on processor "
+                f"{proc.pid}"
+            )
+        bdm.set_running(context)
         bdm.record_load(byte_address)
 
     def record_store(
@@ -275,8 +284,15 @@ class TlsBulkScheme(TlsScheme):
         state: TaskState,
         byte_address: int,
     ) -> None:
-        bdm = self.bdm_of(proc)
-        bdm.set_running(self.ctx_of(proc, state.task_id))
+        scheme_state = proc.scheme_state
+        bdm = scheme_state["bdm"]
+        context = scheme_state["ctx"].get(state.task_id)
+        if context is None:
+            raise SimulationError(
+                f"task {state.task_id} has no BDM context on processor "
+                f"{proc.pid}"
+            )
+        bdm.set_running(context)
         bdm.record_store(byte_address)
 
     # ------------------------------------------------------------------

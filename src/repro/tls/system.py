@@ -21,6 +21,7 @@ Correctness instrumentation
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -128,21 +129,44 @@ class TlsSystem(SpecSystemCore):
         self._dispatch_all(now=0)
         for proc in self.processors:
             self._schedule(proc)
-        while True:
-            entry = scheduler.pop()
-            if entry is None:
-                break
-            clock, pid, epoch = entry
-            proc = self.processors[pid]
-            # Commits are processed in global clock order: any waiting
-            # head task whose finish time is at or before this entry's
-            # clock commits *before* the entry's own work runs.
-            self._try_commits(up_to=clock)
+        # Drain the scheduler's heap directly, as TmSystem.run does: the
+        # pop/push ordering is bit-identical to its methods, minus their
+        # per-entry counter bookkeeping.  Wakes, dispatches and squashes
+        # push through scheduler.push into the same heap and are seen
+        # here.
+        processors = self.processors
+        tasks = self.tasks
+        num_tasks = len(tasks)
+        step = self._step
+        runnable_task = self._runnable_task
+        heap = scheduler._heap
+        heappush_ = heapq.heappush
+        heappop_ = heapq.heappop
+        waiting = TaskStatus.WAITING
+        pushes = stale = 0
+        while heap:
+            clock, pid, epoch = heappop_(heap)
+            proc = processors[pid]
+            # Commits are processed in global clock order: a waiting head
+            # task whose finish time is at or before this entry's clock
+            # commits *before* the entry's own work runs.
+            head = self.head
+            if head < num_tasks:
+                state = tasks[head]
+                if state.status is waiting and state.finish_clock <= clock:
+                    self._try_commits(up_to=clock)
             if epoch != proc.epoch:
-                scheduler.note_stale_pop()
+                stale += 1
                 continue
-            self._step(proc)
-            self._schedule(proc)
+            step(proc)
+            # == self._schedule(proc), straight onto the heap.
+            if runnable_task(proc) is not None:
+                if proc.clock < 0:
+                    raise SimulationError(f"negative clock {proc.clock}")
+                proc.epoch += 1
+                heappush_(heap, (proc.clock, pid, proc.epoch))
+                pushes += 1
+        scheduler.account_bulk(pushes, stale)
         # Drain any commits still pending when the queue empties.
         self._try_commits(up_to=None)
         self._scheduler = None
@@ -188,10 +212,15 @@ class TlsSystem(SpecSystemCore):
         return None
 
     def active_tasks(self) -> List[TaskState]:
-        """All dispatched, uncommitted tasks, oldest first."""
+        """All dispatched, uncommitted tasks, oldest first.
+
+        Tasks dispatch in id order and ``next_dispatch`` moves past a
+        task before it is dispatched, so no task at or beyond it has
+        left PENDING: only ``tasks[head:next_dispatch]`` is scanned.
+        """
         return [
             state
-            for state in self.tasks[self.head :]
+            for state in self.tasks[self.head : self.next_dispatch]
             if state.is_active()
         ]
 
@@ -229,8 +258,8 @@ class TlsSystem(SpecSystemCore):
             proc = self._pick_processor()
             if proc is None:
                 return
-            self._dispatch(proc, state, now)
             self.next_dispatch += 1
+            self._dispatch(proc, state, now)
 
     def _pick_processor(self) -> Optional[TlsProcessor]:
         """A processor with a free slot and no still-running resident,
@@ -283,23 +312,28 @@ class TlsSystem(SpecSystemCore):
         state = self._runnable_task(proc)
         if state is None:
             return
-        if state.at_spawn_point():
+        task = state.task
+        spawn_cursor = task.spawn_cursor
+        if state.cursor == spawn_cursor:
             self._spawn_point(proc, state)
-        event = state.task.events[state.cursor]
-        if event.kind is EventKind.COMPUTE:
-            proc.clock += event.cycles
-        elif event.kind is EventKind.LOAD:
+        events = task.events
+        event = events[state.cursor]
+        kind = event.kind
+        # Branches ordered by frequency: loads, stores, compute bursts.
+        if kind is EventKind.LOAD:
             self._load(proc, state, event.address)
-        elif event.kind is EventKind.STORE:
+        elif kind is EventKind.STORE:
             if not self._store(proc, state, event):
                 # The store triggered a Wr-Wr squash of this very task;
                 # its cursor was already rewound.
                 return
+        elif kind is EventKind.COMPUTE:
+            proc.clock += event.cycles
         else:  # pragma: no cover - TlsTask validates event kinds
-            raise SimulationError(f"unhandled TLS event {event.kind!r}")
+            raise SimulationError(f"unhandled TLS event {kind!r}")
         state.cursor += 1
-        if state.cursor >= len(state.task.events):
-            if state.at_spawn_point():
+        if state.cursor >= len(events):
+            if state.cursor == spawn_cursor:
                 # Spawn point at the very end of the trace: fire it now,
                 # or the successor would never be dispatched.
                 self._spawn_point(proc, state)
@@ -364,7 +398,11 @@ class TlsSystem(SpecSystemCore):
         if line is not None:
             cache_set.move_to_end(line_address)
             observed = line.words[word & 0xF]  # == line.read_word(word)
-            expected = self._expected_value(state, word)
+            # The task's own log first, as _expected_value would, without
+            # the call when the task wrote the word itself.
+            expected = state.write_log.get(word)
+            if expected is None:
+                expected = self._expected_value(state, word)
             if observed != expected and self.scheme.stale_hit_refetches:
                 # Access-time disambiguation rides a versioned coherence
                 # protocol: a hit on a wrong-version copy is a miss.  The
@@ -428,11 +466,10 @@ class TlsSystem(SpecSystemCore):
         # threads can read speculative data generated by other threads").
         for task_id in range(self.head, state.task_id + 1):
             other = self.tasks[task_id]
-            if not other.is_active():
+            # Only a task that wrote the line has words to overlay.
+            if line_address not in other.write_lines() or not other.is_active():
                 continue
             log = other.write_log
-            if not log:
-                continue
             for offset in range(16):
                 value = log.get(base + offset)
                 if value is not None:
@@ -461,21 +498,13 @@ class TlsSystem(SpecSystemCore):
         Speculative dirty copies stay dirty — their owners' logs back
         them — and serve forwarding.
         """
-        base = line_address << 4
         for other in self.processors:
             if other is proc:
                 continue
             remote = other.cache.lookup(line_address, touch=False)
             if remote is None or not remote.dirty:
                 continue
-            speculative = False
-            for task_id in other.resident:
-                state = self.tasks[task_id]
-                if not state.is_active():
-                    continue
-                if any(base + offset in state.write_log for offset in range(16)):
-                    speculative = True
-                    break
+            speculative = self._speculative_dirty(other, line_address)
             self.bus.record(
                 MessageKind.DOWNGRADE, now=proc.clock, port=proc.pid
             )
@@ -487,12 +516,9 @@ class TlsSystem(SpecSystemCore):
         """Whether a dirty copy on ``proc`` holds an active resident
         task's speculative data (log-backed) rather than committed
         state mirroring memory."""
-        base = line_address << 4
         for task_id in proc.resident:
             state = self.tasks[task_id]
-            if not state.is_active():
-                continue
-            if any(base + offset in state.write_log for offset in range(16)):
+            if state.is_active() and line_address in state.write_lines():
                 return True
         return False
 
@@ -755,10 +781,11 @@ class TlsSystem(SpecSystemCore):
         dirty = False
         for task_id in proc.resident:
             state = self.tasks[task_id]
-            if not state.is_active():
+            if not state.is_active() or line_address not in state.write_lines():
                 continue
+            log = state.write_log
             for offset in range(16):
-                value = state.write_log.get(base + offset)
+                value = log.get(base + offset)
                 if value is not None:
                     words[offset] = value
                     dirty = True

@@ -75,6 +75,7 @@ class TaskState:
         "write_log",
         "read_words",
         "write_words",
+        "_write_lines",
         "shadow_write_words",
         "prespawn_write_words",
         "pending_stale",
@@ -98,6 +99,9 @@ class TaskState:
         #: Exact read/write sets, word granularity.
         self.read_words: Set[int] = set()
         self.write_words: Set[int] = set()
+        # Lines of the write set, maintained incrementally (the forwarding
+        # overlay and the dirty-line probes test membership per access).
+        self._write_lines: Set[int] = set()
         #: Words written at or after the spawn point in the *current*
         #: attempt (``None`` before the spawn point is reached) — the
         #: exact analogue of the shadow signature W_sh of Figure 9.
@@ -134,10 +138,6 @@ class TaskState:
         """Dispatched and not yet committed."""
         return self.status in (TaskStatus.RUNNING, TaskStatus.WAITING)
 
-    def at_spawn_point(self) -> bool:
-        """Whether the cursor sits exactly at the spawn position."""
-        return self.cursor == self.task.spawn_cursor
-
     def record_load(self, byte_address: int) -> None:
         """Add a load to the exact read set."""
         # Shift inlined (== byte_to_word): runs on every TLS load.
@@ -147,6 +147,7 @@ class TaskState:
         """Add a store to the exact write sets and the write log."""
         word = byte_address >> WORD_SHIFT
         self.write_words.add(word)
+        self._write_lines.add(word >> WORD_TO_LINE_SHIFT)
         self.write_log[word] = value & 0xFFFFFFFF
         if self.shadow_write_words is not None:
             self.shadow_write_words.add(word)
@@ -157,8 +158,9 @@ class TaskState:
         self.prespawn_write_words = set(self.write_words)
 
     def write_lines(self) -> Set[int]:
-        """Line addresses touched by the write set."""
-        return {word >> WORD_TO_LINE_SHIFT for word in self.write_words}
+        """Line addresses touched by the write set (maintained
+        incrementally; do not mutate the returned set)."""
+        return self._write_lines
 
     def read_lines(self) -> Set[int]:
         """Line addresses touched by the read set."""
@@ -179,6 +181,7 @@ class TaskState:
         self.write_log.clear()
         self.read_words.clear()
         self.write_words.clear()
+        self._write_lines.clear()
         self.shadow_write_words = None
         self.prespawn_write_words = set()
         self.pending_stale.clear()

@@ -11,7 +11,9 @@ during development.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.mem.address import WORD_TO_LINE_SHIFT
 from repro.sim.trace import ThreadTrace, compute, load, store, tx_begin, tx_end
+from repro.spec import resolve_scheme, scheme_names
 from repro.tls.bulk import TlsBulkScheme
 from repro.tls.eager import TlsEagerScheme
 from repro.tls.lazy import TlsLazyScheme
@@ -98,6 +100,22 @@ class TestRandomTmWorkloads:
             assert system.replay_serial_reference() == result.memory
 
 
+class InvariantCheckingTlsSystem(TlsSystem):
+    """A TLS system that checks, before every commit, the two invariants
+    its fast paths rely on: the active-task scan may stop at
+    ``next_dispatch``, and each task's written-line index matches its
+    write set."""
+
+    def _commit(self, state):
+        active = self.active_tasks()
+        assert active == [s for s in self.tasks[self.head:] if s.is_active()]
+        for task in active:
+            assert task.write_lines() == {
+                word >> WORD_TO_LINE_SHIFT for word in task.write_words
+            }
+        super()._commit(state)
+
+
 class TestRandomTlsWorkloads:
     @staticmethod
     def sequential_reference(tasks):
@@ -127,3 +145,15 @@ class TestRandomTlsWorkloads:
                 k: v for k, v in result.memory.snapshot().items() if v != 0
             }
             assert observed == reference
+
+    @settings(**COMMON)
+    @given(workload=tls_workloads())
+    def test_active_scan_and_line_index_hold_at_every_commit(self, workload):
+        for name in scheme_names("tls", include_variants=True):
+            tasks = [
+                TlsTask(t.task_id, t.events, t.spawn_cursor) for t in workload
+            ]
+            result = InvariantCheckingTlsSystem(
+                tasks, resolve_scheme("tls", name)
+            ).run()
+            assert result.stats.committed_tasks == len(workload)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import TraceError
+from repro.mem.address import WORD_TO_LINE_SHIFT
 from repro.sim.trace import compute, load, store, tx_begin
 from repro.tls.task import TaskState, TaskStatus, TlsTask
 
@@ -44,10 +45,23 @@ class TestTaskState:
         assert state.prespawn_write_words == {0x100 >> 2}
 
     def test_write_lines(self):
+        """The line index follows the write set store by store, and
+        across a restart."""
         state = TaskState(TlsTask(0, [load(0)]))
+
+        def derived():
+            return {w >> WORD_TO_LINE_SHIFT for w in state.write_words}
+
         state.record_store(0x100, 1)
+        assert state.write_lines() == derived() == {0x100 >> 6}
         state.record_store(0x104, 1)  # same line
-        assert state.write_lines() == {0x100 >> 6}
+        assert state.write_lines() == derived() == {0x100 >> 6}
+        state.record_store(0x240, 1)  # a second line
+        assert state.write_lines() == derived() == {0x100 >> 6, 0x240 >> 6}
+        state.reset_for_restart()
+        assert state.write_lines() == derived() == set()
+        state.record_store(0x380, 2)  # a third line
+        assert state.write_lines() == derived() == {0x380 >> 6}
 
     def test_reset_for_restart_clears_everything(self):
         state = TaskState(TlsTask(0, [load(0)]))
@@ -60,6 +74,7 @@ class TestTaskState:
         assert state.cursor == 0
         assert state.attempts == 1
         assert not state.write_log and not state.write_words
+        assert not state.write_lines()
         assert state.shadow_write_words is None
         assert not state.pending_stale
         assert state.status is TaskStatus.RUNNING

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.analysis.experiments import run_tls_comparison
+from repro.obs import Observability
 from repro.sim.trace import compute, load, store
 from repro.tls.bulk import TlsBulkScheme
 from repro.tls.eager import TlsEagerScheme
@@ -193,3 +195,18 @@ class TestWordMerging:
         assert result.stats.merged_lines >= 1
         assert result.memory.load(0xE000 >> 2) == 1
         assert result.memory.load(0xE020 >> 2) == 2
+
+
+class TestSchedulerAccounting:
+    def test_scheduler_counters_with_metrics_on(self):
+        """The run loop drains the scheduler's heap directly and credits
+        its own pushes and stale pops once; the ``scheduler.*`` counters
+        must end where per-entry ``push``/``pop`` calls leave them.  The
+        values were counted that way (crafty, 16 tasks, seed 5, all four
+        schemes into one registry)."""
+        obs = Observability()
+        run_tls_comparison("crafty", num_tasks=16, seed=5, obs=obs)
+        counters = obs.metrics.snapshot()["counters"]
+        assert counters["scheduler.pushes"] == 11685
+        assert counters["scheduler.pops"] == 11685
+        assert counters["scheduler.stale_pops"] == 100
