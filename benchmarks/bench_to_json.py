@@ -20,12 +20,7 @@ in CI:
   yields the recorded end-to-end speedup);
 * **memo statistics** gathered after a timed-bus TM reproduce via
   :func:`repro.obs.record_memo_metrics` (the CI perf-smoke job asserts
-  the hit counters are non-zero);
-* **adaptive-policy ratios** from the phase-alternating workload of
-  ``bench_adaptive_policy.py`` — simulated-cycle (machine-independent)
-  comparisons of the adaptive Eager↔Bulk run against every fixed
-  scheme, with the pinned bars ``adaptive_vs_best_fixed <= 1.05`` and
-  ``adaptive_vs_worst_fixed_squashed <= 0.8``.
+  the hit counters are non-zero).
 
 Usage::
 
@@ -368,24 +363,6 @@ def bench_timed_bus_memo(quick: bool) -> dict:
     }
 
 
-def bench_adaptive_policy() -> dict:
-    """The adaptive-vs-fixed study on the phase-alternating workload.
-
-    Simulated cycles, not wall-clock, so the recorded ratios are
-    deterministic and identical under ``--quick`` — CI asserts the two
-    acceptance bars (``adaptive_vs_best_fixed <= 1.05``,
-    ``adaptive_vs_worst_fixed_squashed <= 0.8``) on the committed
-    artifact.  See ``benchmarks/bench_adaptive_policy.py`` for the
-    workload and the per-policy table.
-    """
-    try:
-        from bench_adaptive_policy import run_adaptive_study
-    except ImportError:  # imported as a package module (pytest, tools)
-        from benchmarks.bench_adaptive_policy import run_adaptive_study
-
-    return run_adaptive_study()
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -411,7 +388,6 @@ def main(argv=None) -> int:
         "codec_kernels": bench_codec_ops(args.quick),
         "reproduce": bench_reproduce(args.quick),
         "timed_bus_memo": bench_timed_bus_memo(args.quick),
-        "adaptive_policy": bench_adaptive_policy(),
     }
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.output}")
@@ -434,13 +410,6 @@ def main(argv=None) -> int:
             f"rle_encode {codec['rle_encode_numpy_vs_pure']}x, "
             f"expansion {codec['expansion_numpy_vs_pure']}x"
         )
-    adaptive = payload["adaptive_policy"]
-    print(
-        f"adaptive vs best fixed ({adaptive['best_fixed']}): "
-        f"{adaptive['adaptive_vs_best_fixed']}x cycles; vs worst fixed "
-        f"({adaptive['worst_fixed']}): "
-        f"{adaptive['adaptive_vs_worst_fixed_squashed']}x squashed cycles"
-    )
     return 0
 
 

@@ -8,7 +8,7 @@ what order they run and print — comes from the
 :mod:`repro.spec.registry`, never from literal lists here.
 
 Every driver takes the run options (``bus``, ``sig_backend``,
-``policy``, ``trace``, ``trace_store``) as keywords, builds one
+``trace``, ``trace_store``) as keywords, builds one
 :class:`~repro.spec.RunConfig` from them, and hands it to every
 per-scheme system.  With ``trace``, the workload is the stored trace
 (``app`` then only labels the comparison) and ``obs`` also receives the
@@ -117,8 +117,7 @@ def run_tm_comparison(
     ``scheme=...`` context so the merged stream stays attributable.
 
     ``run_options`` are :class:`~repro.spec.RunConfig` fields.  A
-    replayed trace also sizes ``num_processors``; under a swap
-    ``policy`` each run still *starts* on its registry scheme.
+    replayed trace also sizes ``num_processors``.
     """
     config = RunConfig(**run_options)
     comparison = TmComparison(app=app)

@@ -21,7 +21,7 @@ Supported operations:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.cache.cache import Cache
 from repro.cache.geometry import CacheGeometry, TM_L1_GEOMETRY
@@ -162,11 +162,6 @@ class CheckpointedProcessor:
         """Commit every live checkpoint, oldest first."""
         while self._checkpoints:
             self.commit_oldest()
-
-    def live_write_logs(self) -> List[Tuple[int, Dict[int, int]]]:
-        """(checkpoint id, write-log copy) per live checkpoint, oldest
-        first — the hot-swap export a replacement engine replays."""
-        return [(c.index, dict(c.write_log)) for c in self._checkpoints]
 
     # ------------------------------------------------------------------
     # Speculative execution

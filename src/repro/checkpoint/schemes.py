@@ -31,7 +31,7 @@ from repro.coherence.message import MessageKind
 from repro.core.backend.base import SignatureBackend
 from repro.core.rle import rle_encode
 from repro.errors import SimulationError
-from repro.mem.address import WORD_SHIFT, byte_to_line, byte_to_word
+from repro.mem.address import byte_to_line, byte_to_word
 from repro.mem.memory import WordMemory
 from repro.spec.scheme import SpecScheme
 
@@ -68,24 +68,11 @@ class CheckpointScheme(SpecScheme):
     ) -> None:
         """Observability hook after a rollback's cache invalidation."""
 
-    def export_processor_state(
-        self, system: "CheckpointSystem", proc: object
-    ) -> List:
-        """(checkpoint id, write log) per live checkpoint, oldest first.
-
-        Both engines keep exact per-checkpoint write logs, so — unlike
-        TM/TLS, where signature → exact forces a conservative squash —
-        the checkpoint swap conversion is lossless in either direction:
-        the system replays these logs through the replacement engine.
-        """
-        return system.engine.live_write_logs()
-
 
 class BulkCheckpointScheme(CheckpointScheme):
     """Checkpoints on Bulk signatures (Section 4.5 / Figure 7)."""
 
     name = "Bulk"
-    state_kind = "signature"
 
     def make_engine(
         self, params: CheckpointParams, backend: SignatureBackend
@@ -122,21 +109,6 @@ class BulkCheckpointScheme(CheckpointScheme):
             invalidated=invalidated,
             false_invalidated=false_invalidated,
         )
-
-    def import_processor_state(
-        self, system: "CheckpointSystem", proc: object, state: object
-    ) -> None:
-        """Replay one live epoch's exact read set into the context the
-        swap just rebuilt for it.
-
-        Writes reach the signatures through the engine-store replay; the
-        read set only exists in the system's oracle record, so it is
-        inserted here (exact → signature insertion is total, Section 3).
-        ``state`` is the epoch's :class:`~repro.checkpoint.system.
-        EpochRecord`, passed per checkpoint during the replay.
-        """
-        for word in sorted(state.read_words):
-            system.engine.bdm.record_load(word << WORD_SHIFT)
 
 
 class ExactCheckpoint:
@@ -220,11 +192,6 @@ class ExactCheckpointEngine:
     def commit_all(self) -> None:
         while self._checkpoints:
             self.commit_oldest()
-
-    def live_write_logs(self) -> List:
-        """(checkpoint id, write-log copy) per live checkpoint, oldest
-        first — the hot-swap export a replacement engine replays."""
-        return [(c.index, dict(c.write_log)) for c in self._checkpoints]
 
     def load(self, byte_address: int) -> int:
         word = byte_to_word(byte_address)

@@ -19,7 +19,7 @@ TM/TLS systems classify squashes (Table 7); no decision consults it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from repro.checkpoint.params import CHECKPOINT_DEFAULTS, CheckpointParams
 from repro.checkpoint.schemes import CheckpointScheme
@@ -228,46 +228,6 @@ class CheckpointSystem(SpecSystemCore):
                 epoch=record.epoch_pos,
                 write_words=len(record.write_words),
             )
-        if self._swap_policy is not None:
-            self._maybe_policy_swap(self.clock)
-
-    # ------------------------------------------------------------------
-    # Scheme hot-swap
-    # ------------------------------------------------------------------
-
-    def _swap_apply(
-        self, old: CheckpointScheme, new: CheckpointScheme, now: int
-    ) -> int:
-        """Rebuild the engine under the incoming scheme by replay.
-
-        Both engines keep exact per-checkpoint write logs, so the
-        conversion is lossless in either direction: a fresh engine shares
-        the old one's architectural memory, re-takes one checkpoint per
-        live epoch (oldest first) and replays that epoch's log through
-        its own store path — which rebuilds caches, signatures, and Set
-        Restriction state as if the epoch had run under the new scheme.
-        The live records and unit timers are remapped to the fresh
-        checkpoint ids the replacement engine mints.
-        """
-        logs = dict(old.export_processor_state(self, None))
-        new_engine = new.make_engine(self.params, self.resolve_sig_backend())
-        # The architectural state carries over; only the speculative
-        # representation is rebuilt.
-        new_engine.memory = self.engine.memory
-        self.engine = new_engine
-        remapped_starts: Dict[int, int] = {}
-        for record in self._live:
-            new_id = new_engine.take_checkpoint()
-            log = logs.get(record.checkpoint_id, {})
-            for word in sorted(log):
-                new_engine.store(word << WORD_SHIFT, log[word])
-            new.import_processor_state(self, None, record)
-            start = self._unit_start_clock.pop(record.checkpoint_id, None)
-            if start is not None:
-                remapped_starts[new_id] = start
-            record.checkpoint_id = new_id
-        self._unit_start_clock.update(remapped_starts)
-        return 0
 
     def _rollback(self, target: EpochRecord) -> None:
         keep = self._live.index(target)

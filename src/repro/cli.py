@@ -68,12 +68,6 @@ def _add_run_arguments(
         help=f"signature storage backend: {', '.join(backend_names())} "
         "(all bit-identical; 'numpy' falls back to 'packed' without numpy)",
     )
-    group.add_argument(
-        "--scheme-policy", default="static", metavar="SPEC",
-        help="scheme hot-swap policy consulted at commit boundaries "
-        "('static' never swaps; e.g. 'threshold:squash_rate>0.2,"
-        "window=64' migrates Eager<->Bulk under contention)",
-    )
     if replay:
         group.add_argument(
             "--trace-id", default=None, metavar="ID",
@@ -92,7 +86,6 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         bus=args.bus,
         sig_backend=args.sig_backend,
-        policy=args.scheme_policy,
         trace=getattr(args, "trace_id", None),
         trace_store=getattr(args, "trace_store", None),
     )

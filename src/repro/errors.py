@@ -97,39 +97,6 @@ class UnknownBackendError(ConfigurationError):
         return type(self), (self.name, self.known), self.__dict__
 
 
-class SchemeSwapError(BulkError):
-    """A runtime scheme hot-swap was requested in an illegal state.
-
-    Raised by :meth:`repro.spec.system.SpecSystemCore.swap_scheme` when a
-    swap cannot be honoured: the target is a parameter *variant* (its
-    semantics depend on run-level params the live system was not built
-    with), the swap was requested away from a commit boundary, or the
-    substrate's configuration pins the scheme (TM with SMT co-residency
-    requires Bulk's signature contexts for the whole run).  Carries the
-    ``substrate``, the current and requested scheme names, and the
-    ``reason`` for programmatic recovery.
-    """
-
-    def __init__(
-        self, substrate: str, current: str, requested: str, reason: str
-    ) -> None:
-        self.substrate = substrate
-        self.current = current
-        self.requested = requested
-        self.reason = reason
-        super().__init__(
-            f"cannot swap {substrate} scheme {current!r} -> {requested!r}: "
-            f"{reason}"
-        )
-
-    def __reduce__(self):
-        return (
-            type(self),
-            (self.substrate, self.current, self.requested, self.reason),
-            self.__dict__,
-        )
-
-
 class SetRestrictionError(BulkError):
     """The Set Restriction invariant was violated (Section 4.3/4.5).
 

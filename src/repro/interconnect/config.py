@@ -22,7 +22,7 @@ and so the CLI's ``--bus`` and the runner's JSON grid-point knob:
 The spec-string grammar is deliberately tiny: ``<model>`` optionally
 followed by ``:`` and comma-separated ``key=value`` pairs from
 ``latency`` (int >= 0), ``policy`` (a registered arbitration policy
-name), and ``window`` (int >= 0).
+name), and ``window`` (int >= 0), each at most once.
 """
 
 from __future__ import annotations
@@ -33,6 +33,13 @@ from repro.errors import ConfigurationError
 
 #: The two bus models.
 BUS_MODELS = ("legacy", "timed")
+
+#: Spec-string option -> the :class:`InterconnectConfig` field it sets.
+_OPTION_FIELDS = {
+    "latency": "arbitration_latency",
+    "policy": "policy",
+    "window": "max_in_flight",
+}
 
 
 @dataclass(frozen=True)
@@ -113,17 +120,19 @@ class InterconnectConfig:
                         f"malformed bus option {item!r} in spec {text!r} "
                         "(expected key=value)"
                     )
-                if key == "latency":
-                    fields["arbitration_latency"] = _parse_int(key, value)
-                elif key == "window":
-                    fields["max_in_flight"] = _parse_int(key, value)
-                elif key == "policy":
-                    fields["policy"] = value
-                else:
+                name = _OPTION_FIELDS.get(key)
+                if name is None:
                     raise ConfigurationError(
                         f"unknown bus option {key!r} in spec {text!r}; "
-                        "known: latency, policy, window"
+                        "known: " + ", ".join(_OPTION_FIELDS)
                     )
+                if name in fields:
+                    raise ConfigurationError(
+                        f"repeated bus option {key!r} in spec {text!r}"
+                    )
+                fields[name] = (
+                    value if key == "policy" else _parse_int(key, value)
+                )
         return cls(**fields)
 
 

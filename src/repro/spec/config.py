@@ -4,9 +4,8 @@ The CLI builds a :class:`RunConfig` from its flags (one flag per field),
 the grid-point builders and the ``run_*_comparison`` drivers build one
 from their keyword arguments, and the substrate systems take it as
 ``config=`` — :meth:`~repro.spec.system.SpecSystemCore._init_spec_core`
-builds the bus, resolves the signature backend and attaches the swap
-policy from it.  Each field is validated once, here, with the typed
-errors of the grammar it names.
+builds the bus and resolves the signature backend from it.  Each field
+is validated once, here, with the typed errors of the grammar it names.
 
 Two encoding rules live here and nowhere else:
 
@@ -26,7 +25,6 @@ from typing import Any, Dict, Optional
 from repro.core.backend import DEFAULT_BACKEND_NAME, backend_entry
 from repro.errors import ConfigurationError
 from repro.interconnect.config import InterconnectConfig
-from repro.spec.policy import parse_policy
 
 
 @dataclass(frozen=True)
@@ -43,9 +41,6 @@ class RunConfig:
     #: Signature storage backend, by :mod:`repro.core.backend` registry
     #: name.
     sig_backend: str = DEFAULT_BACKEND_NAME
-    #: Scheme hot-swap policy spec (:mod:`repro.spec.policy` grammar);
-    #: ``"static"`` never swaps.
-    policy: str = "static"
     #: Stored trace id to replay instead of generating the workload.
     trace: Optional[str] = None
     #: The store holding ``trace``: a :class:`~repro.trace.TraceStore`
@@ -60,7 +55,6 @@ class RunConfig:
             self, "bus", InterconnectConfig.parse(self.bus).spec()
         )
         backend_entry(self.sig_backend)
-        parse_policy(self.policy)
         if (self.trace is None) != (self.trace_store is None):
             missing = (
                 "trace_store (--trace-store)" if self.trace_store is None

@@ -24,20 +24,6 @@ live here:
 ``squash_cleanup``
     Discard the squashed unit's speculative cache state.
 
-``export_processor_state`` / ``import_processor_state`` /
-``teardown_processor``
-    The hot-swap seam: :meth:`~repro.spec.system.SpecSystemCore.swap_scheme`
-    drains the outgoing scheme's per-processor state through
-    ``export_processor_state`` + ``teardown_processor`` and feeds it to
-    the incoming scheme through ``import_processor_state``.  The default
-    implementations are no-ops, which is exactly right for stateless
-    schemes (TM Lazy, the TLS exact schemes); signature schemes override
-    them to rebuild BDM contexts from the exact sets the substrate
-    maintains (exact → signature insertion is total), while the reverse
-    direction — signature → exact — is lossy and the substrate
-    conservatively squashes in-flight speculation instead, mirroring the
-    paper's one-sided false-positive guarantee (Section 3).
-
 The hook *lifecycle* — which substrate system calls which hook when — is
 documented in ``docs/ARCHITECTURE.md``.
 """
@@ -54,15 +40,6 @@ class SpecScheme(abc.ABC):
     #: Human-readable scheme name ("Eager", "Lazy", "Bulk", ...).
     name: str = "abstract"
 
-    #: How the scheme represents speculative read/write sets: ``"exact"``
-    #: (enumerated addresses — Eager, Lazy, the checkpoint exact log) or
-    #: ``"signature"`` (Bloom-style superset encodings — the Bulk
-    #: schemes).  :meth:`~repro.spec.system.SpecSystemCore.swap_scheme`
-    #: uses it to pick the conversion direction: exact state inserts into
-    #: signatures losslessly, while signature state cannot be enumerated
-    #: back and forces a conservative squash of in-flight speculation.
-    state_kind: str = "exact"
-
     def setup_processor(self, system: Any, proc: Any) -> None:
         """Allocate per-processor scheme state before the run starts."""
 
@@ -72,41 +49,6 @@ class SpecScheme(abc.ABC):
 
     def squash_cleanup(self, system: Any, *args: Any) -> None:
         """Discard a squashed unit's speculative cache state."""
-
-    # ------------------------------------------------------------------
-    # Hot-swap lifecycle (runtime scheme exchange)
-    # ------------------------------------------------------------------
-
-    def export_processor_state(self, system: Any, proc: Any) -> Any:
-        """Snapshot this scheme's per-processor state for a swap.
-
-        Returns a scheme-defined description (or ``None`` when the
-        scheme keeps no state worth carrying — the default).  Called on
-        the *outgoing* scheme at a commit boundary, before
-        :meth:`teardown_processor`.
-        """
-        return None
-
-    def import_processor_state(
-        self, system: Any, proc: Any, state: Any
-    ) -> None:
-        """Adopt a processor previously driven by another scheme.
-
-        Called on the *incoming* scheme after :meth:`setup_processor`,
-        with the outgoing scheme's :meth:`export_processor_state`
-        snapshot.  Implementations rebuild their representation from the
-        substrate's exact per-unit sets (which every substrate maintains
-        regardless of scheme); ``state`` carries whatever extra the
-        outgoing scheme chose to publish.  The default ignores it.
-        """
-
-    def teardown_processor(self, system: Any, proc: Any) -> None:
-        """Release per-processor scheme state when swapped out.
-
-        The mirror of :meth:`setup_processor`: drop BDM contexts, clear
-        ``proc.scheme_state`` entries this scheme owns.  The default is a
-        no-op for schemes that never touched the processor.
-        """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

@@ -31,7 +31,6 @@ from repro.core.backend import resolve_backend
 from repro.interconnect import InterconnectConfig, TimedBus, build_bus
 from repro.obs import Observability
 from repro.spec.config import DEFAULT_RUN_CONFIG, RunConfig
-from repro.spec.policy import PolicyView, parse_policy
 
 
 class SpecSystemCore:
@@ -47,20 +46,19 @@ class SpecSystemCore:
         unit_timer: str,
     ) -> None:
         """Wire the instruments and apply the run options of ``config``
-        (the defaults when ``None``): build the bus, resolve the
-        signature backend, and attach the swap policy.
+        (the defaults when ``None``): build the bus and resolve the
+        signature backend.
 
         ``prefix`` namespaces the substrate's metrics (``"tm"`` produces
         ``tm.commits``, ``tm.squashes``, ...); ``unit_timer`` names the
         begin-to-commit cycle timer (``tm.txn_cycles``,
-        ``tls.task_cycles``, ``checkpoint.epoch_cycles``).  Callers set
-        ``self.scheme`` first: the swap policy checks it.
+        ``tls.task_cycles``, ``checkpoint.epoch_cycles``).
         """
         # Every attribute set here counts against a system's budget: from
         # 30 instance attributes on, CPython 3.11 gives each instance an
         # unshared dict and every attribute load on the hot paths gets
-        # slower.  TmSystem (28), TlsSystem (27) and CheckpointSystem
-        # (25) are under it, and a test holds them there.
+        # slower.  TmSystem (23), TlsSystem (22) and CheckpointSystem
+        # (20) are under it, and a test holds them there.
         self.params = params
         config = config or DEFAULT_RUN_CONFIG
         self._spec_prefix = prefix
@@ -93,21 +91,12 @@ class SpecSystemCore:
         # Unit key (pid or task id) -> clock at begin/dispatch, for the
         # begin-to-commit timer.  Only populated when metrics are on.
         self._unit_start_clock: Dict[int, int] = {}
-        # Hot-swap state.  ``_swap_policy is None`` is the fast path every
-        # commit boundary checks; static runs never get past it, so the
-        # refactor costs the default configuration one attribute load.
-        self._swap_policy = None
-        self._swap_tracking = False
-        self._swap_count = 0
-        self._resident_since = 0
-        self._resident_cycles: Dict[str, int] = {}
         # A fallback resolution (numpy unavailable) warns through the
         # run's tracer when one is attached, else through warnings.
         self._sig_backend = resolve_backend(
             config.sig_backend,
             warn=self.tracer.warn if self.tracer is not None else None,
         )
-        self.attach_swap_policy(config.policy)
 
     # ------------------------------------------------------------------
     # Signature backend
@@ -116,177 +105,6 @@ class SpecSystemCore:
     def resolve_sig_backend(self) -> Any:
         """The run's signature backend, resolved once at construction."""
         return self._sig_backend
-
-    # ------------------------------------------------------------------
-    # Scheme hot-swap
-    # ------------------------------------------------------------------
-
-    def attach_swap_policy(self, spec: Optional[str]) -> None:
-        """Parse and attach a swap policy for this run.
-
-        ``None`` and ``"static"`` attach nothing — the commit-boundary
-        hook stays on its zero-cost fast path and the run is
-        byte-identical to a policy-less build.  Anything else becomes a
-        fresh :class:`~repro.spec.policy.SwapPolicy` consulted at every
-        commit boundary through :meth:`_maybe_policy_swap`.
-        """
-        policy = parse_policy(spec)
-        if policy is None:
-            return
-        if self._resident_entry_is_variant():
-            # A parameter variant's overrides (e.g. Bulk-Partial's
-            # partial_rollback) were baked into the run's params at
-            # construction: no other registry entry is a legal swap
-            # target, and swapping back onto the variant is illegal by
-            # definition.  Variant runs are therefore pinned static.
-            return
-        self._swap_policy = policy
-        self._swap_tracking = True
-
-    def _resident_entry_is_variant(self) -> bool:
-        """Whether the resident scheme is a registered parameter variant.
-
-        Schemes the registry does not know (dynamically constructed test
-        schemes) count as non-variants.
-        """
-        from repro.errors import UnknownSchemeError
-        from repro.spec.registry import scheme_entry
-
-        try:
-            entry = scheme_entry(self._spec_prefix, self.scheme.name)
-        except UnknownSchemeError:
-            return False
-        return bool(entry.params)
-
-    def swap_scheme(
-        self,
-        name: str,
-        at_commit_boundary: bool = True,
-        *,
-        now: Optional[int] = None,
-        reason: str = "manual",
-    ) -> bool:
-        """Exchange the running scheme for registry entry ``name``.
-
-        The swap quiesces in-flight speculation first: state a signature
-        scheme cannot export exactly is conservatively squashed (under
-        the *outgoing* scheme, whose cleanup hooks still own the BDM
-        contexts), while exact state is exported and re-imported into
-        the incoming scheme — exact → signature insertion is total, so
-        that direction loses nothing.  Returns ``False`` when ``name``
-        is already resident (a no-op), ``True`` after a completed swap.
-
-        Raises :class:`~repro.errors.SchemeSwapError` for illegal swaps:
-        off a commit boundary, onto a parameter variant, or when the
-        substrate's configuration pins the scheme (see
-        :meth:`_swap_check`).  Unknown names raise the registry's
-        :class:`~repro.errors.UnknownSchemeError`.
-        """
-        from repro.errors import SchemeSwapError
-        from repro.spec.registry import scheme_entry
-
-        current = self.scheme
-        if name == current.name:
-            return False
-        entry = scheme_entry(self._spec_prefix, name)
-        if not at_commit_boundary:
-            raise SchemeSwapError(
-                self._spec_prefix, current.name, name,
-                "swaps are only legal at commit boundaries "
-                "(mid-transaction speculative state has no exchange point)",
-            )
-        if entry.params:
-            raise SchemeSwapError(
-                self._spec_prefix, current.name, name,
-                f"{name!r} is a parameter variant ({entry.params!r}); "
-                "variants change run-level params the live system was "
-                "not built with",
-            )
-        self._swap_check(entry)
-        if now is None:
-            now = self._swap_clock()
-        new_scheme = entry.factory()
-        squashed = self._swap_apply(current, new_scheme, now)
-        self._note_swap(current.name, new_scheme.name, now, squashed, reason)
-        return True
-
-    def _swap_check(self, entry: Any) -> None:
-        """Substrate veto hook: raise SchemeSwapError when the system's
-        configuration pins the current scheme.  Default: no veto."""
-
-    def _swap_clock(self) -> int:
-        """The substrate's current time, for swaps without an explicit
-        ``now`` (manual swaps between runs/tests)."""
-        return getattr(self, "clock", 0)
-
-    def _swap_apply(self, old: Any, new: Any, now: int) -> int:
-        """Quiesce, export, reassign ``self.scheme``, import.
-
-        Substrate-specific: each system knows its own in-flight units
-        and how to squash or convert them.  Returns the number of units
-        conservatively squashed by the swap.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement scheme swaps"
-        )
-
-    def _maybe_policy_swap(self, now: int) -> None:
-        """Consult the attached policy at a commit boundary (if any)."""
-        policy = self._swap_policy
-        if policy is None:
-            return
-        target = policy.decide(PolicyView(self), self.scheme.name, now)
-        if target is not None and target != self.scheme.name:
-            self.swap_scheme(target, now=now, reason="policy")
-
-    def _note_swap(
-        self, old: str, new: str, now: int, squashed: int, reason: str
-    ) -> None:
-        """Account one completed swap: counters, residency, trace."""
-        self._swap_tracking = True
-        self._swap_count += 1
-        elapsed = max(0, now - self._resident_since)
-        self._resident_cycles[old] = (
-            self._resident_cycles.get(old, 0) + elapsed
-        )
-        self._resident_since = now
-        if self.metrics is not None:
-            self.metrics.counter("scheme.swaps").inc()
-            self.metrics.counter(f"scheme.resident_cycles.{old}").inc(elapsed)
-        if self.tracer is not None:
-            # The tracer context deliberately keeps the run's *starting*
-            # scheme: the simulator's bandwidth stats accumulate under the
-            # run label, and the trace-vs-stats reconciliation compares the
-            # two per label.  Residency is reconstructed from the
-            # ``scheme.swap`` events instead of from the context stamp.
-            self.tracer.emit(
-                "scheme.swap",
-                from_scheme=old,
-                to_scheme=new,
-                clock=now,
-                squashed=squashed,
-                reason=reason,
-            )
-
-    def _flush_residency(self, now: int) -> None:
-        """Attribute the tail residency interval to the final scheme.
-
-        Called at end of run, but only for runs that tracked swaps —
-        static runs never create ``scheme.*`` metrics, keeping the
-        pinned metrics snapshots unchanged.
-        """
-        if not self._swap_tracking:
-            return
-        elapsed = max(0, now - self._resident_since)
-        name = self.scheme.name
-        self._resident_cycles[name] = (
-            self._resident_cycles.get(name, 0) + elapsed
-        )
-        self._resident_since = now
-        if self.metrics is not None:
-            self.metrics.counter(f"scheme.resident_cycles.{name}").inc(
-                elapsed
-            )
 
     # ------------------------------------------------------------------
     # Tracing
@@ -333,7 +151,6 @@ class SpecSystemCore:
     def finalize_bus_stats(self) -> None:
         """Copy the bus's traffic (and, when timed, contention) counters
         into ``self.stats`` at end of run."""
-        self._flush_residency(self.stats.cycles)
         self.stats.bandwidth = self.bus.bandwidth
         if isinstance(self.bus, TimedBus):
             self.stats.bus_grants = self.bus.grants

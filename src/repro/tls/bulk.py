@@ -36,7 +36,6 @@ from repro.core.disambiguation import disambiguate
 from repro.core.rle import rle_encode
 from repro.core.signature import Signature
 from repro.errors import SimulationError
-from repro.mem.address import WORD_SHIFT
 from repro.tls.conflict import TlsScheme
 from repro.tls.task import TaskState
 
@@ -46,8 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 class TlsBulkScheme(TlsScheme):
     """Signature-based lazy TLS disambiguation through per-processor BDMs."""
-
-    state_kind = "signature"
 
     def __init__(self, partial_overlap: bool = True) -> None:
         self.partial_overlap = partial_overlap
@@ -95,64 +92,6 @@ class TlsBulkScheme(TlsScheme):
 
     def can_accept_task(self, system: "TlsSystem", proc: "TlsProcessor") -> bool:
         return self.has_free_context(proc)
-
-    # ------------------------------------------------------------------
-    # Hot-swap lifecycle
-    # ------------------------------------------------------------------
-
-    def teardown_processor(
-        self, system: "TlsSystem", proc: "TlsProcessor"
-    ) -> None:
-        bdm = proc.scheme_state.get("bdm")
-        contexts = proc.scheme_state.pop("ctx", None) or {}
-        if bdm is not None:
-            for context in contexts.values():
-                bdm.release_context(context)
-        proc.scheme_state.pop("bdm", None)
-
-    def import_processor_state(
-        self, system: "TlsSystem", proc: "TlsProcessor", state: object
-    ) -> None:
-        """Rebuild BDM contexts for every active resident task by
-        replaying its exact word sets into fresh signatures (exact →
-        signature insertion is total, Section 3).  A task that crossed
-        its spawn point replays in two halves around
-        :meth:`VersionContext.start_shadow`, anchoring the shadow
-        signature W_sh of Figure 9 exactly where the system anchored the
-        exact shadow set, and the parent's pre-spawn write signature is
-        re-snapshotted for a not-yet-dispatched child's spawn flush.
-        """
-        del state
-        bdm = self.bdm_of(proc)
-        contexts = proc.scheme_state["ctx"]
-        for task_id in list(proc.resident):
-            task = system.tasks[task_id]
-            if not task.is_active():
-                continue
-            context = bdm.allocate_context(task_id)
-            if context is None:
-                raise SimulationError(
-                    f"BDM of processor {proc.pid} is out of version "
-                    "contexts during a scheme swap"
-                )
-            contexts[task_id] = context
-            bdm.set_running(context)
-            for word in sorted(task.read_words):
-                bdm.record_load(word << WORD_SHIFT)
-            shadow = task.shadow_write_words
-            if shadow is None:
-                for word in sorted(task.write_words):
-                    bdm.record_store(word << WORD_SHIFT)
-                continue
-            for word in sorted(task.prespawn_write_words):
-                bdm.record_store(word << WORD_SHIFT)
-            if self.partial_overlap:
-                context.start_shadow()
-                self._spawn_write_snapshot[task_id + 1] = (
-                    context.write_signature.copy()
-                )
-            for word in sorted(shadow):
-                bdm.record_store(word << WORD_SHIFT)
 
     # ------------------------------------------------------------------
     # Dispatch and spawn

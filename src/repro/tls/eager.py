@@ -79,44 +79,6 @@ class TlsEagerScheme(TlsScheme):
             system.bus.record(MessageKind.INVALIDATION)
 
     # ------------------------------------------------------------------
-    # Hot-swap lifecycle
-    # ------------------------------------------------------------------
-
-    def import_processor_state(
-        self, system: "TlsSystem", proc: "TlsProcessor", state: object
-    ) -> None:
-        """Re-run store-time disambiguation over state accumulated under
-        the outgoing scheme.
-
-        Eager detects violations as stores happen; a commit-time scheme
-        leaves overlaps between live tasks pending until the writer
-        commits.  The stores that created those overlaps will never be
-        re-checked after the swap, so any dependence between a resident
-        task and a more-speculative one is resolved now, exactly as a
-        replayed store would have — squashing the speculative reader
-        before it can commit a stale value.
-        """
-        del state
-        for task_id in list(proc.resident):
-            committer = system.tasks[task_id]
-            if not committer.is_active():
-                continue
-            for other in system.active_tasks():
-                if other.task_id <= committer.task_id:
-                    continue
-                dependence = self.exact_dependence(committer, other)
-                if dependence:
-                    system._note_direct_squash_stats(
-                        dependence=len(dependence), false_positive=False
-                    )
-                    system.squash_from(
-                        other.task_id,
-                        now=system._swap_clock(),
-                        cause="swap",
-                    )
-                    break
-
-    # ------------------------------------------------------------------
     # Commit: quiet
     # ------------------------------------------------------------------
 

@@ -645,8 +645,6 @@ class TlsSystem(SpecSystemCore):
         self._dispatch_all(commit_time)
         for other_proc in self.processors:
             self._wake(other_proc)
-        if self._swap_policy is not None:
-            self._maybe_policy_swap(commit_time)
 
     def _note_direct_squash_stats(
         self, dependence: int, false_positive: bool
@@ -708,62 +706,6 @@ class TlsSystem(SpecSystemCore):
             # the measurement at the replay's start.
             self.start_unit_timer(state.task_id, proc.clock)
             self._wake(proc)
-
-    # ------------------------------------------------------------------
-    # Scheme hot-swap
-    # ------------------------------------------------------------------
-
-    def _swap_clock(self) -> int:
-        return max(
-            self.last_commit_time, max(proc.clock for proc in self.processors)
-        )
-
-    def _swap_apply(self, old: TlsScheme, new: TlsScheme, now: int) -> int:
-        squashed = 0
-        active = self.active_tasks()
-        if old.state_kind == "signature" and active:
-            # Signature state cannot be enumerated back into exact sets:
-            # conservatively squash all in-flight speculation, mirroring
-            # the paper's one-sided false-positive guarantee (Section 3).
-            squashed += len(active)
-            self.squash_from(active[0].task_id, now, cause="swap")
-        elif new.state_kind == "signature":
-            # The incoming scheme holds at most ``bdm_contexts`` resident
-            # tasks per processor; pre-squash the most-speculative excess
-            # so the import can give every survivor a version context.
-            limit = self.params.bdm_contexts
-            first_excess: Optional[int] = None
-            for proc in self.processors:
-                live = sorted(
-                    tid
-                    for tid in proc.resident
-                    if self.tasks[tid].is_active()
-                )
-                if len(live) > limit:
-                    candidate = live[limit]
-                    if first_excess is None or candidate < first_excess:
-                        first_excess = candidate
-            if first_excess is not None:
-                squashed += sum(
-                    1
-                    for t in self.active_tasks()
-                    if t.task_id >= first_excess
-                )
-                self.squash_from(first_excess, now, cause="swap")
-        exports = {
-            proc.pid: old.export_processor_state(self, proc)
-            for proc in self.processors
-        }
-        for proc in self.processors:
-            old.teardown_processor(self, proc)
-        self.scheme = new
-        for proc in self.processors:
-            new.setup_processor(self, proc)
-        for proc in self.processors:
-            new.import_processor_state(self, proc, exports[proc.pid])
-        for proc in self.processors:
-            self._wake(proc)
-        return squashed
 
     # ------------------------------------------------------------------
     # Exact word-grain merge helper (used by the exact schemes)

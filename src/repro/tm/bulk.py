@@ -43,9 +43,6 @@ class BulkScheme(TmScheme):
     """Signature-based lazy disambiguation through the BDM."""
 
     name = "Bulk"
-    #: Signatures are one-sided supersets: they cannot be enumerated back
-    #: into exact sets, so swaps *away* from Bulk conservatively squash.
-    state_kind = "signature"
     #: Bulk is lazy: :meth:`eager_check` only resolves the Set
     #: Restriction's store case, so the system skips it for loads.
     eager_checks_loads = False
@@ -108,54 +105,6 @@ class BulkScheme(TmScheme):
             )
         bdm.set_running(context)
         proc.scheme_state["ctx"] = context
-
-    # ------------------------------------------------------------------
-    # Hot-swap lifecycle
-    # ------------------------------------------------------------------
-
-    def teardown_processor(self, system: "TmSystem", proc: TmProcessor) -> None:
-        """Release the BDM (the swap already squashed in-flight work)."""
-        bdm = proc.scheme_state.get("bdm")
-        context = proc.scheme_state.pop("ctx", None)
-        if bdm is not None and context is not None:
-            bdm.release_context(context)
-        proc.scheme_state.pop("bdm", None)
-
-    def import_processor_state(
-        self, system: "TmSystem", proc: TmProcessor, state: object
-    ) -> None:
-        """Adopt a live exact-scheme transaction into a fresh context.
-
-        Exact → signature conversion is total (Section 3's one-sided
-        guarantee): every recorded granule inserts into the context's R/W
-        signatures and the per-section signatures the swap just attached,
-        and ``record_store_granule`` rebuilds delta(W) incrementally so
-        bulk squash invalidation stays exact.
-        """
-        txn = proc.txn
-        if txn is None:
-            return
-        bdm = self.bdm_of(proc)
-        context = bdm.allocate_context(proc.pid)
-        if context is None:
-            raise SimulationError(
-                f"BDM of processor {proc.pid} is out of version contexts "
-                "during a scheme swap"
-            )
-        bdm.set_running(context)
-        proc.scheme_state["ctx"] = context
-        config = bdm.config
-        for section in txn.sections:
-            for granule in sorted(section.read_granules):
-                mask = config.flat_mask(granule)
-                context.read_signature.add_mask(mask)
-                if section.read_signature is not None:
-                    section.read_signature.add_mask(mask)
-            for granule in sorted(section.write_granules):
-                mask = config.flat_mask(granule)
-                bdm.record_store_granule(granule, mask)
-                if section.write_signature is not None:
-                    section.write_signature.add_mask(mask)
 
     # ------------------------------------------------------------------
     # Access hooks

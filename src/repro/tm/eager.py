@@ -134,59 +134,6 @@ class EagerScheme(TmScheme):
         key = (aggressor.pid, victim.pid)
         self._pair_squashes[key] = self._pair_squashes.get(key, 0) + 1
 
-    # ------------------------------------------------------------------
-    # Hot-swap lifecycle
-    # ------------------------------------------------------------------
-
-    def teardown_processor(self, system: "TmSystem", proc: TmProcessor) -> None:
-        proc.scheme_state.pop("owned_lines", None)
-
-    def import_processor_state(
-        self, system: "TmSystem", proc: TmProcessor, state: object
-    ) -> None:
-        """Adopt a live transaction begun under another exact scheme.
-
-        Eager's invariants are re-established as if every recorded access
-        were replayed through its own hooks: written lines become owned
-        (remote copies invalidated — under Lazy they survive until
-        commit, but Eager commits silently, so stale copies must go now),
-        and overlaps with other live transactions — which Lazy would
-        have caught at commit time — are resolved immediately, this
-        processor winning (the requester-wins rule).
-        """
-        txn = proc.txn
-        if txn is None:
-            return
-        owned = set(txn.all_write_lines())
-        proc.scheme_state["owned_lines"] = owned
-        for line in sorted(owned):
-            invalidated_any = False
-            for other in system.processors:
-                if other is proc:
-                    continue
-                if other.cache.invalidate(line) is not None:
-                    invalidated_any = True
-            if invalidated_any:
-                system.bus.record(MessageKind.INVALIDATION)
-        reads = txn.all_read_granules()
-        for other in system.processors:
-            if other is proc or other.txn is None:
-                continue
-            other_writes = other.txn.all_write_granules()
-            conflict = not owned.isdisjoint(other_writes) or not (
-                owned.isdisjoint(other.txn.all_read_granules())
-            ) or not reads.isdisjoint(other_writes)
-            if conflict:
-                self._note_squash(proc, other)
-                system.squash(
-                    victim=other,
-                    from_section=0,
-                    now=system._swap_clock(),
-                    dependence_granules=1,
-                    false_positive=False,
-                    cause="swap",
-                )
-
     def record_store(
         self, system: "TmSystem", proc: TmProcessor, byte_address: int
     ) -> None:

@@ -658,8 +658,6 @@ class TmSystem(SpecSystemCore):
         proc.txn = None
         proc.cursor += 1
         self._release_waiters(proc, now)
-        if self._swap_policy is not None:
-            self._maybe_policy_swap(now)
 
     # ------------------------------------------------------------------
     # Squash
@@ -759,75 +757,6 @@ class TmSystem(SpecSystemCore):
             false_positive=False,
             cause="set-restriction",
         )
-
-    # ------------------------------------------------------------------
-    # Scheme hot-swap
-    # ------------------------------------------------------------------
-
-    def _swap_check(self, entry) -> None:
-        if self.params.threads_per_core > 1:
-            from repro.errors import SchemeSwapError
-
-            raise SchemeSwapError(
-                "tm", self.scheme.name, entry.name,
-                "threads_per_core > 1 pins the Bulk scheme for the whole "
-                "run (co-resident hardware threads share one BDM)",
-            )
-
-    def _swap_clock(self) -> int:
-        return max(proc.clock for proc in self.processors)
-
-    def _swap_apply(self, old: TmScheme, new: TmScheme, now: int) -> int:
-        """Quiesce in-flight transactions and exchange the scheme.
-
-        Signature state cannot be enumerated back into exact sets, so a
-        swap *away* from a signature scheme conservatively squashes every
-        open transaction — under the old scheme, whose cleanup hooks
-        still own the BDM contexts.  Exact state survives: live
-        transactions keep their sections and the incoming scheme rebuilds
-        its own representation from them (total in the exact → signature
-        direction).
-        """
-        squashed = 0
-        if old.state_kind == "signature":
-            for proc in self.processors:
-                if proc.txn is not None:
-                    self.squash(
-                        victim=proc,
-                        from_section=0,
-                        now=now,
-                        dependence_granules=0,
-                        false_positive=False,
-                        cause="swap",
-                    )
-                    squashed += 1
-        exports = {
-            proc.pid: old.export_processor_state(self, proc)
-            for proc in self.processors
-        }
-        for proc in self.processors:
-            old.teardown_processor(self, proc)
-        self.scheme = new
-        new.setup(self)
-        for proc in self.processors:
-            new.setup_processor(self, proc)
-        # Live transactions must match the incoming scheme's section
-        # shape: Bulk sections carry signatures (and squashes rebuild
-        # sections from the stored config), exact sections need none.
-        config = self._signature_config_for_txns()
-        backend = self._backend_for_txns()
-        for proc in self.processors:
-            txn = proc.txn
-            if txn is None:
-                continue
-            txn.signature_config = config
-            txn.sig_backend = backend
-            if config is not None:
-                for section in txn.sections:
-                    section.ensure_signatures(config, backend)
-        for proc in self.processors:
-            new.import_processor_state(self, proc, exports[proc.pid])
-        return squashed
 
     # ------------------------------------------------------------------
     # Helpers

@@ -65,23 +65,6 @@ class Section:
             self.read_signature = make(signature_config)
             self.write_signature = make(signature_config)
 
-    def ensure_signatures(
-        self,
-        signature_config: SignatureConfig,
-        backend: Optional[SignatureBackend] = None,
-    ) -> None:
-        """Attach empty R/W signatures when the section has none.
-
-        The hot-swap path: a transaction begun under an exact scheme has
-        signature-less sections; when the system swaps to Bulk mid-run,
-        the incoming scheme replays the exact sets into fresh signatures
-        here (exact → signature insertion is total, Section 3).
-        """
-        if self.read_signature is None:
-            make = Signature if backend is None else backend.make_signature
-            self.read_signature = make(signature_config)
-            self.write_signature = make(signature_config)
-
 
 class TxnState:
     """Speculative state of the transaction a processor is executing."""

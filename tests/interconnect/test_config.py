@@ -80,6 +80,14 @@ class TestSpecRoundTrip:
         with pytest.raises(ConfigurationError, match="malformed"):
             InterconnectConfig.parse("timed:latency")
 
+    @pytest.mark.parametrize("spec", [
+        "timed:latency=1,latency=2",
+        "timed:policy=fifo,window=2,policy=round-robin",
+    ])
+    def test_repeated_option(self, spec):
+        with pytest.raises(ConfigurationError, match="repeated bus option"):
+            InterconnectConfig.parse(spec)
+
     def test_non_integer_latency(self):
         with pytest.raises(ConfigurationError, match="integer"):
             InterconnectConfig.parse("timed:latency=fast")

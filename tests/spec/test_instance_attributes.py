@@ -3,9 +3,9 @@
 CPython 3.11 gives an instance an unshared ``__dict__`` once it holds 30
 attributes, and every attribute load on the simulators' hot paths gets
 slower: a 30-attribute TmSystem ran about 5% slower on the TM paper
-workload.  Attributes may be set lazily during a run (observability,
-swap policies), so they are counted after runs under every registered
-scheme, plain, with metrics and tracing on, and under a swap policy.
+workload.  Attributes may be set lazily during a run (observability),
+so they are counted after runs under every registered scheme, plain and
+with metrics and tracing on.
 """
 
 import pytest
@@ -23,9 +23,6 @@ from repro.tm.system import TmSystem
 
 #: CPython 3.11 unshares an instance ``__dict__`` at this many attributes.
 SHARED_KEY_LIMIT = 30
-
-#: Always-hot threshold: every run swaps after its first full window.
-ALWAYS_SWAP = "threshold:squash_rate>-1,window=2"
 
 SYSTEMS = {"tm": TmSystem, "tls": TlsSystem, "checkpoint": CheckpointSystem}
 
@@ -45,24 +42,14 @@ def attribute_counts(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("observed, policy", [
-    (False, None),
-    (True, None),
-    (True, ALWAYS_SWAP),
-])
-def test_systems_stay_under_the_shared_key_limit(
-    attribute_counts, observed, policy
-):
-    options = {} if policy is None else {"policy": policy}
-
+@pytest.mark.parametrize("observed", [False, True])
+def test_systems_stay_under_the_shared_key_limit(attribute_counts, observed):
     def obs():
         return Observability() if observed else None
 
-    run_tm_comparison(
-        "mc", txns_per_thread=2, include_partial=True, obs=obs(), **options
-    )
-    run_tls_comparison("gzip", num_tasks=8, obs=obs(), **options)
-    run_checkpoint_comparison("predictor", num_epochs=8, obs=obs(), **options)
+    run_tm_comparison("mc", txns_per_thread=2, include_partial=True, obs=obs())
+    run_tls_comparison("gzip", num_tasks=8, obs=obs())
+    run_checkpoint_comparison("predictor", num_epochs=8, obs=obs())
     assert set(attribute_counts) == {
         (substrate, name)
         for substrate in SYSTEMS

@@ -22,7 +22,6 @@ from repro.errors import ConfigurationError, UnknownBackendError
 from repro.runner import tm_point
 from repro.spec import RunConfig
 
-POLICY = "threshold:squash_rate>0.2,window=8"
 TRACE_ID = "f" * 64
 
 #: field -> (default, non-default options, the knobs they become)
@@ -33,7 +32,6 @@ ROWS = {
         {"bus": "timed:latency=2,policy=fifo,window=0"},
     ),
     "sig_backend": ("packed", {"sig_backend": "pure"}, {"sig_backend": "pure"}),
-    "policy": ("static", {"policy": POLICY}, {"policy": POLICY}),
     "trace": (
         None,
         {"trace": TRACE_ID, "trace_store": "store"},
@@ -52,8 +50,6 @@ INVALID = {
             ["--bus", "timed:latency=-3"]),
     "sig_backend": ({"sig_backend": "cuda"}, UnknownBackendError,
                     ["--sig-backend", "cuda"]),
-    "policy": ({"policy": "bogus:x"}, ConfigurationError,
-               ["--scheme-policy", "bogus:x"]),
     "trace": ({"trace": TRACE_ID}, ConfigurationError,
               ["--trace-id", TRACE_ID]),
     "trace_store": ({"trace_store": "store"}, ConfigurationError,

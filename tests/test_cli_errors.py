@@ -8,12 +8,13 @@ from repro.cli import main
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["tm", "cb", "--scheme-policy", "bogus:x"], "unknown swap policy"),
         (["tm", "cb", "--bus", "timed:latency=-3"], "latency"),
+        (["tm", "cb", "--bus", "timed:latency=1,latency=2"],
+         "repeated bus option 'latency'"),
         (["tm", "cb", "--trace-store", "{store}", "--trace-id", "abc"],
          "abc"),
     ],
-    ids=["scheme-policy", "bus-latency", "trace-id"],
+    ids=["bus-latency", "bus-repeated-option", "trace-id"],
 )
 def test_typed_input_errors_exit_2_without_a_traceback(
     tmp_path, capsys, argv, message
@@ -31,10 +32,10 @@ def test_typed_input_errors_exit_2_without_a_traceback(
     [
         ["checkpoint", "predictor", "--cache-dir", "{out}", "--trace-id", "x"],
         ["checkpoint", "predictor", "--cache-dir", "{out}",
-         "--scheme-policy", "bogus:x"],
+         "--bus", "timed:latency=-3"],
         ["reproduce", "--out", "{out}", "--bus", "timed:latency=-3"],
     ],
-    ids=["checkpoint-lone-trace-id", "checkpoint-bad-policy",
+    ids=["checkpoint-lone-trace-id", "checkpoint-bad-bus",
          "reproduce-bad-bus"],
 )
 def test_rejected_grid_command_creates_no_directory(tmp_path, capsys, argv):
@@ -50,6 +51,28 @@ def test_removed_service_commands_are_invalid_choices(capsys, command):
         main([command])
     assert excinfo.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tm", "cb"],
+        ["tls", "gzip"],
+        ["checkpoint", "predictor", "--cache-dir", "{out}"],
+        ["reproduce", "--out", "{out}"],
+    ],
+    ids=["tm", "tls", "checkpoint", "reproduce"],
+)
+def test_removed_scheme_policy_flag_is_unrecognized(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    argv = [arg.format(out=out) for arg in argv]
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--scheme-policy", "static"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --scheme-policy static" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,6 @@ from repro.errors import (
     DeltaInexactError,
     OverflowAreaError,
     ProtocolError,
-    SchemeSwapError,
     SetRestrictionError,
     SimulationError,
     TraceError,
@@ -54,10 +53,8 @@ class TestHierarchy:
         UnknownSchemeError("checkpoint", "Nope", ["Exact", "Bulk"]),
         UnknownSchemeError("gpu", known=["tm", "tls"]),
         UnknownBackendError("cuda", ["pure", "packed"]),
-        SchemeSwapError("tm", "Eager", "Bulk", "not at a commit boundary"),
     ],
-    ids=["unknown-scheme", "unknown-substrate", "unknown-backend",
-         "scheme-swap"],
+    ids=["unknown-scheme", "unknown-substrate", "unknown-backend"],
 )
 def test_errors_with_their_own_init_survive_a_pickle_round_trip(error):
     """A grid point's error crosses the process-pool boundary by pickle
