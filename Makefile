@@ -7,7 +7,7 @@ PYTHON ?= python
 
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test test-output verify bench bench-json bench-output examples clean
+.PHONY: install test test-output verify bench bench-output examples clean
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -24,12 +24,6 @@ verify:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
-
-# Machine-readable trajectory point: core-op throughput, reproduce
-# wall-times with the recorded baseline speedup, and memo counters.
-# Writes BENCH_core.json at the repo root.
-bench-json:
-	$(PYTHON) benchmarks/bench_to_json.py
 
 bench-output:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt

@@ -19,12 +19,12 @@ All cached functions are *pure* in ``(config, key)`` — the memos are
 strictly semantics-preserving and the golden reproduce artifacts stay
 byte-identical with them enabled (which is the default).
 
-Counters are surfaced through :func:`memo_stats` and, for explicit
-consumers (the JSON bench harness, the CI perf-smoke job), through
-:func:`repro.obs.record_memo_metrics`.  They are *not* folded into the
-default metrics snapshots: golden runs pin ``metrics.json`` byte for
-byte, so new counters must stay out of the default observability
-surface.
+Counters are surfaced through :func:`memo_stats` only.  They are *not*
+folded into the metrics snapshots: golden runs pin ``metrics.json`` byte
+for byte, so new counters must stay out of the observability surface.
+``tests/core/test_memo_hits.py`` requires the three memos above to hit
+in a timed-bus TM comparison, and the end-to-end benchmark reports their
+hit rates per workload.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from weakref import WeakSet
 __all__ = [
     "LruCache",
     "memo_stats",
-    "reset_memo_stats",
     "DEFAULT_FLAT_MASK_CAPACITY",
     "DEFAULT_DECODE_CAPACITY",
     "DEFAULT_RLE_CAPACITY",
@@ -126,13 +125,8 @@ class LruCache:
             self.evictions += 1
 
     def clear(self) -> None:
-        """Drop every entry (counters are kept; see ``reset_counters``)."""
+        """Drop every entry (counters are kept)."""
         self._data.clear()
-
-    def reset_counters(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
     def stats(self) -> Dict[str, int]:
         return {
@@ -187,11 +181,3 @@ def memo_stats(label: Optional[str] = None) -> Dict[str, Dict[str, int]]:
         out[name] = totals
     return out
 
-
-def reset_memo_stats() -> None:
-    """Zero every live cache's counters and drop the retirement totals
-    (cache contents and sizes are left alone)."""
-    _RETIRED.clear()
-    for caches in _REGISTRY.values():
-        for cache in caches:
-            cache.reset_counters()

@@ -38,32 +38,7 @@ __all__ = [
     "Timer",
     "merge_snapshots",
     "record_codec_metrics",
-    "record_memo_metrics",
 ]
-
-
-def record_memo_metrics(metrics: "MetricsRegistry", label=None):
-    """Copy the process's memo-cache counters into ``metrics``.
-
-    The hot-path memos (:mod:`repro.core.memo`: address encode masks,
-    signature decode, RLE) keep their hit/miss/eviction counters out of
-    the default metrics snapshots — golden runs pin ``metrics.json``
-    byte for byte, and advisory cache statistics must not perturb them.
-    Explicit consumers (the JSON bench harness, the CI perf-smoke job)
-    call this to materialise them as ``memo.<label>.<field>`` counters
-    in a registry of their own choosing.
-
-    Each counter is *set* to the current aggregate (gauge semantics, so
-    repeated calls refresh rather than double-count).  Returns the raw
-    :func:`repro.core.memo.memo_stats` mapping for convenience.
-    """
-    from repro.core.memo import memo_stats
-
-    stats = memo_stats(label)
-    for name, aggregate in stats.items():
-        for fld in ("hits", "misses", "evictions", "size"):
-            metrics.counter(f"memo.{name}.{fld}").value = aggregate[fld]
-    return stats
 
 
 def record_codec_metrics(metrics: "MetricsRegistry"):

@@ -105,14 +105,19 @@ class ResultCache:
         except OSError:
             return None
         except json.JSONDecodeError:
-            try:
-                path.unlink()
-            except OSError:
-                pass  # another process repaired or removed it first
+            self.discard(key)
             return None
         if not isinstance(entry, dict) or entry.get("schema") != CACHE_SCHEMA_VERSION:
             return None
         return entry.get("result")
+
+    def discard(self, key: str) -> None:
+        """Unlink a key's entry, if any, so the next :meth:`put` of the
+        key repairs the slot."""
+        try:
+            self._path(key).unlink()
+        except OSError:
+            pass  # absent, or another process repaired or removed it first
 
     def put(self, key: str, payload: Dict[str, Any], result: Dict[str, Any]) -> None:
         """Store one point's result (atomically, via rename).

@@ -483,7 +483,26 @@ class GridRunner:
     def _cache_lookup(self, point: GridPoint) -> Optional[Dict[str, Any]]:
         if self.cache is None:
             return None
-        return self.cache.get(self.cache.key_for(self._payload(point)))
+        key = self.cache.key_for(self._payload(point))
+        entry = self.cache.get(key)
+        if entry is not None and not self._holds_result(entry):
+            # Parses but does not decode: a miss, like a garbage file.
+            # The point is recomputed and its put rewrites the entry.
+            self.cache.discard(key)
+            return None
+        return entry
+
+    def _holds_result(self, entry: Any) -> bool:
+        """Whether a cached entry decodes as :meth:`run` reads it."""
+        try:
+            if self.observability:
+                if not {"metrics", "trace"} <= entry.keys():
+                    return False
+                entry = entry["comparison"]
+            comparison_from_dict(entry)
+        except (AttributeError, KeyError, TypeError, ValueError):
+            return False
+        return True
 
     def _cache_store(self, point: GridPoint, result: Dict[str, Any]) -> None:
         if self.cache is None:

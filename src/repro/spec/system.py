@@ -57,7 +57,7 @@ class SpecSystemCore:
         # Every attribute set here counts against a system's budget: from
         # 30 instance attributes on, CPython 3.11 gives each instance an
         # unshared dict and every attribute load on the hot paths gets
-        # slower.  TmSystem (23), TlsSystem (22) and CheckpointSystem
+        # slower.  TmSystem (24), TlsSystem (22) and CheckpointSystem
         # (20) are under it, and a test holds them there.
         self.params = params
         config = config or DEFAULT_RUN_CONFIG

@@ -35,6 +35,7 @@ from repro.sim.engine import MinClockScheduler
 from repro.sim.trace import EventKind, MemEvent, ThreadTrace
 from repro.spec.config import RunConfig
 from repro.spec.system import SpecSystemCore
+from repro.tm.bulk import BulkScheme
 from repro.tm.conflict import TmScheme
 from repro.tm.params import TM_DEFAULTS, TmParams
 from repro.tm.processor import TmProcessor
@@ -90,6 +91,10 @@ class TmSystem(SpecSystemCore):
         else:
             self._m_txn_begins = None
             self._m_overflow = None
+        # A run's scheme is fixed, and only Bulk transactions carry
+        # signatures: decide once which configuration they get.
+        bulk = isinstance(scheme, BulkScheme)
+        self._txn_signature_config = params.signature_config if bulk else None
         self.stats = TmStats()
         self.processors: List[TmProcessor] = [
             TmProcessor(pid, trace, params.geometry)
@@ -98,9 +103,7 @@ class TmSystem(SpecSystemCore):
         # SMT-style cores: consecutive hardware threads share one cache
         # (and, for Bulk, one BDM — multiple version contexts at once).
         if params.threads_per_core > 1:
-            from repro.tm.bulk import BulkScheme as _BulkScheme
-
-            if not isinstance(scheme, _BulkScheme):
+            if not bulk:
                 raise SimulationError(
                     "threads_per_core > 1 requires the Bulk scheme: a "
                     "conventional multi-versioned cache needs per-line "
@@ -236,8 +239,8 @@ class TmSystem(SpecSystemCore):
             proc.txn = TxnState(
                 proc.fresh_txn_id(),
                 start_cursor=proc.cursor,
-                signature_config=self._signature_config_for_txns(),
-                sig_backend=self._backend_for_txns(),
+                signature_config=self._txn_signature_config,
+                sig_backend=self._sig_backend,
             )
             self.scheme.on_txn_begin(self, proc)
             proc.clock += self.params.begin_overhead_cycles
@@ -257,20 +260,6 @@ class TmSystem(SpecSystemCore):
                 proc.txn.push_section(proc.cursor + 1)
                 self.scheme.on_inner_begin(self, proc)
         proc.cursor += 1
-
-    def _signature_config_for_txns(self):
-        from repro.tm.bulk import BulkScheme
-
-        if isinstance(self.scheme, BulkScheme):
-            return self.params.signature_config
-        return None
-
-    def _backend_for_txns(self):
-        from repro.tm.bulk import BulkScheme
-
-        if isinstance(self.scheme, BulkScheme):
-            return self.resolve_sig_backend()
-        return None
 
     def _end(self, proc: TmProcessor) -> None:
         if proc.txn is None:
@@ -410,15 +399,13 @@ class TmSystem(SpecSystemCore):
             # A non-speculative dirty line must not join a cache set
             # owned by a co-resident thread's speculative context (the
             # Set Restriction also binds non-speculative writers,
-            # Section 4.3); the speculative owner is squashed.
-            from repro.tm.bulk import BulkScheme as _BulkScheme
-
-            if isinstance(self.scheme, _BulkScheme):
-                bdm = self.scheme.bdm_of(proc)
-                set_index = self.params.geometry.set_index(line_address)
-                owner = bdm.speculative_owner_of_set(set_index)
-                if owner is not None and owner.owner != proc.pid:
-                    self.squash_preempted_context(proc, owner)
+            # Section 4.3); the speculative owner is squashed.  SMT cores
+            # run only under Bulk (checked at construction).
+            bdm = self.scheme.bdm_of(proc)
+            set_index = self.params.geometry.set_index(line_address)
+            owner = bdm.speculative_owner_of_set(set_index)
+            if owner is not None and owner.owner != proc.pid:
+                self.squash_preempted_context(proc, owner)
         self.memory.store(word, value)
         # Cache.lookup inlined (dict probe + LRU touch), as in _load.
         cache = proc.cache

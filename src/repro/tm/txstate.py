@@ -235,20 +235,6 @@ class TxnState:
             merged.update(section.write_log)
         return merged
 
-    def union_write_signature(self) -> Signature:
-        """W_1 ∪ W_2 ∪ ... — what a nested transaction broadcasts at
-        commit (Figure 8)."""
-        if self.signature_config is None:
-            raise SimulationError("transaction has no signatures")
-        if self.sig_backend is None:
-            union = Signature(self.signature_config)
-        else:
-            union = self.sig_backend.make_signature(self.signature_config)
-        for section in self.sections:
-            assert section.write_signature is not None
-            union.union_update(section.write_signature)
-        return union
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"TxnState(txn={self.txn_id}, sections={len(self.sections)}, "

@@ -7,12 +7,16 @@ A runner may be killed mid-write, and two runner processes may share one
   the old fixed ``<key>.tmp`` let two writers interleave ``write`` and
   ``replace`` and publish a torn entry;
 * stale temporaries are swept when a cache opens, and garbage entries
-  are unlinked on read so the slot repairs itself.
+  are unlinked on read so the slot repairs itself — as are entries that
+  parse but do not decode into a result.
 """
 
+import json
 import threading
 
-from repro.runner import ResultCache
+import pytest
+
+from repro.runner import GridRunner, ResultCache, checkpoint_point
 
 
 def entry_for(cache, key, value):
@@ -107,6 +111,31 @@ class TestSelfRepair:
         (tmp_path / f"{key}.json").write_text("\x00\x00 not json")
         assert cache.get(key) is None
         assert not (tmp_path / f"{key}.json").exists()
+
+    @pytest.mark.parametrize("observability", [False, True])
+    def test_an_entry_that_does_not_decode_is_recomputed(
+        self, tmp_path, observability
+    ):
+        """A planted result that parses but does not decode (plain: a
+        checkpoint result missing its fields; instrumented: no
+        ``comparison`` member) is a miss: the point is recomputed and
+        its entry written again."""
+        point = checkpoint_point("predictor", num_epochs=4, rollback_depth=1)
+        runner = GridRunner(
+            jobs=1, cache_dir=tmp_path, observability=observability
+        )
+        expected = runner.run([point]).results
+        (path,) = tmp_path.glob("*.json")
+        entry = json.loads(path.read_text())
+        entry["result"] = (
+            {"metrics": {}, "trace": {}} if observability
+            else {"kind": "checkpoint", "app": "predictor"}
+        )
+        path.write_text(json.dumps(entry))
+        rerun = runner.run([point])
+        assert rerun.cached_keys == []
+        assert rerun.results == expected
+        assert runner.run([point]).cached_keys == [point.key]
 
     def test_non_dict_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -89,3 +89,21 @@ def test_checkpoint_reuses_the_grid_cache(tmp_path, capsys):
     assert main(argv) == 0
     second = capsys.readouterr().out
     assert "grid point(s) served from cache" in second
+
+
+def test_a_cache_entry_that_does_not_decode_is_recomputed(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    argv = [
+        "checkpoint", "predictor", "--epochs", "4", "--max-depth", "1",
+        "--jobs", "1", "--cache-dir", str(cache),
+    ]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    (path,) = cache.glob("*.json")
+    entry = json.loads(path.read_text())
+    entry["result"] = {"kind": "checkpoint", "app": "predictor"}
+    path.write_text(json.dumps(entry))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert json.loads(path.read_text())["result"]["kind"] == "checkpoint"
+    assert "rollback_depth" in json.loads(path.read_text())["result"]

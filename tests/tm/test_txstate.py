@@ -87,15 +87,3 @@ class TestSignatures:
     def test_sections_carry_signatures_when_configured(self):
         txn = make_txn(signatures=True)
         assert txn.sections[0].read_signature is not None
-
-    def test_union_write_signature(self):
-        txn = make_txn(signatures=True)
-        txn.sections[0].write_signature.add(1)
-        txn.push_section(cursor=20)
-        txn.sections[1].write_signature.add(2)
-        union = txn.union_write_signature()
-        assert 1 in union and 2 in union
-
-    def test_union_without_signatures_raises(self):
-        with pytest.raises(SimulationError):
-            make_txn().union_write_signature()
