@@ -17,6 +17,7 @@ reader's streaming counters.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
@@ -108,13 +109,17 @@ def run_tm_comparison(
 ) -> TmComparison:
     """Run one TM application under every scheme.
 
-    ``include_partial`` additionally runs Bulk with closed-nesting
-    partial rollback enabled (the Bulk-Partial bar of Figure 11); it only
-    differs from plain Bulk when the workload nests transactions.
+    ``include_partial`` adds Bulk with closed-nesting partial rollback
+    (the Bulk-Partial bar of Figure 11).  It differs from plain Bulk
+    only when a transaction nests; on a workload where none does, an
+    unobserved comparison gives Bulk-Partial a copy of Bulk's cycles and
+    stats instead of simulating it again (see the rule in the body).
 
     ``obs`` (optional) instruments every per-scheme run with the shared
     metrics registry and event tracer; each run stamps its own
     ``scheme=...`` context so the merged stream stays attributable.
+    An observed comparison simulates every scheme, because each run's
+    metrics and trace events are part of its output.
 
     ``run_options`` are :class:`~repro.spec.RunConfig` fields.  A
     replayed trace also sizes ``num_processors``.
@@ -141,23 +146,44 @@ def run_tm_comparison(
             # A replayed trace carries its own thread count; the system
             # must be sized to it, not to the generator default.
             params = replace(params, num_processors=len(traces))
+    # TmSystem reads ``partial_rollback`` only at a nested TX_BEGIN or
+    # TX_END (``_begin``/``_end``) and for a squash from a section past
+    # the first (``squash``), and only nested markers open such a
+    # section.  So on traces that never nest the flag is cleared from a
+    # run's key, and an entry whose key an earlier entry ran takes a
+    # deep copy of that run's cycles and stats.  It still runs when
+    # observed (its metrics and trace events are output) or when it
+    # collects samples (the earlier run may not have).
+    nested = any(trace.max_depth > 1 for trace in traces)
+    runs: Dict[tuple, tuple] = {}
     for entry in scheme_entries("tm", include_variants=include_partial):
         # Variants (Bulk-Partial) carry parameter overrides and skip
         # sample collection — they exist for Figure 11's extra bar, not
         # for the Figure 15 accuracy methodology.
         run_params = replace(params, **entry.params) if entry.params else params
-        system = TmSystem(
+        scheme = entry.factory()
+        key = (
+            type(scheme),
+            run_params if nested else replace(run_params, partial_rollback=False),
+        )
+        sampled = collect_samples and not entry.variant
+        if obs is None and not sampled and key in runs:
+            cycles, stats = runs[key]
+            comparison.cycles[entry.name] = cycles
+            comparison.stats[entry.name] = copy.deepcopy(stats)
+            continue
+        result = TmSystem(
             traces,
-            entry.factory(),
+            scheme,
             run_params,
-            collect_samples=collect_samples and not entry.variant,
+            collect_samples=sampled,
             obs=obs,
             config=config,
-        )
-        result = system.run()
+        ).run()
+        runs[key] = (result.cycles, result.stats)
         comparison.cycles[entry.name] = result.cycles
         comparison.stats[entry.name] = result.stats
-        if collect_samples and not entry.variant:
+        if sampled:
             comparison.samples_by_scheme[entry.name] = result.samples
     return comparison
 

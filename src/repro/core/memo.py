@@ -22,9 +22,10 @@ byte-identical with them enabled (which is the default).
 Counters are surfaced through :func:`memo_stats` only.  They are *not*
 folded into the metrics snapshots: golden runs pin ``metrics.json`` byte
 for byte, so new counters must stay out of the observability surface.
-``tests/core/test_memo_hits.py`` requires the three memos above to hit
-in a timed-bus TM comparison, and the end-to-end benchmark reports their
-hit rates per workload.
+``tests/core/test_memo_hits.py`` requires each memo above to hit where
+it pays: the address-encode and decode memos in a timed-bus TM
+comparison, the RLE memo in a TLS one.  The end-to-end benchmark
+reports their hit rates per workload.
 """
 
 from __future__ import annotations
@@ -53,8 +54,12 @@ DEFAULT_FLAT_MASK_CAPACITY = 1 << 16
 #: small working set dominates.
 DEFAULT_DECODE_CAPACITY = 1 << 12
 
-#: RLE memo bound.  Commit-packet sizing re-encodes the same signature
-#: for the packet header and the bandwidth charge.
+#: RLE memo bound.  Hits come from commits that send a signature
+#: already encoded.  In TLS, a commit's write signature is often the
+#: spawn-time snapshot its child's spawn flush encoded, and empty shadow
+#: signatures repeat.  In TM, only a thread whose successive
+#: transactions write the same lines repeats one (lu's elimination
+#: steps); most kernels' commits are all distinct.
 DEFAULT_RLE_CAPACITY = 1 << 12
 
 #: Line→word-mask memo bound (the word-granularity expansion membership

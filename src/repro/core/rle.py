@@ -61,10 +61,12 @@ def rle_encode(signature: Signature) -> bytes:
     """Compress a signature into its commit-packet wire form.
 
     Memoised per configuration on the flat register value (the encoding
-    is a pure function of it): commit paths size the same signature for
-    the packet header and again for the bandwidth charge, and receivers
-    of a broadcast all see the same register.  The returned ``bytes``
-    object is immutable, so sharing it between hits is safe.
+    is a pure function of it): a TLS commit often sends the write
+    signature its child's spawn flush already encoded, and a TM thread
+    whose transactions write the same lines sends the same signature
+    (see ``DEFAULT_RLE_CAPACITY`` in :mod:`repro.core.memo`).  The
+    returned ``bytes`` object is immutable, so sharing it between hits
+    is safe.
     """
     cache = signature.config._rle_cache
     flat = signature.to_flat_int()

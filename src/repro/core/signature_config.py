@@ -130,10 +130,10 @@ class SignatureConfig:
             LruCache("flat_mask", DEFAULT_FLAT_MASK_CAPACITY),
         )
         # Commit-packet RLE memo (see repro.core.rle): flat register
-        # value -> encoded bytes.  Commit-side code sizes the same
-        # signature several times (packet header, bandwidth charge,
-        # spawn flush), and the encoding is a pure function of the flat
-        # value for a fixed layout.
+        # value -> encoded bytes.  Commits often re-send a signature
+        # already encoded (a TLS spawn snapshot, a TM thread rewriting
+        # the same lines), and the encoding is a pure function of the
+        # flat value for a fixed layout.
         object.__setattr__(
             self, "_rle_cache", LruCache("rle", DEFAULT_RLE_CAPACITY)
         )

@@ -121,21 +121,25 @@ class ThreadTrace:
 
     Validates transactional bracketing at construction: every ``TX_END``
     must close an open ``TX_BEGIN`` and the trace must end with no open
-    transaction.
+    transaction.  The same pass records ``max_depth``, the deepest
+    transaction nesting in the trace (0 with no transaction, 1 when no
+    transaction nests).
     """
 
-    __slots__ = ("thread_id", "events")
+    __slots__ = ("thread_id", "events", "max_depth")
 
     def __init__(self, thread_id: int, events: Sequence[MemEvent]) -> None:
         self.thread_id = thread_id
         self.events: Tuple[MemEvent, ...] = tuple(events)
-        self._validate()
+        self.max_depth = self._validate()
 
-    def _validate(self) -> None:
-        depth = 0
+    def _validate(self) -> int:
+        depth = max_depth = 0
         for position, event in enumerate(self.events):
             if event.kind is EventKind.TX_BEGIN:
                 depth += 1
+                if depth > max_depth:
+                    max_depth = depth
             elif event.kind is EventKind.TX_END:
                 depth -= 1
                 if depth < 0:
@@ -148,6 +152,7 @@ class ThreadTrace:
                 f"thread {self.thread_id}: trace ends with {depth} open "
                 "transaction(s)"
             )
+        return max_depth
 
     def memory_event_count(self) -> int:
         """Number of loads plus stores."""

@@ -35,7 +35,6 @@ class Section:
         "write_log",
         "read_granules",
         "write_granules",
-        "write_lines",
         "read_signature",
         "write_signature",
     )
@@ -55,9 +54,6 @@ class Section:
         self.write_log: Dict[int, int] = {}
         self.read_granules: Set[int] = set()
         self.write_granules: Set[int] = set()
-        #: Line addresses written (for cache-side bookkeeping; equal to
-        #: ``write_granules`` at line granularity).
-        self.write_lines: Set[int] = set()
         self.read_signature: Optional[Signature] = None
         self.write_signature: Optional[Signature] = None
         if signature_config is not None:
@@ -192,7 +188,6 @@ class TxnState:
         line = byte_address >> LINE_SHIFT
         section.write_log[byte_address >> WORD_SHIFT] = value & 0xFFFFFFFF
         section.write_granules.add(line)
-        section.write_lines.add(line)
         self._agg_write.add(line)
 
     # ------------------------------------------------------------------

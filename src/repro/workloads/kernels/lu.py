@@ -36,8 +36,11 @@ def build(
 ) -> List[ThreadTrace]:
     """Generate the LU traces.
 
-    ``txns_per_thread`` scales the matrix: each elimination step costs
-    every thread roughly one transaction.
+    ``txns_per_thread`` scales the matrix once it passes the floor: the
+    matrix has ``max(2 * num_threads, txns_per_thread, 32)`` rows, and
+    each elimination step costs every thread roughly one transaction.
+    So with 16 or fewer threads, every ``txns_per_thread`` up to 32
+    builds the same 32-row traces.
     """
     rng = random.Random(seed)
     n = max(num_threads * 2, txns_per_thread, 32)

@@ -3,6 +3,14 @@
 import pytest
 
 from repro.analysis.experiments import run_tls_comparison, run_tm_comparison
+from repro.obs import Observability
+from repro.runner.serialize import canonical_json, comparison_to_dict
+from repro.tm.system import TmSystem
+from repro.workloads.kernels import TM_KERNELS
+
+#: The TM kernels whose transactions nest (the only ones where
+#: Bulk-Partial can differ from Bulk).
+NESTING_KERNELS = {"sjbb2k"}
 
 
 class TestTmComparison:
@@ -102,6 +110,39 @@ class TestPerSchemeAggregation:
         assert comparison.stats["Bulk"] is not comparison.stats["Bulk-Partial"]
         assert comparison.cycles["Bulk"] > 0
         assert comparison.cycles["Bulk-Partial"] > 0
+
+
+class TestBulkPartialReuse:
+    """An unobserved comparison simulates Bulk-Partial only where a
+    transaction nests; elsewhere it copies Bulk's run.  An observed one
+    runs every scheme.  Both must give the same bytes."""
+
+    @pytest.mark.parametrize("txns", [1, 3])
+    @pytest.mark.parametrize("app", sorted(TM_KERNELS))
+    def test_unobserved_reuse_matches_observed_runs(
+        self, monkeypatch, app, txns
+    ):
+        runs = []
+        run = TmSystem.run
+
+        def counted(system):
+            runs.append(system.scheme.name)
+            return run(system)
+
+        monkeypatch.setattr(TmSystem, "run", counted)
+
+        def encoded(obs):
+            runs.clear()
+            comparison = run_tm_comparison(
+                app, txns_per_thread=txns, include_partial=True, obs=obs
+            )
+            return canonical_json(comparison_to_dict(comparison)), len(runs)
+
+        plain, plain_runs = encoded(None)
+        observed, observed_runs = encoded(Observability())
+        assert plain == observed
+        assert plain_runs == (4 if app in NESTING_KERNELS else 3)
+        assert observed_runs == 4
 
 
 class TestSampleCollection:

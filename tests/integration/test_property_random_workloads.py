@@ -8,12 +8,14 @@ counterexamples when a protocol bug slips in — these tests caught several
 during development.
 """
 
+from dataclasses import replace
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.mem.address import WORD_TO_LINE_SHIFT
 from repro.sim.trace import ThreadTrace, compute, load, store, tx_begin, tx_end
-from repro.spec import resolve_scheme, scheme_names
+from repro.spec import RunConfig, resolve_scheme, scheme_names
 from repro.tls.bulk import TlsBulkScheme
 from repro.tls.eager import TlsEagerScheme
 from repro.tls.lazy import TlsLazyScheme
@@ -22,6 +24,7 @@ from repro.tls.task import TlsTask
 from repro.tm.bulk import BulkScheme
 from repro.tm.eager import EagerScheme
 from repro.tm.lazy import LazyScheme
+from repro.tm.params import TM_DEFAULTS
 from repro.tm.system import TmSystem
 
 #: A tiny pool of addresses, so random workloads conflict often.
@@ -98,6 +101,30 @@ class TestRandomTmWorkloads:
             system = TmSystem(traces, scheme_cls())
             result = system.run()
             assert system.replay_serial_reference() == result.memory
+
+    @settings(**COMMON)
+    @given(workload=tm_workloads())
+    def test_partial_rollback_is_inert_without_nesting(self, workload):
+        # The generator's transactions never nest, so partial rollback
+        # has no section to act on: run_tm_comparison relies on this to
+        # give Bulk-Partial a copy of Bulk's run on such workloads.
+        assert all(trace.max_depth == 1 for trace in workload)
+        partial = replace(TM_DEFAULTS, partial_rollback=True)
+        for bus in ("legacy", "timed:latency=3,policy=round-robin"):
+            outcomes = []
+            for params in (TM_DEFAULTS, partial):
+                result = TmSystem(
+                    workload, BulkScheme(), params, config=RunConfig(bus=bus)
+                ).run()
+                outcomes.append(
+                    (
+                        result.cycles,
+                        result.stats,
+                        result.commit_order,
+                        result.memory.snapshot(),
+                    )
+                )
+            assert outcomes[0] == outcomes[1]
 
 
 class InvariantCheckingTlsSystem(TlsSystem):

@@ -91,6 +91,23 @@ class TestThreadTrace:
         trace = ThreadTrace(0, [load(0), store(4, 1), compute(5)])
         assert trace.memory_event_count() == 2
 
+    @pytest.mark.parametrize(
+        "events, depth",
+        [
+            ([], 0),
+            ([load(0), compute(5)], 0),
+            ([tx_begin(), load(0), tx_end(), tx_begin(), tx_end()], 1),
+            (
+                [tx_begin(), tx_begin(), load(0), tx_end(), tx_begin(),
+                 tx_begin(), tx_end(), tx_end(), tx_end()],
+                3,
+            ),
+        ],
+        ids=["empty", "no-transaction", "flat", "nested"],
+    )
+    def test_max_depth(self, events, depth):
+        assert ThreadTrace(0, events).max_depth == depth
+
 
 class TestSerialReference:
     def test_last_store_wins_within_thread(self):
