@@ -4,7 +4,7 @@ These are the functions the grid runner and the CLI call:
 each runs one application under every scheme of one substrate (TM, TLS,
 or checkpoint) with shared parameters and returns the measurements that
 feed the corresponding table or figure.  Which schemes exist — and in
-what order they run and print — comes from the
+what order they run and print — comes from the scheme table in
 :mod:`repro.spec.registry`, never from literal lists here.
 
 Every driver takes the run options (``bus``, ``sig_backend``,
@@ -208,15 +208,12 @@ def run_tls_comparison(
     num_tasks: int = 160,
     seed: int = 42,
     params: TlsParams = TLS_DEFAULTS,
-    schemes: Optional[List[str]] = None,
     obs: "Optional[Observability]" = None,
     **run_options: Any,
 ) -> TlsComparison:
-    """Run one TLS application under every registered TLS scheme
+    """Run one TLS application under every TLS scheme
     (``run_options`` are :class:`~repro.spec.RunConfig` fields)."""
     config = RunConfig(**run_options)
-    if schemes is None:
-        schemes = list(scheme_names("tls"))
     comparison = TlsComparison(app=app)
     # Tasks are immutable static descriptors; the sequential baseline
     # and every scheme share one build (same seed == same sequence).
@@ -229,7 +226,7 @@ def run_tls_comparison(
             "tls", config.trace_store, config.trace, obs=obs
         )
     comparison.sequential_cycles = simulate_sequential(tasks, params)
-    for name in schemes:
+    for name in scheme_names("tls"):
         result = TlsSystem(
             tasks, resolve_scheme("tls", name), params, obs=obs, config=config
         ).run()
@@ -270,7 +267,7 @@ def run_checkpoint_comparison(
     obs: "Optional[Observability]" = None,
     **run_options: Any,
 ) -> CheckpointComparison:
-    """Run one checkpoint workload under every registered scheme
+    """Run one checkpoint workload under every checkpoint scheme
     (``run_options`` are :class:`~repro.spec.RunConfig` fields).
 
     Every scheme consumes the identical (immutable) epoch stream at the

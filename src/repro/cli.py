@@ -14,7 +14,7 @@ Each subcommand prints the rows of one table or figure; ``reproduce``
 runs them all, archives them, and prints the paper's claims checked
 against them.  The CLI is a thin, scriptable wrapper over
 :mod:`repro.analysis`.  Scheme names and their order come from the
-:mod:`repro.spec` registry — nothing here hard-codes a scheme list.
+:mod:`repro.spec` scheme table — nothing here hard-codes a scheme list.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import pathlib
 import sys
 from typing import Any, List, Optional, Tuple
 
@@ -89,6 +91,54 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         trace=getattr(args, "trace_id", None),
         trace_store=getattr(args, "trace_store", None),
     )
+
+
+#: (attribute, flag, error) of every directory a subcommand may create.
+_OUTPUT_DIRECTORIES = (
+    ("out", "--out", ConfigurationError),
+    ("cache_dir", "--cache-dir", ConfigurationError),
+    ("store", "--store", TraceError),
+    ("trace_store", "--trace-store", TraceError),
+)
+#: (attribute, flag) of every file a subcommand may write.
+_OUTPUT_FILES = (("trace_out", "--trace-out"), ("metrics_out", "--metrics-out"))
+
+
+def _check_output_paths(args: argparse.Namespace) -> None:
+    """Reject an output path that cannot be written, naming its flag,
+    before any simulation runs or any output file or directory exists.
+
+    A directory may be missing, but its nearest existing ancestor must
+    be a directory.  A file must not be a directory, and its parent
+    must be an existing directory or ``reproduce``'s ``--out``, which
+    ``reproduce`` creates before writing anything.
+    """
+    for attribute, flag, error in _OUTPUT_DIRECTORIES:
+        value = getattr(args, attribute, None)
+        if value is None:
+            continue
+        path = pathlib.Path(value)
+        existing = next(p for p in (path, *path.parents) if p.exists())
+        if not existing.is_dir():
+            raise error(f"{flag} {value}: {existing} is not a directory")
+    out = getattr(args, "out", None)
+    for attribute, flag in _OUTPUT_FILES:
+        value = getattr(args, attribute, None)
+        if value is None:
+            continue
+        path = pathlib.Path(value)
+        parent = path.parent
+        if path.is_dir():
+            problem = f"{path} is a directory"
+        elif parent.is_dir() or (
+            out is not None and os.path.abspath(parent) == os.path.abspath(out)
+        ):
+            continue
+        elif parent.exists():
+            problem = f"{parent} is not a directory"
+        else:
+            problem = f"directory {parent} does not exist"
+        raise ConfigurationError(f"{flag} {value}: {problem}")
 
 
 def _run_grid(args: argparse.Namespace, cache_dir: Any, points: Any) -> Any:
@@ -429,8 +479,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     reduced sizings an ordering such as sjbb2k's Lazy-over-Eager
     speedup can flip on noise.
     """
-    import pathlib
-
     from repro.runner import tls_point, tm_point
 
     extra_knobs = _run_config(args).knobs()
@@ -855,14 +903,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point.
 
-    Bad user input (a malformed option value, an unknown trace id)
-    surfaces as a :class:`~repro.errors.ConfigurationError` or
+    Bad user input (a malformed option value, an output path that cannot
+    be written, an unknown trace id) surfaces as a
+    :class:`~repro.errors.ConfigurationError` or
     :class:`~repro.errors.TraceError`; either becomes one ``error:``
     line on stderr and exit code 2.  Any other library error is an
     internal bug and keeps its traceback.
     """
     args = build_parser().parse_args(argv)
     try:
+        _check_output_paths(args)
         return args.func(args)
     except (ConfigurationError, TraceError) as error:
         print(f"error: {error}", file=sys.stderr)

@@ -2,10 +2,10 @@
 
 The public surface:
 
-* :func:`resolve_backend` / :func:`backend_names` /
-  :func:`register_backend` — the registry (mirrors
-  :mod:`repro.spec.registry`; unknown names raise the typed
-  :class:`~repro.errors.UnknownBackendError`).
+* :func:`resolve_backend` / :func:`backend_names` — the fixed backend
+  table (unknown names raise the typed
+  :class:`~repro.errors.UnknownBackendError`; ``numpy`` without numpy
+  installed degrades to ``packed`` with one warning).
 * :class:`SignatureBackend` — the strategy object a backend implements:
   a :class:`~repro.core.signature.Signature` subclass over its storage
   plus an epoch-level :class:`SignatureBank` for batched commit-time
@@ -14,10 +14,10 @@ The public surface:
   :class:`~repro.core.signature.Signature` implements and the golden
   artifacts are pinned under.
 
-Every registered backend is bit-compatible with every other — the
-conformance suite (``tests/core/test_backend_conformance.py``) runs one
-shared battery over each registered name, so a new backend is
-conformance tested by registration alone.  See ``docs/BACKENDS.md``.
+Every backend is bit-compatible with every other — the conformance
+suite (``tests/core/test_backend_conformance.py``) runs one shared
+battery over each name in :func:`backend_names`.  See
+``docs/BACKENDS.md``.
 """
 
 from repro.core.backend.base import (
@@ -33,29 +33,21 @@ from repro.core.backend.codec import (
 )
 from repro.core.backend.registry import (
     DEFAULT_BACKEND_NAME,
-    BackendEntry,
-    backend_entry,
     backend_names,
-    register_backend,
     resolve_backend,
     suppress_fallback_warnings,
-    unregister_backend,
 )
 
 __all__ = [
     "DEFAULT_BACKEND_NAME",
-    "BackendEntry",
     "CodecKernels",
     "PackedSignatureBackend",
     "SignatureArena",
     "SignatureBackend",
     "SignatureBank",
-    "backend_entry",
     "backend_names",
     "codec_stats",
-    "register_backend",
     "reset_codec_stats",
     "resolve_backend",
     "suppress_fallback_warnings",
-    "unregister_backend",
 ]

@@ -14,9 +14,7 @@ memory.  A :class:`SignatureBackend` bundles one storage choice:
 Backends are interchangeable **bit for bit**: every operation must
 produce results identical to the packed reference, which is what the
 conformance suite (``tests/core/test_backend_conformance.py``) asserts
-for every registered backend.  Register a new backend
-(:func:`repro.core.backend.register_backend`) and it is conformance
-tested by registration alone.
+for every backend in :func:`repro.core.backend.backend_names`.
 """
 
 from __future__ import annotations

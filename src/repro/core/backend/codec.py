@@ -32,9 +32,8 @@ of which path served each codec operation:
 * ``fallback`` — the scalar reference path served it (no codec on the
   signature's backend, or a batch too small to profit).
 
-They are advisory, out of the default metrics snapshots (golden runs pin
-``metrics.json`` byte for byte), and are materialised on demand by
-:func:`repro.obs.record_codec_metrics` exactly like the memo counters.
+They are advisory and out of the default metrics snapshots (golden runs
+pin ``metrics.json`` byte for byte); :func:`codec_stats` reads them.
 Counting happens only where a result is actually *computed* — memo hits
 (:class:`~repro.core.decode.CachedDecoder`, the RLE cache) touch neither
 counter, so the numbers read as "codec computes", not "codec calls".

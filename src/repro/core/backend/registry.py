@@ -1,21 +1,19 @@
-"""The signature-backend registry: one authoritative name → backend map.
+"""The signature-backend table: ``pure``, ``packed`` and ``numpy``.
 
-Mirrors the scheme registry (:mod:`repro.spec.registry`): the CLI's
-``--sig-backend`` choices, the drivers' ``sig_backend`` knob, and the
-conformance suite all *derive* their backend lists from here instead of
-repeating literal tuples; unknown lookups raise the typed
-:class:`~repro.errors.UnknownBackendError` listing the registered
-alternatives, in registration order.
+The CLI's ``--sig-backend`` choices, the drivers' ``sig_backend`` knob,
+and the conformance suite all *derive* their backend lists from here
+instead of repeating literal tuples; unknown lookups raise the typed
+:class:`~repro.errors.UnknownBackendError` listing the three names, in
+table order.
 
 Backends are stateless kernel bundles, so — unlike schemes, which hold
 per-run state and are built fresh each resolve — resolved instances are
 cached per name.
 
-Optional dependencies degrade gracefully: a backend may register with a
-``fallback``; when its factory raises :class:`ImportError` (numpy not
-installed), :func:`resolve_backend` emits **one** warning per process
+numpy is the one optional dependency: when the ``numpy`` backend's
+import fails, :func:`resolve_backend` emits **one** warning per process
 (through the given ``warn`` callable, e.g. a tracer's ``warn``, or
-:mod:`warnings` otherwise) and resolves the fallback instead, so
+:mod:`warnings` otherwise) and resolves ``packed`` instead, so
 ``--sig-backend numpy`` on a numpy-less host runs the identical
 ``packed`` semantics rather than failing.
 """
@@ -29,45 +27,35 @@ from repro.core.backend.base import (
     PackedSignatureBackend,
     SignatureBackend,
 )
-from repro.errors import ConfigurationError, UnknownBackendError
+from repro.errors import UnknownBackendError
 
 #: The backend every params dataclass defaults to — the one whose
 #: results every golden artifact was pinned under.
 DEFAULT_BACKEND_NAME = "packed"
 
 
-class BackendEntry:
-    """One registered backend: identity, factory, and degrade target.
+def _pure() -> SignatureBackend:
+    from repro.core.backend.pure import PureSignatureBackend
 
-    ``rank`` fixes the entry's position in the sorted listing; entries
-    registered without one sort after every ranked built-in,
-    alphabetically among themselves (the scheme registry's rule).
-    """
-
-    __slots__ = ("name", "factory", "fallback", "rank")
-
-    #: Sort rank assigned to unranked (dynamic) registrations.
-    UNRANKED = 1 << 20
-
-    def __init__(
-        self,
-        name: str,
-        factory: Callable[[], SignatureBackend],
-        fallback: Optional[str] = None,
-        rank: Optional[int] = None,
-    ) -> None:
-        self.name = name
-        self.factory = factory
-        self.fallback = fallback
-        self.rank = self.UNRANKED if rank is None else rank
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        degrade = f", fallback={self.fallback!r}" if self.fallback else ""
-        return f"BackendEntry({self.name!r}{degrade})"
+    return PureSignatureBackend()
 
 
-# name -> BackendEntry, in registration order (presentation order).
-_REGISTRY: Dict[str, BackendEntry] = {}
+def _numpy() -> SignatureBackend:
+    # Raises ImportError when numpy is not installed; resolve_backend
+    # then degrades to packed.
+    from repro.core.backend.numpy_backend import NumpySignatureBackend
+
+    return NumpySignatureBackend()
+
+
+#: name -> factory, in listing order.  ``pure`` and ``numpy`` import
+#: lazily so a default run never pays for storage backends it does not
+#: select (and never needs numpy at all).
+_BACKENDS: Dict[str, Callable[[], SignatureBackend]] = {
+    "pure": _pure,
+    "packed": PackedSignatureBackend,
+    "numpy": _numpy,
+}
 #: Resolved instances (backends are stateless; one instance per name).
 _INSTANCES: Dict[str, SignatureBackend] = {}
 #: Names whose unavailability has already been warned about.
@@ -96,58 +84,10 @@ def suppress_fallback_warnings(enabled: bool = True) -> bool:
     return previous
 
 
-def register_backend(
-    name: str,
-    factory: Callable[[], SignatureBackend],
-    *,
-    fallback: Optional[str] = None,
-    rank: Optional[int] = None,
-) -> BackendEntry:
-    """Register ``factory`` as the backend ``name``.
-
-    ``factory`` takes no arguments and returns a
-    :class:`~repro.core.backend.base.SignatureBackend`; it may raise
-    :class:`ImportError` when an optional dependency is missing, in
-    which case resolution degrades to ``fallback`` (which must itself be
-    registered by resolve time).  Registering a name twice is a
-    configuration error; tests that replace an entry unregister first.
-    """
-    if name in _REGISTRY:
-        raise ConfigurationError(
-            f"signature backend {name!r} is already registered"
-        )
-    entry = BackendEntry(name, factory, fallback=fallback, rank=rank)
-    _REGISTRY[name] = entry
-    return entry
-
-
-def unregister_backend(name: str) -> None:
-    """Remove one registration (test helper; unknown names raise)."""
-    entry = backend_entry(name)
-    del _REGISTRY[entry.name]
-    _INSTANCES.pop(entry.name, None)
-
-
-def backend_entry(name: str) -> BackendEntry:
-    """The :class:`BackendEntry` for ``name``.
-
-    Raises :class:`~repro.errors.UnknownBackendError` for unknown names,
-    listing the registered alternatives.
-    """
-    entry = _REGISTRY.get(name)
-    if entry is None:
-        raise UnknownBackendError(name, known=list(_REGISTRY))
-    return entry
-
-
 def backend_names() -> List[str]:
-    """Registered backend names, deterministically sorted by (rank, name).
-
-    Stable no matter when each backend was registered, so CLI choices
-    and conformance-suite headers never depend on import order.
-    """
-    ordered = sorted(_REGISTRY.values(), key=lambda e: (e.rank, e.name))
-    return [entry.name for entry in ordered]
+    """The backend names, in table order: ``pure``, ``packed``,
+    ``numpy``."""
+    return list(_BACKENDS)
 
 
 def resolve_backend(
@@ -157,23 +97,23 @@ def resolve_backend(
 
     This is the one place backend names turn into objects; a misspelling
     gets the typed :class:`~repro.errors.UnknownBackendError`.  When the
-    backend's factory raises :class:`ImportError` and the entry declares
-    a fallback, the fallback is resolved instead after a single
-    per-process warning (sent through ``warn`` when given — typically a
-    tracer's ``warn`` — or :func:`warnings.warn` otherwise).
+    backend's import fails (only ``numpy`` has an optional dependency),
+    ``packed`` is resolved instead after a single per-process warning
+    (sent through ``warn`` when given — typically a tracer's ``warn`` —
+    or :func:`warnings.warn` otherwise).
     """
-    entry = backend_entry(name)
     instance = _INSTANCES.get(name)
     if instance is not None:
         return instance
+    factory = _BACKENDS.get(name)
+    if factory is None:
+        raise UnknownBackendError(name, known=backend_names())
     try:
-        instance = entry.factory()
+        instance = factory()
     except ImportError as exc:
-        if entry.fallback is None:
-            raise
         message = (
             f"signature backend {name!r} is unavailable ({exc}); "
-            f"falling back to {entry.fallback!r}"
+            f"falling back to {DEFAULT_BACKEND_NAME!r}"
         )
         if name not in _FALLBACK_WARNED:
             _FALLBACK_WARNED.add(name)
@@ -181,28 +121,6 @@ def resolve_backend(
                 warn(message)
             elif not _SUPPRESS_FALLBACK_USER_WARNING:
                 warnings.warn(message, RuntimeWarning, stacklevel=2)
-        return resolve_backend(entry.fallback, warn=warn)
+        return resolve_backend(DEFAULT_BACKEND_NAME, warn=warn)
     _INSTANCES[name] = instance
     return instance
-
-
-def _pure_factory() -> SignatureBackend:
-    from repro.core.backend.pure import PureSignatureBackend
-
-    return PureSignatureBackend()
-
-
-def _numpy_factory() -> SignatureBackend:
-    # Raises ImportError when numpy is not installed; the registry
-    # degrades to the packed fallback declared below.
-    from repro.core.backend.numpy_backend import NumpySignatureBackend
-
-    return NumpySignatureBackend()
-
-
-# Builtin registrations; explicit ranks pin the presentation order.
-# ``pure`` and ``numpy`` import lazily so a default run never pays for
-# storage backends it does not select (and never needs numpy at all).
-register_backend("pure", _pure_factory, rank=0)
-register_backend("packed", PackedSignatureBackend, rank=1)
-register_backend("numpy", _numpy_factory, fallback="packed", rank=2)

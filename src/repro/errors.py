@@ -34,10 +34,10 @@ class DeltaInexactError(ConfigurationError):
 
 
 class UnknownSchemeError(ConfigurationError):
-    """A scheme name (or substrate) is not in the scheme registry.
+    """A scheme name (or substrate) is not in the scheme table.
 
     Raised by :func:`repro.spec.resolve_scheme` when asked for a scheme
-    that was never registered — typically a misspelled name on the CLI.
+    the table does not hold — typically a misspelled name on the CLI.
     Carries enough context for a helpful message *and* for programmatic
     recovery:
 
@@ -47,7 +47,7 @@ class UnknownSchemeError(ConfigurationError):
         The unknown scheme name, or ``None`` when the substrate itself
         is unknown.
     ``known``
-        The registered alternatives, in registration order.
+        The known alternatives, in table order.
     """
 
     def __init__(self, substrate: str, name=None, known=()) -> None:
@@ -75,14 +75,13 @@ class UnknownSchemeError(ConfigurationError):
 
 
 class UnknownBackendError(ConfigurationError):
-    """A signature-backend name is not in the backend registry.
+    """A signature-backend name is not in the backend table.
 
     Raised by :func:`repro.core.backend.resolve_backend` when asked for a
-    backend that was never registered — typically a misspelled
+    backend the table does not hold — typically a misspelled
     ``--sig-backend`` value on the CLI.  Mirrors
     :class:`UnknownSchemeError`: it carries the unknown ``name`` and the
-    registered ``known`` alternatives, in registration order, and the
-    message lists them.
+    ``known`` alternatives, in table order, and the message lists them.
     """
 
     def __init__(self, name: str, known=()) -> None:

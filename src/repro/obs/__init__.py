@@ -37,31 +37,7 @@ __all__ = [
     "Observability",
     "Timer",
     "merge_snapshots",
-    "record_codec_metrics",
 ]
-
-
-def record_codec_metrics(metrics: "MetricsRegistry"):
-    """Copy the process's codec path counters into ``metrics``.
-
-    The codec seam (:mod:`repro.core.backend.codec`) counts which path
-    served each decode/RLE/expansion compute — ``decode_vectorised``,
-    ``rle_vectorised``, ``rle_decode_vectorised``,
-    ``expansion_vectorised``, or the scalar ``fallback``.  Like the memo
-    counters, they stay out of the default metrics snapshots (golden
-    runs pin ``metrics.json`` byte for byte); explicit consumers call
-    this to materialise them as ``codec.<path>`` counters.
-
-    Each counter is *set* to the current aggregate (gauge semantics, so
-    repeated calls refresh rather than double-count).  Returns the raw
-    :func:`repro.core.backend.codec.codec_stats` mapping.
-    """
-    from repro.core.backend.codec import codec_stats
-
-    stats = codec_stats()
-    for path, count in stats.items():
-        metrics.counter(f"codec.{path}").value = count
-    return stats
 
 
 class Observability:

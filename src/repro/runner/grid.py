@@ -216,10 +216,10 @@ def _warm_worker() -> None:
 
     Every grid point pays the same start-up costs inside a fresh worker
     process: importing the experiment drivers, materialising the Table 8
-    signature catalogue (each config builds its permutation and layout),
-    the two paper-default configs, and the scheme registry.  Doing it
-    once per *worker* instead of once per *point* removes that cost from
-    every point after the first.  Warming touches only process-local
+    signature catalogue (each config builds its permutation and layout)
+    and the two paper-default configs.  Doing it once per *worker*
+    instead of once per *point* removes that cost from every point
+    after the first.  Warming touches only process-local
     caches — it computes nothing a point's simulation depends on — so
     results, merge order, and cache keys are byte-identical with or
     without it.
@@ -231,7 +231,6 @@ def _warm_worker() -> None:
         default_tls_config,
         default_tm_config,
     )
-    from repro.spec import scheme_entries
 
     # The parent pre-resolves every backend the grid names and emits the
     # single user-facing degradation warning; each fresh worker would
@@ -239,8 +238,6 @@ def _warm_worker() -> None:
     suppress_fallback_warnings()
     default_tm_config()
     default_tls_config()
-    for substrate in ("tm", "tls", "checkpoint"):
-        list(scheme_entries(substrate, include_variants=True))
 
 
 @dataclass
@@ -433,8 +430,8 @@ class GridRunner:
                 yield point, partial(_execute_point, self._payload(point))
             return
         self._preresolve_backends(points)
-        # Workers start warm (drivers imported, signature catalogue and
-        # scheme registry built) so only the first point of a run, not
+        # Workers start warm (drivers imported, signature catalogue
+        # built) so only the first point of a run, not
         # every worker's first point, pays Python start-up costs.
         with ProcessPoolExecutor(
             max_workers=min(self.jobs, len(points)), initializer=_warm_worker

@@ -5,9 +5,9 @@ three speculative environments — TM, TLS, and checkpointed execution
 (Sections 1 and 4.5).  This package is where the code expresses that
 unity:
 
-* :mod:`repro.spec.registry` — the scheme registry every scheme list in
-  the repo derives from (:func:`register_scheme`, :func:`resolve_scheme`,
-  :func:`scheme_names`);
+* :mod:`repro.spec.registry` — the fixed scheme table every scheme list
+  in the repo derives from (:func:`scheme_names`, :func:`scheme_entries`,
+  :func:`resolve_scheme`);
 * :mod:`repro.spec.scheme` — :class:`SpecScheme`, the hook base that
   ``TmScheme``, ``TlsScheme``, and ``CheckpointScheme`` extend;
 * :mod:`repro.spec.stats` — :class:`SpecStats`, the stats base holding
@@ -25,13 +25,9 @@ adding a fourth substrate or a new scheme.
 from repro.spec.config import RunConfig
 from repro.spec.registry import (
     SchemeEntry,
-    register_scheme,
     resolve_scheme,
     scheme_entries,
-    scheme_entry,
     scheme_names,
-    substrates,
-    unregister_scheme,
 )
 from repro.spec.scheme import SpecScheme
 from repro.spec.stats import SpecStats
@@ -43,11 +39,7 @@ __all__ = [
     "SpecScheme",
     "SpecStats",
     "SpecSystemCore",
-    "register_scheme",
     "resolve_scheme",
     "scheme_entries",
-    "scheme_entry",
     "scheme_names",
-    "substrates",
-    "unregister_scheme",
 ]

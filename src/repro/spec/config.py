@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional
 
-from repro.core.backend import DEFAULT_BACKEND_NAME, backend_entry
-from repro.errors import ConfigurationError
+from repro.core.backend import DEFAULT_BACKEND_NAME, backend_names
+from repro.errors import ConfigurationError, UnknownBackendError
 from repro.interconnect.config import InterconnectConfig
 
 
@@ -38,7 +38,7 @@ class RunConfig:
     #: stored canonical: ``"legacy"`` or
     #: ``"timed:latency=N,policy=P,window=N"``.
     bus: str = "legacy"
-    #: Signature storage backend, by :mod:`repro.core.backend` registry
+    #: Signature storage backend, by :func:`repro.core.backend.backend_names`
     #: name.
     sig_backend: str = DEFAULT_BACKEND_NAME
     #: Stored trace id to replay instead of generating the workload.
@@ -54,7 +54,8 @@ class RunConfig:
         object.__setattr__(
             self, "bus", InterconnectConfig.parse(self.bus).spec()
         )
-        backend_entry(self.sig_backend)
+        if self.sig_backend not in backend_names():
+            raise UnknownBackendError(self.sig_backend, known=backend_names())
         if (self.trace is None) != (self.trace_store is None):
             missing = (
                 "trace_store (--trace-store)" if self.trace_store is None

@@ -1,190 +1,148 @@
-"""The scheme registry: one authoritative map from (substrate, name).
+"""The scheme table: one authoritative, ordered list per substrate.
 
 The paper's point (Sections 1 and 4.5) is that a single set of signature
-operations serves TLS, TM, and checkpointed execution.  The registry is
-where the code says the same thing once: every substrate registers its
-disambiguation schemes here, and the CLI, the experiment drivers, the
-grid runner, and the report headers all *derive* their scheme lists from
-it instead of repeating literal tuples.
+operations serves TLS, TM, and checkpointed execution.  The table below
+is where the code says the same thing once: it holds every substrate's
+disambiguation schemes, and the CLI, the experiment drivers, the grid
+runner, and the report headers all *derive* their scheme lists from it
+instead of repeating literal tuples.
 
-Listings are sorted by ``(rank, name)``: the built-ins carry explicit
-ranks pinning the canonical run/report order (``Eager``, ``Lazy``,
-``Bulk``, ...) so the historical output is reproduced byte for byte,
-while dynamically registered schemes (tests, extensions) sort after the
-built-ins alphabetically — the listing no longer depends on *when* a
-scheme was registered, only on what is registered.
+Table order is run and report order (the golden artifacts pin it byte
+for byte):
 
-Schemes that are parameter *variants* of another scheme rather than
-independent baselines (today only TM's ``Bulk-Partial``, which is plain
-``Bulk`` under ``partial_rollback=True``) register with ``variant=True``;
-they are excluded from the default listing and appended, in order, when
-``include_variants`` is requested — matching how the CLI's ``--partial``
-flag has always appended ``Bulk-Partial`` after the core three.
+* TM: Eager, Lazy, Bulk, then the Bulk-Partial variant (Figure 11);
+* TLS: Eager, Lazy, Bulk (Partial Overlap on), BulkNoOverlap (Figure 10);
+* checkpoint: Exact (enumerated-log baseline), Bulk (signature BDM).
+
+A *variant* is a parameter setting of another scheme rather than an
+independent baseline: today only TM's ``Bulk-Partial``, which is plain
+``Bulk`` under ``partial_rollback=True``.  Variants come last in their
+substrate's list and are listed only when ``include_variants`` is
+requested, as the CLI's ``--partial`` flag appends ``Bulk-Partial``
+after the core three.
+
+Adding a scheme is one :class:`SchemeEntry` in :data:`_SCHEMES`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Tuple
+import importlib
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Tuple
 
-from repro.errors import ConfigurationError, UnknownSchemeError
+from repro.errors import UnknownSchemeError
 
 
-class SchemeEntry:
-    """One registered scheme: identity, factory, and run metadata.
+class SchemeEntry(NamedTuple):
+    """One scheme: its name, a factory for fresh instances, and run
+    metadata.
 
-    ``params`` holds keyword overrides a driver applies to the substrate's
-    parameter dataclass before running this scheme (``Bulk-Partial`` sets
-    ``partial_rollback=True``); schemes with no overrides leave it empty.
-
-    ``rank`` fixes the entry's position in sorted listings; entries
-    registered without one (``None``) sort after every ranked built-in,
-    alphabetically among themselves.
+    ``factory`` takes no arguments; schemes hold per-run state, so every
+    resolution builds a new instance.  ``params`` holds keyword
+    overrides a driver applies to the substrate's parameter dataclass
+    before running this scheme (``Bulk-Partial`` sets
+    ``partial_rollback=True``).
     """
 
-    __slots__ = ("substrate", "name", "factory", "variant", "params", "rank")
-
-    #: Sort rank assigned to unranked (dynamic) registrations — after
-    #: every explicitly ranked built-in.
-    UNRANKED = 1 << 20
-
-    def __init__(
-        self,
-        substrate: str,
-        name: str,
-        factory: Callable[[], Any],
-        variant: bool = False,
-        params: Dict[str, Any] = None,
-        rank: int = None,
-    ) -> None:
-        self.substrate = substrate
-        self.name = name
-        self.factory = factory
-        self.variant = variant
-        self.params: Dict[str, Any] = dict(params or {})
-        self.rank = self.UNRANKED if rank is None else rank
-
-    @property
-    def sort_key(self) -> Tuple[int, str]:
-        """Deterministic listing order: rank first, then name."""
-        return (self.rank, self.name)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        flag = ", variant" if self.variant else ""
-        return f"SchemeEntry({self.substrate}:{self.name}{flag})"
+    name: str
+    factory: Callable[[], Any]
+    variant: bool = False
+    params: Mapping[str, Any] = {}
 
 
-# substrate -> {name -> SchemeEntry}, both levels in registration order.
-_REGISTRY: Dict[str, Dict[str, SchemeEntry]] = {}
-_builtins_loaded = False
+def _scheme(module: str, cls: str, **kwargs: Any) -> Callable[[], Any]:
+    """A factory for ``module.cls(**kwargs)``.  The module is imported
+    on first call, because every scheme module imports this package for
+    its base class."""
+
+    def factory() -> Any:
+        return getattr(importlib.import_module(module), cls)(**kwargs)
+
+    return factory
 
 
-def _ensure_builtins() -> None:
-    """Load the built-in registrations on first query.
+def _bulk_partial() -> Any:
+    from repro.tm.bulk import BulkScheme
 
-    Done lazily — not at ``repro.spec`` import time — because the builtin
-    module imports the tm/tls/checkpoint scheme classes, which themselves
-    import ``repro.spec`` for the shared base classes.
-    """
-    global _builtins_loaded
-    if not _builtins_loaded:
-        _builtins_loaded = True
-        import repro.spec.builtin  # noqa: F401  (registers on import)
+    scheme = BulkScheme()
+    # Distinct label so partial-rollback runs don't fold into plain
+    # Bulk's per-scheme trace accounting.
+    scheme.name = "Bulk-Partial"
+    return scheme
 
 
-def register_scheme(
-    substrate: str,
-    name: str,
-    factory: Callable[[], Any],
-    *,
-    variant: bool = False,
-    params: Dict[str, Any] = None,
-    rank: int = None,
-) -> SchemeEntry:
-    """Register ``factory`` as substrate ``substrate``'s scheme ``name``.
-
-    ``factory`` takes no arguments and returns a fresh scheme instance —
-    schemes hold per-run state, so the registry never caches instances.
-    Registering a (substrate, name) pair twice is a configuration error;
-    tests that need to replace an entry unregister it first.  ``rank``
-    pins the entry's listing position (built-ins only); unranked entries
-    list after every ranked one, sorted by name.
-    """
-    entries = _REGISTRY.setdefault(substrate, {})
-    if name in entries:
-        raise ConfigurationError(
-            f"scheme {substrate}:{name} is already registered"
-        )
-    entry = SchemeEntry(
-        substrate, name, factory, variant=variant, params=params, rank=rank
-    )
-    entries[name] = entry
-    return entry
-
-
-def unregister_scheme(substrate: str, name: str) -> None:
-    """Remove one registration (test helper; unknown names raise)."""
-    entry = scheme_entry(substrate, name)
-    del _REGISTRY[entry.substrate][entry.name]
-
-
-def substrates() -> List[str]:
-    """Every substrate with registered schemes, in registration order."""
-    _ensure_builtins()
-    return list(_REGISTRY)
+#: substrate -> its schemes, in run and report order.
+_SCHEMES: Dict[str, Tuple[SchemeEntry, ...]] = {
+    "tm": (
+        SchemeEntry("Eager", _scheme("repro.tm.eager", "EagerScheme")),
+        SchemeEntry("Lazy", _scheme("repro.tm.lazy", "LazyScheme")),
+        SchemeEntry("Bulk", _scheme("repro.tm.bulk", "BulkScheme")),
+        SchemeEntry(
+            "Bulk-Partial",
+            _bulk_partial,
+            variant=True,
+            params={"partial_rollback": True},
+        ),
+    ),
+    "tls": (
+        SchemeEntry("Eager", _scheme("repro.tls.eager", "TlsEagerScheme")),
+        SchemeEntry("Lazy", _scheme("repro.tls.lazy", "TlsLazyScheme")),
+        SchemeEntry(
+            "Bulk",
+            _scheme("repro.tls.bulk", "TlsBulkScheme", partial_overlap=True),
+        ),
+        SchemeEntry(
+            "BulkNoOverlap",
+            _scheme("repro.tls.bulk", "TlsBulkScheme", partial_overlap=False),
+        ),
+    ),
+    "checkpoint": (
+        SchemeEntry(
+            "Exact",
+            _scheme("repro.checkpoint.schemes", "ExactCheckpointScheme"),
+        ),
+        SchemeEntry(
+            "Bulk", _scheme("repro.checkpoint.schemes", "BulkCheckpointScheme")
+        ),
+    ),
+}
 
 
-def scheme_entry(substrate: str, name: str) -> SchemeEntry:
-    """The :class:`SchemeEntry` for (substrate, name).
-
-    Raises :class:`~repro.errors.UnknownSchemeError` when either level is
-    missing, listing the registered alternatives.
-    """
-    _ensure_builtins()
-    entries = _REGISTRY.get(substrate)
+def _substrate_entries(substrate: str) -> Tuple[SchemeEntry, ...]:
+    entries = _SCHEMES.get(substrate)
     if entries is None:
-        raise UnknownSchemeError(substrate, known=list(_REGISTRY))
-    entry = entries.get(name)
-    if entry is None:
-        raise UnknownSchemeError(substrate, name, known=list(entries))
-    return entry
-
-
-def resolve_scheme(substrate: str, name: str) -> Any:
-    """A fresh scheme instance for (substrate, name).
-
-    This is the one place scheme names turn into objects; everything that
-    used to index a literal factory dict goes through here and gets the
-    typed :class:`~repro.errors.UnknownSchemeError` on a misspelling.
-    """
-    return scheme_entry(substrate, name).factory()
-
-
-def scheme_names(substrate: str, include_variants: bool = False) -> List[str]:
-    """Registered scheme names for ``substrate``, deterministically sorted.
-
-    Order is ``(rank, name)`` — identical no matter when each scheme was
-    registered, so report headers and CLI listings are stable.  Variants
-    (``Bulk-Partial``) are appended after the core schemes only when
-    ``include_variants`` is set, mirroring the CLI's ``--partial``
-    behaviour.  Unknown substrates raise
-    :class:`~repro.errors.UnknownSchemeError`.
-    """
-    _ensure_builtins()
-    entries = _REGISTRY.get(substrate)
-    if entries is None:
-        raise UnknownSchemeError(substrate, known=list(_REGISTRY))
-    ordered = sorted(entries.values(), key=lambda e: e.sort_key)
-    names = [e.name for e in ordered if not e.variant]
-    if include_variants:
-        names += [e.name for e in ordered if e.variant]
-    return names
+        raise UnknownSchemeError(substrate, known=list(_SCHEMES))
+    return entries
 
 
 def scheme_entries(
     substrate: str, include_variants: bool = False
 ) -> List[SchemeEntry]:
-    """Like :func:`scheme_names`, but the full entries."""
+    """``substrate``'s schemes in table order; variants (``Bulk-Partial``)
+    only when ``include_variants`` is set.  Unknown substrates raise
+    :class:`~repro.errors.UnknownSchemeError`."""
     return [
-        scheme_entry(substrate, name)
-        for name in scheme_names(substrate, include_variants)
+        entry
+        for entry in _substrate_entries(substrate)
+        if include_variants or not entry.variant
     ]
+
+
+def scheme_names(substrate: str, include_variants: bool = False) -> List[str]:
+    """Like :func:`scheme_entries`, but the names."""
+    return [entry.name for entry in scheme_entries(substrate, include_variants)]
+
+
+def resolve_scheme(substrate: str, name: str) -> Any:
+    """A fresh scheme instance for (substrate, name), variants included.
+
+    This is the one place scheme names turn into objects; a misspelling
+    gets the typed :class:`~repro.errors.UnknownSchemeError`, listing
+    the substrate's schemes.
+    """
+    entries = _substrate_entries(substrate)
+    for entry in entries:
+        if entry.name == name:
+            return entry.factory()
+    raise UnknownSchemeError(
+        substrate, name, known=[entry.name for entry in entries]
+    )

@@ -10,7 +10,7 @@ live here:
 ``name``
     The scheme's display name, used as the tracer context key (so traced
     bus bytes aggregate per scheme), as the stats-dictionary key in every
-    comparison object, and as the registry lookup key.
+    comparison object, and as the scheme-table lookup key.
 
 ``setup_processor``
     Called once per execution unit before the run starts, to allocate

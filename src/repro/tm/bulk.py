@@ -135,9 +135,8 @@ class BulkScheme(TmScheme):
         line_address = byte_to_line(byte_address)
         action = bdm.store_set_action(line_address)
         if action is not SetRestrictionAction.CONFLICT:
-            # The whole Set Restriction is resolved here in one pass:
-            # prepare_store used to recompute the same decision a few
-            # bytecodes later, doubling the per-store decision cost.
+            # The whole Set Restriction is resolved here, in one
+            # decision pass per store.
             if action is SetRestrictionAction.WRITEBACK_NONSPEC:
                 system.charge_safe_writebacks(
                     proc.cache, bdm, proc.cache.set_index(line_address)
@@ -155,8 +154,7 @@ class BulkScheme(TmScheme):
         ):
             return owner_proc.pid  # requester stalls (strict order: no cycles)
         system.squash_preempted_context(proc, owner_context)
-        # The store proceeds this step: apply the post-squash decision
-        # (exactly what prepare_store would have computed).
+        # The store proceeds this step: apply the post-squash decision.
         if bdm.store_set_action(line_address) is (
             SetRestrictionAction.WRITEBACK_NONSPEC
         ):
@@ -168,18 +166,6 @@ class BulkScheme(TmScheme):
         if proc.txn is None:
             return 0
         return proc.cursor - proc.txn.start_cursor
-
-    def prepare_store(
-        self, system: "TmSystem", proc: TmProcessor, line_address: int
-    ) -> None:
-        """The Set Restriction was already enforced by :meth:`eager_check`
-        (one decision pass per store); only the missing-context guard
-        remains here.
-        """
-        if proc.scheme_state.get("ctx") is None:
-            raise SimulationError(
-                f"processor {proc.pid} has no running BDM context"
-            )
 
     def record_load(
         self, system: "TmSystem", proc: TmProcessor, byte_address: int

@@ -35,9 +35,6 @@ class TmScheme(SpecScheme):
     # Construction hooks
     # ------------------------------------------------------------------
 
-    def setup(self, system: "TmSystem") -> None:
-        """Called once when the system is built."""
-
     def setup_processor(self, system: "TmSystem", proc: TmProcessor) -> None:
         """Called for every processor at system construction."""
 
@@ -47,13 +44,6 @@ class TmScheme(SpecScheme):
 
     def on_txn_begin(self, system: "TmSystem", proc: TmProcessor) -> None:
         """An outermost transaction began (``proc.txn`` is fresh)."""
-
-    def on_inner_begin(self, system: "TmSystem", proc: TmProcessor) -> None:
-        """A nested transaction began (partial-rollback schemes open a
-        section here)."""
-
-    def on_inner_end(self, system: "TmSystem", proc: TmProcessor) -> None:
-        """A nested transaction ended."""
 
     # ------------------------------------------------------------------
     # Access hooks
@@ -79,12 +69,6 @@ class TmScheme(SpecScheme):
         access proceed.
         """
         return None
-
-    def prepare_store(
-        self, system: "TmSystem", proc: TmProcessor, line_address: int
-    ) -> None:
-        """Called before a speculative store updates the cache (Bulk
-        enforces the Set Restriction here)."""
 
     def record_load(
         self, system: "TmSystem", proc: TmProcessor, byte_address: int
@@ -169,7 +153,9 @@ class TmScheme(SpecScheme):
     def miss_checks_overflow(
         self, system: "TmSystem", proc: TmProcessor, byte_address: int
     ) -> bool:
-        """Whether a local miss must consult the overflow area."""
+        """Whether a local miss must consult the overflow area.  A
+        conventional scheme has no membership filter: every miss of an
+        overflowed transaction must search the overflow structure."""
         return proc.has_overflow()
 
     def overflow_disambiguation_cost(

@@ -74,9 +74,6 @@ class LazyScheme(TmScheme):
             receiver.cache.invalidate(line_address)
             system.stats.commit_invalidations += 1
 
-    def commit_cleanup(self, system: "TmSystem", proc: TmProcessor) -> None:
-        pass
-
     # ------------------------------------------------------------------
     # Squash
     # ------------------------------------------------------------------
@@ -103,13 +100,6 @@ class LazyScheme(TmScheme):
             line in proc.txn.all_read_granules()
             or line in proc.txn.all_write_granules()
         )
-
-    def miss_checks_overflow(
-        self, system: "TmSystem", proc: TmProcessor, byte_address: int
-    ) -> bool:
-        """A conventional scheme has no membership filter: every miss of
-        an overflowed transaction must search the overflow structure."""
-        return proc.has_overflow()
 
     def overflow_disambiguation_cost(
         self,

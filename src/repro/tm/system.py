@@ -124,7 +124,6 @@ class TmSystem(SpecSystemCore):
         #: Logs of committed (txn id -> write log) in commit order, used
         #: by the serialisability oracle.
         self.committed_logs: List[Tuple[int, Dict[int, int]]] = []
-        scheme.setup(self)
         for proc in self.processors:
             scheme.setup_processor(self, proc)
 
@@ -258,7 +257,6 @@ class TmSystem(SpecSystemCore):
             proc.txn.depth += 1
             if self.params.partial_rollback:
                 proc.txn.push_section(proc.cursor + 1)
-                self.scheme.on_inner_begin(self, proc)
         proc.cursor += 1
 
     def _end(self, proc: TmProcessor) -> None:
@@ -268,7 +266,6 @@ class TmSystem(SpecSystemCore):
             proc.txn.depth -= 1
             if self.params.partial_rollback:
                 proc.txn.push_section(proc.cursor + 1)
-                self.scheme.on_inner_end(self, proc)
             proc.cursor += 1
             return
         self._commit(proc)
@@ -371,8 +368,6 @@ class TmSystem(SpecSystemCore):
         line_address = byte_address >> LINE_SHIFT
         txn = proc.txn
         if txn is not None:
-            scheme = self.scheme
-            scheme.prepare_store(self, proc, line_address)
             # Cache.lookup inlined (dict probe + LRU touch), as in _load.
             cache = proc.cache
             cache_set = cache._sets[line_address & cache._set_mask]
@@ -386,7 +381,7 @@ class TmSystem(SpecSystemCore):
             line.words[(byte_address >> WORD_SHIFT) & 0xF] = value & 0xFFFFFFFF
             line.dirty = True
             txn.record_store(byte_address, value)
-            scheme.record_store(self, proc, byte_address)
+            self.scheme.record_store(self, proc, byte_address)
             return
         # Non-speculative store: globally visible immediately.
         self._nonspec_store(proc, byte_address, value, line_address)

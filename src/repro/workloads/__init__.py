@@ -8,8 +8,6 @@
 * :mod:`repro.workloads.tls_spec` — SPECint2000-profile TLS task
   generators calibrated against the per-application task statistics the
   paper reports in Table 6.
-* :mod:`repro.workloads.synthetic` — a parameterised random transaction
-  generator used by tests and signature-accuracy studies.
 """
 
 from repro.workloads.kernels import TM_KERNELS, build_tm_workload
@@ -18,7 +16,6 @@ from repro.workloads.tls_spec import (
     TlsAppProfile,
     build_tls_workload,
 )
-from repro.workloads.synthetic import SyntheticTmConfig, build_synthetic_tm
 
 __all__ = [
     "TM_KERNELS",
@@ -26,6 +23,4 @@ __all__ = [
     "TLS_APPLICATIONS",
     "TlsAppProfile",
     "build_tls_workload",
-    "SyntheticTmConfig",
-    "build_synthetic_tm",
 ]

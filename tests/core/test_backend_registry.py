@@ -1,11 +1,10 @@
-"""The signature-backend registry — the single source of backend names.
+"""The signature-backend table — the single source of backend names.
 
 Mirrors ``tests/spec/test_registry.py``: every advertised name resolves,
 unknown lookups raise the typed error listing the alternatives, and
-registration order is presentation order.  On top of the scheme-registry
-contract, backends add *graceful degradation*: a backend whose optional
-dependency is missing resolves to its declared fallback after exactly
-one warning per process.
+table order is presentation order.  On top of the scheme-table
+contract, backends add *graceful degradation*: ``numpy`` without numpy
+installed resolves to ``packed`` after exactly one warning per process.
 """
 
 import sys
@@ -16,15 +15,11 @@ import pytest
 from repro.core.backend import (
     DEFAULT_BACKEND_NAME,
     SignatureBackend,
-    backend_entry,
     backend_names,
-    register_backend,
     resolve_backend,
     suppress_fallback_warnings,
-    unregister_backend,
 )
 from repro.core.backend import registry as registry_module
-from repro.core.backend.base import PackedSignatureBackend
 from repro.errors import ConfigurationError, UnknownBackendError
 
 
@@ -40,10 +35,9 @@ class TestBuiltinCatalogue:
         for name in backend_names():
             backend = resolve_backend(name)
             assert isinstance(backend, SignatureBackend)
-            # Either the backend itself, or — with its optional
-            # dependency missing — its registered fallback.
-            entry = backend_entry(name)
-            assert backend.name in {name, entry.fallback}
+            # Either the backend itself, or — with numpy missing —
+            # the packed fallback.
+            assert backend.name in {name, DEFAULT_BACKEND_NAME}
 
     def test_instances_are_cached(self):
         assert resolve_backend("packed") is resolve_backend("packed")
@@ -66,7 +60,7 @@ class TestUnknownLookups:
 
     def test_error_message_lists_registered_names(self):
         with pytest.raises(UnknownBackendError) as excinfo:
-            backend_entry("cuda")
+            resolve_backend("cuda")
         message = str(excinfo.value)
         for name in backend_names():
             assert name in message
@@ -76,53 +70,26 @@ class TestUnknownLookups:
         with pytest.raises(ConfigurationError):
             resolve_backend("cuda")
 
-    def test_unregister_unknown_raises_too(self):
-        with pytest.raises(UnknownBackendError):
-            unregister_backend("cuda")
-
-
-class TestDynamicRegistration:
-    def test_register_then_unregister(self):
-        register_backend("toy", PackedSignatureBackend)
-        try:
-            assert "toy" in backend_names()
-            assert isinstance(resolve_backend("toy"), PackedSignatureBackend)
-        finally:
-            unregister_backend("toy")
-        assert "toy" not in backend_names()
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigurationError):
-            register_backend("packed", PackedSignatureBackend)
-
-    def test_unregister_drops_cached_instance(self):
-        register_backend("toy", PackedSignatureBackend)
-        first = resolve_backend("toy")
-        unregister_backend("toy")
-        register_backend("toy", PackedSignatureBackend)
-        try:
-            assert resolve_backend("toy") is not first
-        finally:
-            unregister_backend("toy")
-
 
 @pytest.fixture
-def broken_backend():
-    """A registered backend whose factory raises ImportError, with the
-    packed fallback — the exact shape of ``numpy`` on a numpy-less host.
-    Warned-state is reset so each test observes the first resolution.
+def broken_backend(monkeypatch):
+    """The real ``numpy`` entry with its import forced to fail — the
+    exact shape of ``--sig-backend numpy`` on a numpy-less host.
+    Cached and warned state is reset so each test observes the first
+    resolution.
     """
-
-    def factory():
-        raise ImportError("No module named 'accelerator'")
-
-    register_backend("broken", factory, fallback="packed")
-    registry_module._FALLBACK_WARNED.discard("broken")
-    try:
-        yield "broken"
-    finally:
-        unregister_backend("broken")
-        registry_module._FALLBACK_WARNED.discard("broken")
+    # A None entry in sys.modules makes ``import numpy`` raise
+    # ImportError; the backend module must be evicted so the factory
+    # genuinely re-imports it.
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    monkeypatch.delitem(
+        sys.modules, "repro.core.backend.numpy_backend", raising=False
+    )
+    registry_module._INSTANCES.pop("numpy", None)
+    registry_module._FALLBACK_WARNED.discard("numpy")
+    yield "numpy"
+    registry_module._INSTANCES.pop("numpy", None)
+    registry_module._FALLBACK_WARNED.discard("numpy")
 
 
 class TestFallbackDegradation:
@@ -140,22 +107,11 @@ class TestFallbackDegradation:
         backend = resolve_backend(broken_backend, warn=messages.append)
         assert backend is resolve_backend("packed")
         assert len(messages) == 1
-        assert "'broken'" in messages[0]
+        assert "'numpy'" in messages[0]
         assert "'packed'" in messages[0]
         # Already warned: the callable is not invoked again.
         resolve_backend(broken_backend, warn=messages.append)
         assert len(messages) == 1
-
-    def test_no_fallback_reraises_the_import_error(self):
-        def factory():
-            raise ImportError("nope")
-
-        register_backend("hard", factory)
-        try:
-            with pytest.raises(ImportError):
-                resolve_backend("hard")
-        finally:
-            unregister_backend("hard")
 
 
 @pytest.fixture
@@ -252,31 +208,15 @@ def test_degraded_run_warns_once_through_its_tracer(
 
 
 class TestNumpyUnavailable:
-    """The real ``numpy`` entry, with the import forced to fail —
-    proving ``--sig-backend numpy`` degrades on a numpy-less host."""
+    """``--sig-backend numpy`` degrades on a numpy-less host."""
 
-    @pytest.fixture
-    def numpy_missing(self, monkeypatch):
-        # A None entry in sys.modules makes ``import numpy`` raise
-        # ImportError; the backend module must be evicted so the factory
-        # genuinely re-imports it.
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        monkeypatch.delitem(
-            sys.modules, "repro.core.backend.numpy_backend", raising=False
-        )
-        registry_module._INSTANCES.pop("numpy", None)
-        registry_module._FALLBACK_WARNED.discard("numpy")
-        yield
-        registry_module._INSTANCES.pop("numpy", None)
-        registry_module._FALLBACK_WARNED.discard("numpy")
-
-    def test_numpy_degrades_to_packed(self, numpy_missing):
+    def test_numpy_degrades_to_packed(self, broken_backend):
         with pytest.warns(RuntimeWarning, match="'numpy' is unavailable"):
             backend = resolve_backend("numpy")
         assert backend is resolve_backend("packed")
         assert backend.name == "packed"
 
-    def test_degraded_runs_still_work(self, numpy_missing):
+    def test_degraded_runs_still_work(self, broken_backend):
         """A whole simulation requested with the numpy backend runs on
         the packed fallback and produces the default-backend results."""
         from repro.analysis.experiments import run_tm_comparison
@@ -288,20 +228,3 @@ class TestNumpyUnavailable:
         baseline = run_tm_comparison("mc", txns_per_thread=2, seed=3)
         assert degraded.cycles == baseline.cycles
 
-
-class TestDeterministicOrdering:
-    """`backend_names()` order depends only on what is registered."""
-
-    def test_shuffled_registration_lists_canonically(self):
-        # Reverse-alphabetical insertion; listing must still come out
-        # ranked built-ins first, then dynamics sorted by name.
-        for name in ("zz-toy", "aa-toy"):
-            register_backend(name, PackedSignatureBackend)
-        try:
-            assert backend_names() == [
-                "pure", "packed", "numpy", "aa-toy", "zz-toy",
-            ]
-        finally:
-            for name in ("zz-toy", "aa-toy"):
-                unregister_backend(name)
-        assert backend_names() == ["pure", "packed", "numpy"]

@@ -9,9 +9,7 @@ kernels are bit-exact; this file pins the *accounting* contract of
 * dispatch follows the signature's backend: scalar backends count
   ``fallback``, a codec-bearing backend counts the vectorised paths;
 * the expansion batch threshold routes small batches to the scalar
-  path, bit-identically;
-* ``record_codec_metrics`` materialises the counters with gauge
-  semantics (repeated calls refresh, never double-count).
+  path, bit-identically.
 """
 
 import pytest
@@ -28,9 +26,7 @@ from repro.core.backend.codec import (
 from repro.core.decode import CachedDecoder, DeltaDecoder
 from repro.core.expansion import matched_lines
 from repro.core.rle import rle_decode, rle_encode
-from repro.core.signature import Signature
 from repro.core.signature_config import default_tm_config
-from repro.obs import MetricsRegistry, record_codec_metrics
 
 
 NUM_SETS = TM_L1_GEOMETRY.num_sets
@@ -158,17 +154,3 @@ def test_expansion_threshold_routes_small_batches_scalar(config):
     assert [entry[1].line_address for entry in small] == [0x40]
     assert 0x40 in [entry[1].line_address for entry in large]
 
-
-def test_record_codec_metrics_gauge_semantics(config):
-    signature = Signature(config)
-    signature.add_many([1, 2, 3])
-    DeltaDecoder(config, NUM_SETS).decode(signature)
-    metrics = MetricsRegistry()
-    stats = record_codec_metrics(metrics)
-    assert stats == codec_stats()
-    snapshot = metrics.snapshot()["counters"]
-    assert snapshot["codec.fallback"] == 1
-    # Refresh, not accumulate.
-    record_codec_metrics(metrics)
-    record_codec_metrics(metrics)
-    assert metrics.snapshot()["counters"]["codec.fallback"] == 1

@@ -1,8 +1,8 @@
-"""The scheme registry — the single source of every scheme list.
+"""The scheme table — the single source of every scheme list.
 
 The contract: every name a substrate advertises resolves to a fresh
 scheme instance carrying that exact name, unknown lookups raise the
-typed error, and registration order is presentation order.
+typed error, and table order is presentation order.
 """
 
 import pytest
@@ -10,20 +10,13 @@ import pytest
 from repro.errors import ConfigurationError, UnknownSchemeError
 from repro.spec import (
     SpecScheme,
-    register_scheme,
     resolve_scheme,
     scheme_entries,
-    scheme_entry,
     scheme_names,
-    substrates,
-    unregister_scheme,
 )
 
 
 class TestBuiltinCatalogue:
-    def test_all_three_substrates_are_registered(self):
-        assert substrates() == ["tm", "tls", "checkpoint"]
-
     def test_registration_order_is_presentation_order(self):
         assert scheme_names("tm") == ["Eager", "Lazy", "Bulk"]
         assert scheme_names("tm", include_variants=True) == [
@@ -62,8 +55,8 @@ class TestBuiltinCatalogue:
         assert resolve_scheme("tm", "Bulk-Partial").name == "Bulk-Partial"
 
     def test_entry_lookup_matches_entries(self):
-        entry = scheme_entry("checkpoint", "Bulk")
-        assert entry.substrate == "checkpoint"
+        entry = scheme_entries("checkpoint")[-1]
+        assert entry.name == "Bulk"
         assert entry.factory().name == "Bulk"
 
 
@@ -85,60 +78,5 @@ class TestUnknownLookups:
 
     def test_unknown_scheme_error_is_a_configuration_error(self):
         with pytest.raises(ConfigurationError):
-            scheme_entry("tm", "Optimistic")
+            resolve_scheme("tm", "Optimistic")
 
-
-class TestDynamicRegistration:
-    def test_register_then_unregister(self):
-        class Toy(SpecScheme):
-            name = "Toy"
-
-            def commit_packet(self, system, unit):
-                return 0
-
-        register_scheme("tm", "Toy", Toy)
-        try:
-            assert "Toy" in scheme_names("tm")
-            assert isinstance(resolve_scheme("tm", "Toy"), Toy)
-        finally:
-            unregister_scheme("tm", "Toy")
-        assert "Toy" not in scheme_names("tm")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigurationError):
-            register_scheme("tm", "Bulk", object)
-
-
-class TestDeterministicOrdering:
-    """Listings depend only on *what* is registered, never on *when*.
-
-    The canonical order is ``(rank, name)``: ranked built-ins first in
-    their pinned positions, then dynamic registrations alphabetically.
-    Registering in a deliberately shuffled order must not show through.
-    """
-
-    def test_shuffled_registration_lists_canonically(self):
-        class Toy(SpecScheme):
-            name = "toy"
-
-            def commit_packet(self, system, unit):
-                return 0
-
-        # Worst-case insertion order: reverse-alphabetical.
-        for name in ("Zeta", "Mid", "Alpha"):
-            register_scheme("tm", name, Toy)
-        try:
-            assert scheme_names("tm") == [
-                "Eager", "Lazy", "Bulk", "Alpha", "Mid", "Zeta",
-            ]
-            assert [entry.name for entry in scheme_entries("tm")] == [
-                "Eager", "Lazy", "Bulk", "Alpha", "Mid", "Zeta",
-            ]
-            # Variants still append after everything else.
-            assert scheme_names("tm", include_variants=True)[-1] == (
-                "Bulk-Partial"
-            )
-        finally:
-            for name in ("Zeta", "Mid", "Alpha"):
-                unregister_scheme("tm", name)
-        assert scheme_names("tm") == ["Eager", "Lazy", "Bulk"]

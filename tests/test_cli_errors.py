@@ -45,6 +45,81 @@ def test_rejected_grid_command_creates_no_directory(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+_TINY_REPRODUCE = ["--tm-txns", "1", "--tls-tasks", "4", "--samples", "2",
+                   "--jobs", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["reproduce", "--out", "{file}/x"], "--out"),
+        (["reproduce", "--out", "{file}"], "--out"),
+        (["reproduce", "--out", "{out}", "--cache-dir", "{file}"],
+         "--cache-dir"),
+        (["reproduce", "--out", "{out}", *_TINY_REPRODUCE,
+          "--metrics-out", "{missing}/m.json"], "--metrics-out"),
+        (["reproduce", "--out", "{out}", *_TINY_REPRODUCE,
+          "--trace-out", "{missing}/t.jsonl"], "--trace-out"),
+        (["reproduce", "--out", "{out}", *_TINY_REPRODUCE,
+          "--trace-out", "{out}/sub/t.jsonl"], "--trace-out"),
+        (["tm", "cb", "--txns", "1", "--metrics-out", "{missing}/m.json"],
+         "--metrics-out"),
+        (["tm", "cb", "--txns", "1", "--trace-out", "{missing}/t.jsonl"],
+         "--trace-out"),
+        (["tm", "cb", "--txns", "1", "--metrics-out", "{dir}"],
+         "--metrics-out"),
+        (["tls", "gzip", "--tasks", "2", "--metrics-out", "{missing}/m.json"],
+         "--metrics-out"),
+        (["tls", "gzip", "--tasks", "2", "--trace-out", "{file}/t.jsonl"],
+         "--trace-out"),
+        (["checkpoint", "predictor", "--epochs", "2", "--max-depth", "1",
+          "--jobs", "1", "--metrics-out", "{missing}/m.json"],
+         "--metrics-out"),
+        (["checkpoint", "predictor", "--epochs", "2", "--max-depth", "1",
+          "--jobs", "1", "--trace-out", "{missing}/t.jsonl"], "--trace-out"),
+        (["checkpoint", "predictor", "--cache-dir", "{file}"], "--cache-dir"),
+        (["tm", "cb", "--trace-store", "{file}", "--trace-id", "abc"],
+         "--trace-store"),
+        (["trace", "list", "--store", "{file}"], "--store"),
+        (["trace", "info", "abc", "--store", "{file}"], "--store"),
+        (["trace", "ingest", "tls", "gzip", "--tasks", "2",
+          "--store", "{file}/store"], "--store"),
+        (["trace", "import", "{file}", "--kind", "tm", "--store", "{file}"],
+         "--store"),
+    ],
+    ids=["reproduce-out-under-a-file", "reproduce-out-is-a-file",
+         "reproduce-cache-dir-is-a-file", "reproduce-metrics-out",
+         "reproduce-trace-out", "reproduce-trace-out-under-out",
+         "tm-metrics-out", "tm-trace-out", "tm-metrics-out-is-a-directory",
+         "tls-metrics-out", "tls-trace-out-under-a-file",
+         "checkpoint-metrics-out", "checkpoint-trace-out",
+         "checkpoint-cache-dir-is-a-file", "tm-trace-store-is-a-file",
+         "trace-list-store", "trace-info-store", "trace-ingest-store",
+         "trace-import-store"],
+)
+def test_unwritable_output_path_exits_2_before_anything_runs(
+    tmp_path, capfd, argv, flag
+):
+    """An output path that cannot be written is rejected, naming its
+    flag, before any simulation runs or any output exists."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    (tmp_path / "dir").mkdir()
+    argv = [
+        arg.format(file=blocker, dir=tmp_path / "dir",
+                   missing=tmp_path / "missing", out=tmp_path / "out")
+        for arg in argv
+    ]
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 2
+    captured = capfd.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {flag} ")
+    assert captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("command", ["serve", "submit", "jobs"])
 def test_removed_service_commands_are_invalid_choices(capsys, command):
     with pytest.raises(SystemExit) as excinfo:

@@ -43,14 +43,10 @@ class TestDefaults:
     def test_lifecycle_hooks_are_no_ops(self):
         scheme = MinimalScheme()
         proc = make_proc()
-        scheme.setup(None)
         scheme.setup_processor(None, proc)
         scheme.on_txn_begin(None, proc)
-        scheme.on_inner_begin(None, proc)
-        scheme.on_inner_end(None, proc)
         scheme.record_load(None, proc, 0)
         scheme.record_store(None, proc, 0)
-        scheme.prepare_store(None, proc, 0)
         scheme.commit_update_receiver(None, proc, proc)
         scheme.squash_cleanup(None, proc, 0)
         scheme.commit_cleanup(None, proc)
