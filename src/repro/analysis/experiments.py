@@ -7,12 +7,9 @@ feed the corresponding table or figure.  Which schemes exist — and in
 what order they run and print — comes from the scheme table in
 :mod:`repro.spec.registry`, never from literal lists here.
 
-Every driver takes the run options (``bus``, ``sig_backend``,
-``trace``, ``trace_store``) as keywords, builds one
-:class:`~repro.spec.RunConfig` from them, and hands it to every
-per-scheme system.  With ``trace``, the workload is the stored trace
-(``app`` then only labels the comparison) and ``obs`` also receives the
-reader's streaming counters.
+Every driver takes the run options (``bus``, ``sig_backend``) as
+keywords, builds one :class:`~repro.spec.RunConfig` from them, and hands
+it to every per-scheme system.
 """
 
 from __future__ import annotations
@@ -121,31 +118,19 @@ def run_tm_comparison(
     An observed comparison simulates every scheme, because each run's
     metrics and trace events are part of its output.
 
-    ``run_options`` are :class:`~repro.spec.RunConfig` fields.  A
-    replayed trace also sizes ``num_processors``.
+    ``run_options`` are :class:`~repro.spec.RunConfig` fields.
     """
     config = RunConfig(**run_options)
     comparison = TmComparison(app=app)
     # One build serves every scheme: traces are immutable (tuples of
     # named-tuple events), and rebuilding with the same seed produced the
     # identical sequence anyway.
-    if config.trace is None:
-        traces = build_tm_workload(
-            app,
-            num_threads=params.num_processors,
-            txns_per_thread=txns_per_thread,
-            seed=seed,
-        )
-    else:
-        from repro.trace import load_trace_workload
-
-        traces = load_trace_workload(
-            "tm", config.trace_store, config.trace, obs=obs
-        )
-        if len(traces) != params.num_processors:
-            # A replayed trace carries its own thread count; the system
-            # must be sized to it, not to the generator default.
-            params = replace(params, num_processors=len(traces))
+    traces = build_tm_workload(
+        app,
+        num_threads=params.num_processors,
+        txns_per_thread=txns_per_thread,
+        seed=seed,
+    )
     # TmSystem reads ``partial_rollback`` only at a nested TX_BEGIN or
     # TX_END (``_begin``/``_end``) and for a squash from a section past
     # the first (``squash``), and only nested markers open such a
@@ -217,14 +202,7 @@ def run_tls_comparison(
     comparison = TlsComparison(app=app)
     # Tasks are immutable static descriptors; the sequential baseline
     # and every scheme share one build (same seed == same sequence).
-    if config.trace is None:
-        tasks = build_tls_workload(app, num_tasks=num_tasks, seed=seed)
-    else:
-        from repro.trace import load_trace_workload
-
-        tasks = load_trace_workload(
-            "tls", config.trace_store, config.trace, obs=obs
-        )
+    tasks = build_tls_workload(app, num_tasks=num_tasks, seed=seed)
     comparison.sequential_cycles = simulate_sequential(tasks, params)
     for name in scheme_names("tls"):
         result = TlsSystem(
@@ -275,14 +253,7 @@ def run_checkpoint_comparison(
     """
     config = RunConfig(**run_options)
     comparison = CheckpointComparison(app=app, rollback_depth=rollback_depth)
-    if config.trace is None:
-        epochs = build_checkpoint_workload(app, num_epochs=num_epochs, seed=seed)
-    else:
-        from repro.trace import load_trace_workload
-
-        epochs = load_trace_workload(
-            "checkpoint", config.trace_store, config.trace, obs=obs
-        )
+    epochs = build_checkpoint_workload(app, num_epochs=num_epochs, seed=seed)
     for name in scheme_names("checkpoint"):
         system = CheckpointSystem(
             resolve_scheme("checkpoint", name),

@@ -1,4 +1,4 @@
-"""Cache geometry: size, associativity, line size → sets and index bits.
+"""Cache geometry: size, associativity, line size → number of sets.
 
 Table 5 fixes the evaluated L1 geometries: 16 KB 4-way 64 B lines for TLS
 (64 sets) and 32 KB 4-way 64 B lines for TM (128 sets).
@@ -40,11 +40,6 @@ class CacheGeometry:
     def num_sets(self) -> int:
         """Number of sets."""
         return self.size_bytes // (self.associativity * self.line_bytes)
-
-    @property
-    def index_bits(self) -> int:
-        """Number of set-index bits."""
-        return line_index_bits(self.num_sets)
 
     def set_index(self, line_address: int) -> int:
         """Set index of a line address (its low-order bits)."""

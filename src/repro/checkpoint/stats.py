@@ -62,8 +62,3 @@ class CheckpointStats(SpecStats):
     def false_rollback_invalidations(self) -> int:
         """Rollback-invalidated lines the discarded epochs never wrote."""
         return self.false_commit_invalidations
-
-    @property
-    def safe_writebacks_per_checkpoint(self) -> float:
-        """Set Restriction writebacks per committed checkpoint."""
-        return self.safe_writebacks_per_commit

@@ -40,7 +40,7 @@ from repro.analysis.report import (
 )
 from repro.checkpoint.workload import CHECKPOINT_WORKLOADS
 from repro.core.signature_config import TABLE8_CONFIGS
-from repro.errors import ConfigurationError, TraceError
+from repro.errors import ConfigurationError
 from repro.spec import RunConfig, scheme_names
 from repro.workloads.kernels import TM_KERNELS
 from repro.workloads.tls_spec import TLS_APPLICATIONS
@@ -51,12 +51,9 @@ def _warn_stderr(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _add_run_arguments(
-    parser: argparse.ArgumentParser, replay: bool = True
-) -> None:
-    """One flag per :class:`~repro.spec.RunConfig` field (the
-    trace-replay pair only where ``replay``); :func:`_run_config` reads
-    them back."""
+def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
+    """One flag per :class:`~repro.spec.RunConfig` field;
+    :func:`_run_config` reads them back."""
     from repro.core.backend import DEFAULT_BACKEND_NAME, backend_names
 
     group = parser.add_argument_group("run options")
@@ -70,36 +67,16 @@ def _add_run_arguments(
         help=f"signature storage backend: {', '.join(backend_names())} "
         "(all bit-identical; 'numpy' falls back to 'packed' without numpy)",
     )
-    if replay:
-        group.add_argument(
-            "--trace-id", default=None, metavar="ID",
-            help="replay this stored trace instead of generating the "
-            "workload (needs --trace-store)",
-        )
-        group.add_argument(
-            "--trace-store", default=None, metavar="DIR",
-            help="on-disk trace store directory (see 'repro trace')",
-        )
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
     """The validated run options of a subcommand's flags, built before
     any output file, cache directory, or simulation exists."""
-    return RunConfig(
-        bus=args.bus,
-        sig_backend=args.sig_backend,
-        trace=getattr(args, "trace_id", None),
-        trace_store=getattr(args, "trace_store", None),
-    )
+    return RunConfig(bus=args.bus, sig_backend=args.sig_backend)
 
 
-#: (attribute, flag, error) of every directory a subcommand may create.
-_OUTPUT_DIRECTORIES = (
-    ("out", "--out", ConfigurationError),
-    ("cache_dir", "--cache-dir", ConfigurationError),
-    ("store", "--store", TraceError),
-    ("trace_store", "--trace-store", TraceError),
-)
+#: (attribute, flag) of every directory a subcommand may create.
+_OUTPUT_DIRECTORIES = (("out", "--out"), ("cache_dir", "--cache-dir"))
 #: (attribute, flag) of every file a subcommand may write.
 _OUTPUT_FILES = (("trace_out", "--trace-out"), ("metrics_out", "--metrics-out"))
 
@@ -113,14 +90,16 @@ def _check_output_paths(args: argparse.Namespace) -> None:
     must be an existing directory or ``reproduce``'s ``--out``, which
     ``reproduce`` creates before writing anything.
     """
-    for attribute, flag, error in _OUTPUT_DIRECTORIES:
+    for attribute, flag in _OUTPUT_DIRECTORIES:
         value = getattr(args, attribute, None)
         if value is None:
             continue
         path = pathlib.Path(value)
         existing = next(p for p in (path, *path.parents) if p.exists())
         if not existing.is_dir():
-            raise error(f"{flag} {value}: {existing} is not a directory")
+            raise ConfigurationError(
+                f"{flag} {value}: {existing} is not a directory"
+            )
     out = getattr(args, "out", None)
     for attribute, flag in _OUTPUT_FILES:
         value = getattr(args, attribute, None)
@@ -629,110 +608,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_ingest_result(result: Any) -> None:
-    """One ingest's receipt, ending with the id on its own line so shell
-    scripts can ``tail -n1`` it."""
-    if result.deduplicated:
-        print("store already holds this content (deduplicated)")
-    print(
-        f"{result.num_streams} stream(s), {result.num_records} record(s), "
-        f"{result.encoded_bytes} encoded bytes"
-    )
-    print(result.trace_id)
-
-
-def _cmd_trace_ingest(args: argparse.Namespace) -> int:
-    """Capture one instrumented workload into the trace store."""
-    from repro.trace import INGESTERS, TraceStore
-
-    sizing = {
-        "tm": lambda a: {
-            "num_threads": a.threads, "txns_per_thread": a.txns,
-        },
-        "tls": lambda a: {"num_tasks": a.tasks},
-        "checkpoint": lambda a: {"num_epochs": a.epochs},
-    }[args.kind](args)
-    result = INGESTERS[args.kind](
-        TraceStore(args.store), args.app, seed=args.seed, **sizing
-    )
-    _print_ingest_result(result)
-    return 0
-
-
-def _cmd_trace_import(args: argparse.Namespace) -> int:
-    """Convert an external JSONL trace file into the store."""
-    from repro.trace import TraceStore, import_jsonl
-
-    try:
-        store = TraceStore(args.store)
-        result = import_jsonl(
-            store, args.file, args.kind, label=args.label or ""
-        )
-    except OSError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    _print_ingest_result(result)
-    return 0
-
-
-def _cmd_trace_list(args: argparse.Namespace) -> int:
-    """List every stored trace."""
-    from repro.trace import TraceStore
-
-    infos = TraceStore(args.store).traces()
-    if not infos:
-        print(f"no traces in {args.store}")
-        return 0
-    rows = [
-        [info.trace_id[:16], info.kind, info.label, info.num_streams,
-         info.num_records, info.encoded_bytes]
-        for info in infos
-    ]
-    print(
-        render_table(
-            ["Id (prefix)", "Kind", "Label", "Streams", "Records", "Bytes"],
-            rows,
-            title=f"Trace store: {args.store}",
-        )
-    )
-    return 0
-
-
-def _cmd_trace_info(args: argparse.Namespace) -> int:
-    """Show (and optionally verify) one stored trace."""
-    from repro.trace import TraceStore
-
-    store = TraceStore(args.store)
-    # Accept unambiguous id prefixes, mirroring the list output.
-    matches = [
-        trace_id for trace_id in store.ids()
-        if trace_id.startswith(args.trace_id)
-    ]
-    if not matches:
-        raise TraceError(
-            f"trace {args.trace_id!r} is not in the store at {args.store}"
-        )
-    if len(matches) > 1:
-        raise TraceError(
-            f"trace id prefix {args.trace_id!r} is ambiguous "
-            f"({len(matches)} matches)"
-        )
-    info = store.info(matches[0])
-    if args.verify:
-        store.reader(info.trace_id).verify()
-    print(f"trace_id:      {info.trace_id}")
-    print(f"kind:          {info.kind}")
-    print(f"label:         {info.label}")
-    print(f"streams:       {info.num_streams}")
-    print(f"records:       {info.num_records}")
-    print(f"encoded bytes: {info.encoded_bytes}")
-    for key in sorted(info.meta):
-        print(f"meta.{key}: {info.meta[key]}")
-    if args.verify:
-        print("content verified: SHA-256 matches the trace id")
-    return 0
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -814,62 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
         "fig12", help="demonstrate the Figure 12 Eager pathologies"
     ).set_defaults(func=_cmd_fig12)
 
-    trace = sub.add_parser(
-        "trace", help="capture, import, and inspect on-disk traces"
-    )
-    trace_sub = trace.add_subparsers(dest="trace_command", required=True)
-
-    def _add_store_flag(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--store", required=True, metavar="DIR",
-                       help="trace store directory (created if missing)")
-
-    ingest = trace_sub.add_parser(
-        "ingest", help="capture an instrumented workload into the store"
-    )
-    ingest_sub = ingest.add_subparsers(dest="kind", required=True)
-    ingest_tm = ingest_sub.add_parser("tm", help="a Table 4 TM kernel")
-    ingest_tm.add_argument("app", choices=sorted(TM_KERNELS))
-    ingest_tm.add_argument("--threads", type=_positive_int, default=8)
-    ingest_tm.add_argument("--txns", type=_positive_int, default=12,
-                           help="transactions per thread")
-    ingest_tls = ingest_sub.add_parser("tls", help="a Table 6 TLS task stream")
-    ingest_tls.add_argument("app", choices=sorted(TLS_APPLICATIONS))
-    ingest_tls.add_argument("--tasks", type=_positive_int, default=160)
-    ingest_ckpt = ingest_sub.add_parser(
-        "checkpoint", help="a checkpoint epoch stream"
-    )
-    ingest_ckpt.add_argument("app", choices=sorted(CHECKPOINT_WORKLOADS))
-    ingest_ckpt.add_argument("--epochs", type=_positive_int, default=64)
-    for p in (ingest_tm, ingest_tls, ingest_ckpt):
-        p.add_argument("--seed", type=int, default=42)
-        _add_store_flag(p)
-        p.set_defaults(func=_cmd_trace_ingest)
-
-    trace_import = trace_sub.add_parser(
-        "import", help="convert an external JSONL trace into the store"
-    )
-    trace_import.add_argument("file", help="JSON-lines trace file "
-                              "(format: docs/TRACES.md)")
-    trace_import.add_argument("--kind", required=True,
-                              choices=["tm", "tls", "checkpoint"])
-    trace_import.add_argument("--label", default=None,
-                              help="store label (default: the file stem)")
-    _add_store_flag(trace_import)
-    trace_import.set_defaults(func=_cmd_trace_import)
-
-    trace_list = trace_sub.add_parser("list", help="list stored traces")
-    trace_list.add_argument("--store", required=True, metavar="DIR")
-    trace_list.set_defaults(func=_cmd_trace_list)
-
-    trace_info = trace_sub.add_parser(
-        "info", help="show one stored trace (id prefixes accepted)"
-    )
-    trace_info.add_argument("trace_id")
-    trace_info.add_argument("--store", required=True, metavar="DIR")
-    trace_info.add_argument("--verify", action="store_true",
-                            help="re-hash the content against the id")
-    trace_info.set_defaults(func=_cmd_trace_info)
-
     reproduce = sub.add_parser(
         "reproduce",
         help="run the full evaluation and archive tables + CSVs",
@@ -894,7 +713,7 @@ def build_parser() -> argparse.ArgumentParser:
     reproduce.add_argument("--metrics-out", default=None, metavar="PATH",
                            help="write merged + per-point metrics as JSON "
                            "(enables instrumentation)")
-    _add_run_arguments(reproduce, replay=False)
+    _add_run_arguments(reproduce)
     reproduce.set_defaults(func=_cmd_reproduce)
 
     return parser
@@ -904,17 +723,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point.
 
     Bad user input (a malformed option value, an output path that cannot
-    be written, an unknown trace id) surfaces as a
-    :class:`~repro.errors.ConfigurationError` or
-    :class:`~repro.errors.TraceError`; either becomes one ``error:``
-    line on stderr and exit code 2.  Any other library error is an
-    internal bug and keeps its traceback.
+    be written) surfaces as a :class:`~repro.errors.ConfigurationError`,
+    which becomes one ``error:`` line on stderr and exit code 2.  Any
+    other library error is an internal bug and keeps its traceback.
     """
     args = build_parser().parse_args(argv)
     try:
         _check_output_paths(args)
         return args.func(args)
-    except (ConfigurationError, TraceError) as error:
+    except ConfigurationError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

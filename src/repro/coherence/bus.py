@@ -180,11 +180,6 @@ class Bus:
         self._bus_free_at = end
         return end
 
-    @property
-    def free_at(self) -> int:
-        """Cycle at which the bus next becomes free."""
-        return self._bus_free_at
-
     def reset(self) -> None:
         """Clear accounting and arbitration state."""
         self.bandwidth = BandwidthBreakdown()

@@ -266,13 +266,6 @@ class BulkDisambiguationModule:
             raise SimulationError("cannot run an inactive version context")
         self.running = context
 
-    def context_of(self, owner: int) -> Optional[VersionContext]:
-        """Find the active context owned by a thread id."""
-        for context in self.contexts:
-            if context.active and context.owner == owner:
-                return context
-        return None
-
     def active_contexts(self) -> List[VersionContext]:
         """All contexts currently holding a speculative version."""
         return [context for context in self.contexts if context.active]

@@ -147,10 +147,6 @@ class BitPermutation:
             raise IndexError(f"source bit {source_bit} out of range")
         return self._dest_of[source_bit]
 
-    def inverse(self) -> "BitPermutation":
-        """The permutation undoing this one."""
-        return BitPermutation(self.width, self._dest_of)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitPermutation):
             return NotImplemented

@@ -291,16 +291,3 @@ class Signature:
             f"{type(self).__name__}({self.config.name}, "
             f"{self.config.size_bits} bits, popcount={self.popcount()})"
         )
-
-
-def signature_of(
-    config: SignatureConfig, byte_addresses: Iterable[int]
-) -> Signature:
-    """Encode *byte* addresses into a signature at its granularity.
-
-    Convenience for callers that work in byte addresses (the simulators'
-    native unit); :meth:`Signature.add` takes already-converted addresses.
-    """
-    signature = Signature(config)
-    signature.add_many(map(config.granularity.from_byte, byte_addresses))
-    return signature

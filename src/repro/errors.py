@@ -107,10 +107,6 @@ class SetRestrictionError(BulkError):
     """
 
 
-class ProtocolError(BulkError):
-    """An illegal coherence-protocol transition or message was attempted."""
-
-
 class SimulationError(BulkError):
     """The simulator reached an inconsistent state (e.g. deadlock)."""
 

@@ -84,11 +84,6 @@ class InterconnectConfig:
         """Whether this configuration builds the synchronous bus."""
         return self.model == "legacy"
 
-    @property
-    def is_default(self) -> bool:
-        """Whether this is the byte-identical default configuration."""
-        return self == DEFAULT_INTERCONNECT
-
     def spec(self) -> str:
         """The canonical spec string (``parse`` round-trips it)."""
         if self.is_legacy:

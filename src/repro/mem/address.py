@@ -148,8 +148,3 @@ def line_index_bits(num_sets: int) -> int:
             f"number of cache sets must be a positive power of two, got {num_sets}"
         )
     return num_sets.bit_length() - 1
-
-
-def set_index_of_line(line_address: int, num_sets: int) -> int:
-    """Cache set index of a line address (low-order line-address bits)."""
-    return line_address & (num_sets - 1)

@@ -14,7 +14,7 @@ actually touched.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 from repro.mem.address import words_of_line
 
@@ -44,17 +44,6 @@ class WordMemory:
         """Return the 16 word values of a line, in address order."""
         get = self._words.get
         return tuple([get(w, 0) for w in words_of_line(line_address)])
-
-    def store_line(self, line_address: int, values: Iterable[int]) -> None:
-        """Write all 16 words of a line, in address order."""
-        values = tuple(values)
-        words = words_of_line(line_address)
-        if len(values) != len(words):
-            raise ValueError(
-                f"line store needs {len(words)} words, got {len(values)}"
-            )
-        for word_address, value in zip(words, values):
-            self.store(word_address, value)
 
     def snapshot(self) -> Dict[int, int]:
         """Return a copy of the touched-word map (for state comparison)."""

@@ -19,7 +19,7 @@ Design constraints, in order:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, Optional
 
 
 class Counter:
@@ -182,11 +182,3 @@ def merge_snapshots(snapshots: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
         },
         "timers": {name: timers[name] for name in sorted(timers)},
     }
-
-
-def snapshot_names(snapshot: Dict[str, Any]) -> List[str]:
-    """Every instrument name in a snapshot (test/report helper)."""
-    names: List[str] = []
-    for group in ("counters", "histograms", "timers"):
-        names.extend(snapshot.get(group, {}))
-    return sorted(names)

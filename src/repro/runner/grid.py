@@ -31,7 +31,7 @@ from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
 )
 
-from repro.errors import ConfigurationError, SimulationError, TraceError
+from repro.errors import ConfigurationError, SimulationError
 from repro.runner.cache import ResultCache
 from repro.runner.serialize import (
     canonical_json,
@@ -363,10 +363,9 @@ class GridRunner:
         Each point that is not in the cache runs once and is cached as
         soon as it finishes.  The first point to raise stops the run: no
         point that is not yet running or handed to a pool worker starts,
-        a :class:`~repro.errors.ConfigurationError` or
-        :class:`~repro.errors.TraceError` reaches the caller as itself,
-        and any other error becomes a :class:`GridExecutionError` that
-        names the point's key, chained to the cause.
+        a :class:`~repro.errors.ConfigurationError` reaches the caller as
+        itself, and any other error becomes a :class:`GridExecutionError`
+        that names the point's key, chained to the cause.
         """
         ordered = sorted(set(points), key=lambda point: point.key)
         if len(ordered) != len({point.key for point in ordered}):
@@ -389,7 +388,7 @@ class GridRunner:
             for point, outcome in finished:
                 try:
                     entry = outcome()
-                except (ConfigurationError, TraceError):
+                except ConfigurationError:
                     raise
                 except Exception as error:
                     raise GridExecutionError(

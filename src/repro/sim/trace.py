@@ -154,14 +154,6 @@ class ThreadTrace:
             )
         return max_depth
 
-    def memory_event_count(self) -> int:
-        """Number of loads plus stores."""
-        return sum(
-            1
-            for event in self.events
-            if event.kind in (EventKind.LOAD, EventKind.STORE)
-        )
-
     def transaction_count(self) -> int:
         """Number of top-level transactions."""
         depth = 0

@@ -15,7 +15,7 @@ unity:
 * :mod:`repro.spec.system` — :class:`SpecSystemCore`, the bus wiring,
   metrics, and trace-event plumbing the substrate simulators share;
 * :mod:`repro.spec.config` — :class:`RunConfig`, the one definition of
-  the run options (bus, signature backend, trace replay) every layer
+  the run options (bus, signature backend) every layer
   threads from the CLI to the systems.
 
 See ``docs/ARCHITECTURE.md`` for the hook lifecycle and the recipe for

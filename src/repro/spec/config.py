@@ -20,10 +20,10 @@ Two encoding rules live here and nowhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.core.backend import DEFAULT_BACKEND_NAME, backend_names
-from repro.errors import ConfigurationError, UnknownBackendError
+from repro.errors import UnknownBackendError
 from repro.interconnect.config import InterconnectConfig
 
 
@@ -41,11 +41,6 @@ class RunConfig:
     #: Signature storage backend, by :func:`repro.core.backend.backend_names`
     #: name.
     sig_backend: str = DEFAULT_BACKEND_NAME
-    #: Stored trace id to replay instead of generating the workload.
-    trace: Optional[str] = None
-    #: The store holding ``trace``: a :class:`~repro.trace.TraceStore`
-    #: or its directory.
-    trace_store: Any = None
 
     def __post_init__(self) -> None:
         for option in fields(self):
@@ -56,15 +51,6 @@ class RunConfig:
         )
         if self.sig_backend not in backend_names():
             raise UnknownBackendError(self.sig_backend, known=backend_names())
-        if (self.trace is None) != (self.trace_store is None):
-            missing = (
-                "trace_store (--trace-store)" if self.trace_store is None
-                else "trace (--trace-id)"
-            )
-            raise ConfigurationError(
-                f"trace replay needs both a trace id and its store; "
-                f"missing {missing}"
-            )
 
     def knobs(self) -> Dict[str, Any]:
         """The non-default fields by name — the grid knobs and driver

@@ -9,11 +9,9 @@ from repro.errors import ConfigurationError
 class TestTable5Geometries:
     def test_tls_l1_has_64_sets(self):
         assert TLS_L1_GEOMETRY.num_sets == 64
-        assert TLS_L1_GEOMETRY.index_bits == 6
 
     def test_tm_l1_has_128_sets(self):
         assert TM_L1_GEOMETRY.num_sets == 128
-        assert TM_L1_GEOMETRY.index_bits == 7
 
 
 class TestValidation:

@@ -55,4 +55,4 @@ class TestCommitArbitration:
         bus.acquire_commit(50, 0)
         bus.reset()
         assert bus.bandwidth.total_bytes == 0
-        assert bus.free_at == 0
+        assert bus.acquire_commit(0, 0) == bus.commit_occupancy_cycles

@@ -76,12 +76,6 @@ class TestContexts:
         bdm.release_context(context)
         assert bdm.allocate_context(2) is not None
 
-    def test_context_of_finds_by_owner(self):
-        bdm = make_bdm()
-        context = bdm.allocate_context(owner=42)
-        assert bdm.context_of(42) is context
-        assert bdm.context_of(99) is None
-
     def test_running_context_records_accesses(self):
         bdm = make_bdm()
         context = bdm.allocate_context(1)
@@ -241,8 +235,12 @@ class TestBulkInvalidation:
         # Construct an alias of line 0x99: same low 20 permuted bits
         # (both chunks), different high bits — guaranteed to pass the
         # membership test without having been inserted.
-        permuted = config.permutation.apply(0x99)
-        alias = config.permutation.inverse().apply(permuted | (1 << 21))
+        permutation = config.permutation
+        inverse = BitPermutation(
+            permutation.width,
+            [permutation.destination_of(b) for b in range(permutation.width)],
+        )
+        alias = inverse.apply(permutation.apply(0x99) | (1 << 21))
         assert alias != 0x99 and alias in committed
         cache.fill(alias, LINE, dirty=False)
         bdm.commit_invalidate(cache, committed, exact_written_lines={0x99})

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.signature import Signature, signature_of
+from repro.core.signature import Signature
 from repro.core.signature_config import (
     SignatureConfig,
     default_tls_config,
@@ -69,12 +69,6 @@ class TestBasics:
         duplicate = signature.copy()
         duplicate.add(99)
         assert signature != duplicate
-
-    def test_signature_of_converts_byte_addresses(self, tm_config):
-        signature = signature_of(tm_config, [0x1000, 0x1004])
-        # Both bytes are in line 0x40.
-        assert 0x40 in signature
-        assert signature.popcount() == len(tm_config.layout.chunk_sizes)
 
 
 class TestNoFalseNegatives:

@@ -12,13 +12,11 @@ from repro.interconnect import (
 class TestDefaults:
     def test_default_is_legacy_and_default(self):
         assert DEFAULT_INTERCONNECT.is_legacy
-        assert DEFAULT_INTERCONNECT.is_default
         assert DEFAULT_INTERCONNECT.spec() == "legacy"
 
     def test_timed_is_not_default_even_at_zero_latency(self):
         config = InterconnectConfig(model="timed")
         assert not config.is_legacy
-        assert not config.is_default
 
     def test_config_is_hashable(self):
         # Grid-point knobs and frozen params dataclasses require it.

@@ -14,7 +14,6 @@ from repro.mem.address import (
     byte_to_word,
     line_index_bits,
     line_to_byte,
-    set_index_of_line,
     word_offset_in_line,
     word_to_byte,
     word_to_line,
@@ -106,7 +105,3 @@ class TestSetIndex:
     def test_line_index_bits_rejects_zero(self):
         with pytest.raises(ConfigurationError):
             line_index_bits(0)
-
-    @given(st.integers(min_value=0, max_value=(1 << 26) - 1))
-    def test_set_index_in_range(self, line_address):
-        assert 0 <= set_index_of_line(line_address, 128) < 128

@@ -23,7 +23,8 @@ class TestWordMemory:
     def test_line_round_trip(self):
         memory = WordMemory()
         values = tuple(range(100, 116))
-        memory.store_line(5, values)
+        for word_address, value in zip(range(80, 96), values):
+            memory.store(word_address, value)
         assert memory.load_line(5) == values
 
     def test_load_line_of_untouched_region_is_zero(self):

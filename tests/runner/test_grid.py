@@ -7,7 +7,7 @@ import pytest
 
 import repro.runner.grid as grid_module
 from repro.analysis.experiments import run_tls_comparison, run_tm_comparison
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TraceError
 from repro.runner import (
     GridExecutionError,
     GridRunner,
@@ -198,14 +198,15 @@ class TestOneAttemptPerPoint:
     """A point is a pure function of its parameters: it runs once, and
     the first point to raise stops the run."""
 
+    @pytest.mark.parametrize("error", [RuntimeError, TraceError])
     def test_a_raising_point_runs_once_and_no_later_point_starts(
-        self, monkeypatch
+        self, monkeypatch, error
     ):
         calls = []
 
         def broken(payload):
             calls.append(payload["app"])
-            raise RuntimeError("always broken")
+            raise error("always broken")
 
         monkeypatch.setattr(grid_module, "_execute_point", broken)
         first = tm_point("cb", txns_per_thread=2)
@@ -213,7 +214,7 @@ class TestOneAttemptPerPoint:
             GridRunner(jobs=1).run([tm_point("mc", txns_per_thread=2), first])
         assert calls == ["cb"]
         assert first.key in str(excinfo.value)
-        assert isinstance(excinfo.value.__cause__, RuntimeError)
+        assert isinstance(excinfo.value.__cause__, error)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_a_point_s_own_configuration_error_reaches_the_caller(self, jobs):

@@ -14,7 +14,6 @@ from repro.sim.trace import (
     tx_begin,
     tx_end,
 )
-from repro.trace.records import decode_event, encode_event
 
 
 class TestEvents:
@@ -55,16 +54,6 @@ class TestEvents:
         assert tx_begin() is tx_begin()
         assert tx_end() is tx_end()
 
-    @pytest.mark.parametrize(
-        "event",
-        [load(64), store(8, 99), compute(7), tx_begin(), tx_end()],
-        ids=lambda event: event.kind.value,
-    )
-    def test_record_round_trip_keeps_equality_and_hash(self, event):
-        decoded = decode_event(encode_event(event))
-        assert decoded == event
-        assert hash(decoded) == hash(event)
-
 
 class TestThreadTrace:
     def test_balanced_transactions_accepted(self):
@@ -86,10 +75,6 @@ class TestThreadTrace:
              tx_begin(), tx_end()],
         )
         assert trace.transaction_count() == 2
-
-    def test_memory_event_count(self):
-        trace = ThreadTrace(0, [load(0), store(4, 1), compute(5)])
-        assert trace.memory_event_count() == 2
 
     @pytest.mark.parametrize(
         "events, depth",

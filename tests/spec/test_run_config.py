@@ -22,8 +22,6 @@ from repro.errors import ConfigurationError, UnknownBackendError
 from repro.runner import tm_point
 from repro.spec import RunConfig
 
-TRACE_ID = "f" * 64
-
 #: field -> (default, non-default options, the knobs they become)
 ROWS = {
     "bus": (
@@ -32,16 +30,6 @@ ROWS = {
         {"bus": "timed:latency=2,policy=fifo,window=0"},
     ),
     "sig_backend": ("packed", {"sig_backend": "pure"}, {"sig_backend": "pure"}),
-    "trace": (
-        None,
-        {"trace": TRACE_ID, "trace_store": "store"},
-        {"trace": TRACE_ID, "trace_store": "store"},
-    ),
-    "trace_store": (
-        None,
-        {"trace_store": "store", "trace": TRACE_ID},
-        {"trace": TRACE_ID, "trace_store": "store"},
-    ),
 }
 
 #: field -> (invalid options, typed error, the same value as CLI flags)
@@ -50,10 +38,6 @@ INVALID = {
             ["--bus", "timed:latency=-3"]),
     "sig_backend": ({"sig_backend": "cuda"}, UnknownBackendError,
                     ["--sig-backend", "cuda"]),
-    "trace": ({"trace": TRACE_ID}, ConfigurationError,
-              ["--trace-id", TRACE_ID]),
-    "trace_store": ({"trace_store": "store"}, ConfigurationError,
-                    ["--trace-store", "store"]),
 }
 
 

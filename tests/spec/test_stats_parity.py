@@ -92,7 +92,6 @@ class TestGoldenParity:
     def test_substrate_aliases_match_the_shared_body(self):
         assert GOLDEN_TM.safe_writebacks_per_txn == 0.375
         assert GOLDEN_TLS.safe_writebacks_per_task == 0.375
-        assert GOLDEN_CHECKPOINT.safe_writebacks_per_checkpoint == 0.375
         assert (
             GOLDEN_CHECKPOINT.false_rollback_invalidations
             == GOLDEN_CHECKPOINT.false_commit_invalidations

@@ -11,15 +11,10 @@ from repro.cli import main
         (["tm", "cb", "--bus", "timed:latency=-3"], "latency"),
         (["tm", "cb", "--bus", "timed:latency=1,latency=2"],
          "repeated bus option 'latency'"),
-        (["tm", "cb", "--trace-store", "{store}", "--trace-id", "abc"],
-         "abc"),
     ],
-    ids=["bus-latency", "bus-repeated-option", "trace-id"],
+    ids=["bus-latency", "bus-repeated-option"],
 )
-def test_typed_input_errors_exit_2_without_a_traceback(
-    tmp_path, capsys, argv, message
-):
-    argv = [arg.format(store=tmp_path / "store") for arg in argv]
+def test_typed_input_errors_exit_2_without_a_traceback(capsys, argv, message):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
@@ -30,13 +25,11 @@ def test_typed_input_errors_exit_2_without_a_traceback(
 @pytest.mark.parametrize(
     "argv",
     [
-        ["checkpoint", "predictor", "--cache-dir", "{out}", "--trace-id", "x"],
         ["checkpoint", "predictor", "--cache-dir", "{out}",
          "--bus", "timed:latency=-3"],
         ["reproduce", "--out", "{out}", "--bus", "timed:latency=-3"],
     ],
-    ids=["checkpoint-lone-trace-id", "checkpoint-bad-bus",
-         "reproduce-bad-bus"],
+    ids=["checkpoint-bad-bus", "reproduce-bad-bus"],
 )
 def test_rejected_grid_command_creates_no_directory(tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -78,14 +71,6 @@ _TINY_REPRODUCE = ["--tm-txns", "1", "--tls-tasks", "4", "--samples", "2",
         (["checkpoint", "predictor", "--epochs", "2", "--max-depth", "1",
           "--jobs", "1", "--trace-out", "{missing}/t.jsonl"], "--trace-out"),
         (["checkpoint", "predictor", "--cache-dir", "{file}"], "--cache-dir"),
-        (["tm", "cb", "--trace-store", "{file}", "--trace-id", "abc"],
-         "--trace-store"),
-        (["trace", "list", "--store", "{file}"], "--store"),
-        (["trace", "info", "abc", "--store", "{file}"], "--store"),
-        (["trace", "ingest", "tls", "gzip", "--tasks", "2",
-          "--store", "{file}/store"], "--store"),
-        (["trace", "import", "{file}", "--kind", "tm", "--store", "{file}"],
-         "--store"),
     ],
     ids=["reproduce-out-under-a-file", "reproduce-out-is-a-file",
          "reproduce-cache-dir-is-a-file", "reproduce-metrics-out",
@@ -93,9 +78,7 @@ _TINY_REPRODUCE = ["--tm-txns", "1", "--tls-tasks", "4", "--samples", "2",
          "tm-metrics-out", "tm-trace-out", "tm-metrics-out-is-a-directory",
          "tls-metrics-out", "tls-trace-out-under-a-file",
          "checkpoint-metrics-out", "checkpoint-trace-out",
-         "checkpoint-cache-dir-is-a-file", "tm-trace-store-is-a-file",
-         "trace-list-store", "trace-info-store", "trace-ingest-store",
-         "trace-import-store"],
+         "checkpoint-cache-dir-is-a-file"],
 )
 def test_unwritable_output_path_exits_2_before_anything_runs(
     tmp_path, capfd, argv, flag
@@ -120,7 +103,7 @@ def test_unwritable_output_path_exits_2_before_anything_runs(
     assert sorted(tmp_path.rglob("*")) == before
 
 
-@pytest.mark.parametrize("command", ["serve", "submit", "jobs"])
+@pytest.mark.parametrize("command", ["serve", "submit", "jobs", "trace"])
 def test_removed_service_commands_are_invalid_choices(capsys, command):
     with pytest.raises(SystemExit) as excinfo:
         main([command])
@@ -184,19 +167,3 @@ def test_workload_size_flags_reject_out_of_range_values(
     assert message in err
     assert "Traceback" not in err
     assert not out.exists()
-
-
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_checkpoint_replay_of_an_unknown_trace_exits_2(tmp_path, capfd, jobs):
-    """The checkpoint sweep runs its points through the grid runner,
-    in-process or in pool workers; the point's own TraceError must still
-    reach the user as one ``error:`` line."""
-    store = tmp_path / "store"
-    store.mkdir()
-    assert main([
-        "checkpoint", "predictor", "--max-depth", "2", "--jobs", jobs,
-        "--trace-store", str(store), "--trace-id", "deadbeef",
-    ]) == 2
-    lines = capfd.readouterr().err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("error: trace 'deadbeef' is not in the store")

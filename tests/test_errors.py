@@ -9,7 +9,6 @@ from repro.errors import (
     ConfigurationError,
     DeltaInexactError,
     OverflowAreaError,
-    ProtocolError,
     SetRestrictionError,
     SimulationError,
     TraceError,
@@ -21,7 +20,6 @@ ALL_ERRORS = [
     ConfigurationError,
     DeltaInexactError,
     OverflowAreaError,
-    ProtocolError,
     SetRestrictionError,
     SimulationError,
     TraceError,
