@@ -89,17 +89,6 @@ class Cache:
         self.stats.fills += 1
         return victim
 
-    def victim_if_full(self, line_address: int) -> Optional[CacheLine]:
-        """Peek at the line that :meth:`fill` would evict, without evicting.
-
-        The BDM uses this to apply the Set Restriction *before* a fill
-        happens (e.g. to write back a non-speculative dirty victim).
-        """
-        cache_set = self._sets[line_address & self._set_mask]
-        if line_address in cache_set or len(cache_set) < self._associativity:
-            return None
-        return next(iter(cache_set.values()))
-
     def invalidate(self, line_address: int) -> Optional[CacheLine]:
         """Remove a line, returning it (or ``None`` if absent)."""
         cache_set = self._sets[line_address & self._set_mask]
@@ -141,16 +130,6 @@ class Cache:
     def valid_line_count(self) -> int:
         """Number of valid lines currently cached."""
         return sum(len(cache_set) for cache_set in self._sets)
-
-    def flush_all(self) -> List[CacheLine]:
-        """Drop every line, returning the dirty ones (for writeback)."""
-        dirty: List[CacheLine] = []
-        for cache_set in self._sets:
-            for line in cache_set.values():
-                if line.dirty:
-                    dirty.append(line)
-            cache_set.clear()
-        return dirty
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -23,7 +23,6 @@ Three address spaces appear throughout the code base:
 from __future__ import annotations
 
 import enum
-from typing import Iterator
 
 from repro.errors import ConfigurationError
 
@@ -84,15 +83,6 @@ class Granularity(enum.Enum):
         if self is Granularity.LINE:
             return address
         return word_to_line(address)
-
-    def addresses_of_line(self, line_address: int) -> Iterator[int]:
-        """Yield every address at this granularity contained in a line."""
-        if self is Granularity.LINE:
-            yield line_address
-        else:
-            base = line_address << WORD_TO_LINE_SHIFT
-            for offset in range(WORDS_PER_LINE):
-                yield base + offset
 
 
 def byte_to_word(byte_address: int) -> int:

@@ -62,19 +62,6 @@ class TestFillAndLookup:
         victim = cache.fill(8, LINE)
         assert victim is not None and victim.line_address == 4
 
-    def test_victim_if_full_peeks_without_evicting(self):
-        cache = tiny_cache()
-        cache.fill(0, LINE)
-        cache.fill(4, LINE)
-        victim = cache.victim_if_full(8)
-        assert victim is not None and victim.line_address == 0
-        assert cache.lookup(0, touch=False) is not None
-
-    def test_victim_if_full_none_when_space(self):
-        cache = tiny_cache()
-        cache.fill(0, LINE)
-        assert cache.victim_if_full(4) is None
-
     def test_dirty_eviction_counted(self):
         cache = tiny_cache()
         cache.fill(0, LINE, dirty=True)
@@ -124,14 +111,6 @@ class TestIteration:
         cache.fill(4, LINE, dirty=False)
         dirty = cache.dirty_lines_in_set(0)
         assert [line.line_address for line in dirty] == [0]
-
-    def test_flush_all_returns_dirty(self):
-        cache = tiny_cache()
-        cache.fill(0, LINE, dirty=True)
-        cache.fill(1, LINE)
-        dirty = cache.flush_all()
-        assert [line.line_address for line in dirty] == [0]
-        assert cache.valid_line_count() == 0
 
 
 class TestCapacity:

@@ -12,6 +12,7 @@ import warnings
 
 import pytest
 
+from repro.cli import main
 from repro.core.backend import (
     DEFAULT_BACKEND_NAME,
     SignatureBackend,
@@ -207,6 +208,13 @@ def test_degraded_run_warns_once_through_its_tracer(
     assert caught == []
 
 
+def _tm_stdout(sig_backend, capsys):
+    """The stdout of a small ``tm`` run, which must exit 0."""
+    capsys.readouterr()
+    assert main(["tm", "mc", "--txns", "2", "--sig-backend", sig_backend]) == 0
+    return capsys.readouterr().out
+
+
 class TestNumpyUnavailable:
     """``--sig-backend numpy`` degrades on a numpy-less host."""
 
@@ -228,3 +236,26 @@ class TestNumpyUnavailable:
         baseline = run_tm_comparison("mc", txns_per_thread=2, seed=3)
         assert degraded.cycles == baseline.cycles
 
+    def test_degraded_cli_run_prints_the_packed_results(
+        self, broken_backend, capsys
+    ):
+        """``tm --sig-backend numpy`` without numpy exits 0 after one
+        fallback warning and prints the packed run's table."""
+        packed = _tm_stdout("packed", capsys)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            degraded = _tm_stdout(broken_backend, capsys)
+        fallbacks = [
+            w for w in caught
+            if issubclass(w.category, RuntimeWarning)
+            and "falling back to 'packed'" in str(w.message)
+        ]
+        assert len(fallbacks) == 1
+        assert degraded == packed
+
+    @pytest.mark.skipif(
+        resolve_backend("numpy").name != "numpy",
+        reason="numpy backend unavailable",
+    )
+    def test_numpy_cli_run_prints_the_packed_results(self, capsys):
+        assert _tm_stdout("numpy", capsys) == _tm_stdout("packed", capsys)

@@ -2,18 +2,20 @@
 
 The conformance battery (test_backend_conformance.py) proves the codec
 kernels are bit-exact; this file pins the *accounting* contract of
-:mod:`repro.core.backend.codec` that the CI jobs lean on:
+:mod:`repro.core.backend.codec`:
 
 * counters move only when a result is actually computed — memo hits
   (the decode memo, the RLE cache) touch neither counter;
 * dispatch follows the signature's backend: scalar backends count
-  ``fallback``, a codec-bearing backend counts the vectorised paths;
+  ``fallback``, a codec-bearing backend counts the vectorised paths,
+  and a whole run on the default backend fires no vectorised lane;
 * the expansion batch threshold routes small batches to the scalar
   path, bit-identically.
 """
 
 import pytest
 
+from repro.analysis.experiments import run_tm_comparison
 from repro.cache.cache import Cache
 from repro.cache.geometry import TM_L1_GEOMETRY
 from repro.core.backend import resolve_backend
@@ -66,6 +68,17 @@ def test_note_codec_and_stats_roundtrip():
     assert stats["rle_vectorised"] == 0
     reset_codec_stats()
     assert all(count == 0 for count in codec_stats().values())
+
+
+def test_default_backend_run_computes_only_on_the_scalar_path():
+    """A whole TM comparison on the default backend, which ships no
+    codec, serves every decode, RLE and expansion compute from the
+    scalar reference, whether or not numpy is installed."""
+    run_tm_comparison("mc", txns_per_thread=3, seed=5)
+    stats = codec_stats()
+    assert stats["fallback"] > 0
+    assert {path: count for path, count in stats.items()
+            if path != "fallback" and count} == {}
 
 
 def test_scalar_backend_decode_counts_fallback(config):

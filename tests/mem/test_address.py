@@ -85,13 +85,6 @@ class TestGranularity:
     def test_line_of_line_granularity_is_identity(self):
         assert Granularity.LINE.line_of(0x41) == 0x41
 
-    def test_addresses_of_line_word(self):
-        addresses_in_line = list(Granularity.WORD.addresses_of_line(2))
-        assert addresses_in_line == list(range(32, 48))
-
-    def test_addresses_of_line_line(self):
-        assert list(Granularity.LINE.addresses_of_line(7)) == [7]
-
 
 class TestSetIndex:
     def test_line_index_bits(self):

@@ -58,24 +58,31 @@ def test_checkpoint_observability_artifacts(tmp_path, capsys):
     assert payload["merged"]["counters"]["checkpoint.rollbacks"] > 0
 
 
-def test_checkpoint_worker_count_does_not_change_artifacts(tmp_path, capsys):
+@pytest.mark.parametrize("app", ["predictor", "hotset"])
+def test_checkpoint_worker_count_does_not_change_artifacts(
+    app, tmp_path, capsys, monkeypatch
+):
+    # Each run works in its own directory with the same relative paths,
+    # so stdout (which echoes the output paths) stays comparable.
     outputs = {}
     for jobs in ("1", "2"):
         run_dir = tmp_path / f"jobs{jobs}"
         run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
         code = main([
-            "checkpoint", "hotset", "--epochs", "16", "--max-depth", "2",
+            "checkpoint", app, "--epochs", "16", "--max-depth", "2",
             "--jobs", jobs,
-            "--trace-out", str(run_dir / "trace.jsonl"),
-            "--metrics-out", str(run_dir / "metrics.json"),
+            "--trace-out", "trace.jsonl", "--metrics-out", "metrics.json",
         ])
         assert code == 0
-        capsys.readouterr()
         outputs[jobs] = (
+            capsys.readouterr().out,
             (run_dir / "trace.jsonl").read_bytes(),
             (run_dir / "metrics.json").read_bytes(),
         )
     assert outputs["1"] == outputs["2"]
+    stdout = outputs["1"][0]
+    assert "OK" in stdout and "MISMATCH" not in stdout
 
 
 def test_checkpoint_reuses_the_grid_cache(tmp_path, capsys):

@@ -101,7 +101,7 @@ def test_reproduce_observability_leaves_results_unchanged(tmp_path):
     plain_out = tmp_path / "plain"
     obs_out = tmp_path / "obs"
     base = ["--tm-txns", "2", "--tls-tasks", "12", "--samples", "10",
-            "--seed", "5", "--no-cache"]
+            "--seed", "5", "--jobs", "2", "--no-cache"]
     assert main(["reproduce", "--out", str(plain_out)] + base) == 0
     assert main([
         "reproduce", "--out", str(obs_out),
@@ -112,3 +112,7 @@ def test_reproduce_observability_leaves_results_unchanged(tmp_path):
         plain = (plain_out / name).read_bytes()
         traced = (obs_out / name).read_bytes()
         assert plain == traced, f"{name} diverged under tracing"
+    reconciliation = (obs_out / "reconciliation.txt").read_text(
+        encoding="utf-8"
+    )
+    assert "OK" in reconciliation and "MISMATCH" not in reconciliation
