@@ -22,7 +22,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from repro.core.permutation import BitPermutation
 from repro.core.rle import rle_encode_scalar
 from repro.core.signature import Signature
-from repro.core.signature_config import SignatureConfig
+from repro.core.signature_config import TABLE8_CONFIGS, SignatureConfig
 from repro.errors import ConfigurationError
 from repro.sim.rng import SubstreamRng
 from repro.tm.lazy import LazyScheme
@@ -33,6 +33,9 @@ from repro.tm.system import (
     _SamplingTmSystem,
 )
 from repro.workloads.kernels import TM_KERNELS, build_tm_workload
+
+#: The signature catalogues a study can sweep, by name.
+_CATALOGUES: Dict[str, Dict[str, SignatureConfig]] = {"table8": TABLE8_CONFIGS}
 
 
 def collect_tm_samples(
@@ -231,3 +234,43 @@ def sweep_signature_configs(
             )
         )
     return rows
+
+
+@dataclass(frozen=True)
+class AccuracyStudy:
+    """Figure 15 / Table 8: how many samples were scored, and one row
+    per configuration in sweep order."""
+
+    samples: int
+    rows: Tuple[AccuracyRow, ...]
+
+
+def run_accuracy_study(
+    app: str = "table8",
+    seed: int = 7,
+    txns_per_thread: int = 10,
+    max_samples_per_app: int = 1500,
+    permutations_per_config: int = 4,
+) -> AccuracyStudy:
+    """The whole Section 7.5 study: collect the samples of every TM
+    application, then sweep the catalogue named ``app`` over them.
+
+    ``seed``, ``txns_per_thread`` and ``max_samples_per_app`` go to
+    :func:`collect_tm_samples`; the permutation sweep keeps its own
+    default seed.  An unknown catalogue raises ``ConfigurationError``.
+    """
+    if app not in _CATALOGUES:
+        raise ConfigurationError(
+            f"unknown signature catalogue {app!r}; "
+            f"choose from {', '.join(sorted(_CATALOGUES))}"
+        )
+    samples = collect_tm_samples(
+        txns_per_thread=txns_per_thread,
+        seed=seed,
+        max_samples_per_app=max_samples_per_app,
+    )
+    rows = sweep_signature_configs(
+        _CATALOGUES[app], samples,
+        permutations_per_config=permutations_per_config,
+    )
+    return AccuracyStudy(len(samples), tuple(rows))

@@ -27,7 +27,7 @@ import pathlib
 import sys
 from typing import Any, List, Optional, Tuple
 
-from repro.analysis.accuracy import collect_tm_samples, sweep_signature_configs
+from repro.analysis.accuracy import run_accuracy_study
 from repro.analysis.experiments import run_tls_comparison, run_tm_comparison
 from repro.analysis.report import (
     bandwidth_reconciliation_rows,
@@ -39,7 +39,6 @@ from repro.analysis.report import (
     render_table,
 )
 from repro.checkpoint.workload import CHECKPOINT_WORKLOADS
-from repro.core.signature_config import TABLE8_CONFIGS
 from repro.errors import ConfigurationError
 from repro.spec import RunConfig, scheme_names
 from repro.workloads.kernels import TM_KERNELS
@@ -414,18 +413,17 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
 
 
 def _cmd_accuracy(args: argparse.Namespace) -> int:
-    samples = collect_tm_samples(
-        txns_per_thread=args.txns,
-        seed=args.seed,
-        max_samples_per_app=args.samples,
-    )
-    print(f"{len(samples)} dependence-free disambiguation samples")
     # Only the nominal false-positive rate is printed, so no permutation
     # is swept.
-    rows = sweep_signature_configs(
-        TABLE8_CONFIGS, samples, permutations_per_config=0
+    study = run_accuracy_study(
+        "table8",
+        seed=args.seed,
+        txns_per_thread=args.txns,
+        max_samples_per_app=args.samples,
+        permutations_per_config=0,
     )
-    series = {row.name: 100.0 * row.fp_nominal for row in rows}
+    print(f"{study.samples} dependence-free disambiguation samples")
+    series = {row.name: 100.0 * row.fp_nominal for row in study.rows}
     print(render_bars(series, title="false positives (%)", unit="%"))
     return 0
 
@@ -447,9 +445,11 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     ``--jobs`` controls the worker count, and finished grid points are
     cached under ``<out>/.cache`` (disable with ``--no-cache``) so an
     interrupted or repeated run only recomputes the grid points that
-    changed.  Figure 15 / Table 8 are not grid points: their sample
-    collection and signature sweep run in this process on every run,
-    whether or not the cache is warm.
+    changed.  Figure 15 / Table 8 are one more grid point, the accuracy
+    study (sample collection, then the signature sweep), which a pool
+    worker computes beside the simulation points.  The runner does not
+    cache it, so every run recomputes it, in this process when it is
+    the only point left to run.
 
     After Table 8 it prints :mod:`repro.analysis.claims`' table of the
     paper's shape claims, measured on these same results.  The block is
@@ -458,7 +458,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     reduced sizings an ordering such as sjbb2k's Lazy-over-Eager
     speedup can flip on noise.
     """
-    from repro.runner import tls_point, tm_point
+    from repro.runner import accuracy_point, tls_point, tm_point
 
     extra_knobs = _run_config(args).knobs()
     bus = extra_knobs.get("bus")
@@ -486,8 +486,16 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         )
         for app in sorted(TM_KERNELS)
     }
+    accuracy = accuracy_point(
+        "table8",
+        seed=args.seed,
+        txns_per_thread=max(4, args.tm_txns // 2),
+        max_samples_per_app=args.samples,
+        permutations_per_config=2,
+    )
     merged = _run_grid(
-        args, cache_dir, list(tls_points.values()) + list(tm_points.values())
+        args, cache_dir,
+        [*tls_points.values(), *tm_points.values(), accuracy],
     )
 
     # Figure 10 / Table 6 --------------------------------------------------
@@ -560,12 +568,8 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     write("table7.csv", render_csv(t7_headers, t7_rows))
 
     # Figure 15 / Table 8 --------------------------------------------------
-    samples = collect_tm_samples(
-        txns_per_thread=max(4, args.tm_txns // 2), seed=args.seed,
-        max_samples_per_app=args.samples,
-    )
-    rows = sweep_signature_configs(TABLE8_CONFIGS, samples,
-                                   permutations_per_config=2)
+    study = merged.comparison(accuracy)
+    rows = study.rows
     f15_headers = ["Config", "Bits", "FPpct", "FPbest", "FPworst"]
     f15_rows = [
         [r.name, r.full_size_bits, 100 * r.fp_nominal, 100 * r.fp_best,
@@ -573,7 +577,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         for r in rows
     ]
     write("fig15.txt", render_table(f15_headers, f15_rows,
-                                    f"Figure 15 ({len(samples)} samples)"))
+                                    f"Figure 15 ({study.samples} samples)"))
     write("fig15.csv", render_csv(f15_headers, f15_rows))
     t8_headers = ["Config", "FullBits", "AvgRLEBits"]
     t8_rows = [[r.name, r.full_size_bits, r.avg_compressed_bits]

@@ -2,11 +2,14 @@
 
 The evaluation's figure and table drivers all reduce to sweeping
 ``run_tm_comparison`` / ``run_tls_comparison`` /
-``run_checkpoint_comparison`` over an (application × seed × knob) grid.
-This package runs such grids across worker processes with deterministic
-merging, one attempt per point, and an on-disk result cache keyed by
-parameters *and* simulator code that stores each point as it finishes —
-see ``docs/RUNNER.md`` for the full contract.
+``run_checkpoint_comparison`` over an (application × seed × knob) grid,
+plus one ``run_accuracy_study`` point for Figure 15 / Table 8 that
+shares the grid's workers.  This package runs such grids across worker
+processes with deterministic merging, one attempt per point, and an
+on-disk result cache keyed by parameters *and* simulator code that
+stores each comparison point as it finishes (the accuracy study is
+recomputed on every run) — see ``docs/RUNNER.md`` for the full
+contract.
 
 >>> from repro.runner import GridRunner, tm_point
 >>> runner = GridRunner(jobs=4)                        # doctest: +SKIP
@@ -23,6 +26,7 @@ from repro.runner.grid import (
     GridPoint,
     GridResult,
     GridRunner,
+    accuracy_point,
     checkpoint_point,
     default_jobs,
     execution_cost,
@@ -43,6 +47,7 @@ __all__ = [
     "GridResult",
     "GridRunner",
     "ResultCache",
+    "accuracy_point",
     "canonical_json",
     "checkpoint_point",
     "code_fingerprint",

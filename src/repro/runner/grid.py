@@ -17,7 +17,8 @@ first point to raise stops the run.  With a cache directory configured
 (:mod:`repro.runner.cache`), each point is persisted as it finishes, and
 re-running a sweep, even one that was interrupted or failed, only
 recomputes points that are missing or whose parameters or simulator code
-changed.
+changed.  The accuracy study is the exception: it is never cached, so
+every run recomputes it.
 """
 
 from __future__ import annotations
@@ -52,19 +53,22 @@ class GridExecutionError(SimulationError):
 class GridPoint:
     """One cell of an experiment grid.
 
-    ``knobs`` are the extra keyword arguments of the underlying
-    comparison driver (``txns_per_thread``, ``num_tasks``,
-    ``include_partial``, …), restricted to JSON-serialisable values so
-    the point can be hashed into a stable cache key.
+    ``knobs`` are the extra keyword arguments of the point's driver
+    (``txns_per_thread``, ``num_tasks``, ``include_partial``, …),
+    restricted to JSON-serialisable values so the point can be hashed
+    into a stable cache key.
     """
 
-    kind: str  # "tm", "tls", or "checkpoint"
+    #: "tm", "tls" or "checkpoint" (a comparison of the schemes), or
+    #: "accuracy" (the Figure 15 / Table 8 study, whose ``app`` names a
+    #: signature catalogue).
+    kind: str
     app: str
     seed: int = 42
     knobs: Knobs = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in ("tm", "tls", "checkpoint"):
+        if self.kind not in ("tm", "tls", "checkpoint", "accuracy"):
             raise ValueError(f"unknown grid point kind {self.kind!r}")
 
     @property
@@ -121,19 +125,31 @@ def checkpoint_point(app: str, seed: int = 42, **knobs: Any) -> GridPoint:
     return _point("checkpoint", app, seed, knobs)
 
 
-#: Relative cost per workload unit of one grid point, by substrate kind.
+def accuracy_point(
+    app: str = "table8", seed: int = 42, **knobs: Any
+) -> GridPoint:
+    """A Figure 15 / Table 8 grid point (knobs go to
+    ``run_accuracy_study``, which takes no run options)."""
+    return GridPoint("accuracy", app, seed, tuple(sorted(knobs.items())))
+
+
+#: Relative cost per workload unit of one grid point, by kind.
 #: TM runs every scheme over ``num_processors`` interleaved trace streams
 #: (and Bulk-Partial on top), TLS runs four schemes over one task list,
 #: and a checkpoint point is a single in-order processor — so at default
 #: workload sizes tm > tls > checkpoint, which is what the submission
-#: order must reflect.
-_KIND_WEIGHT = {"tm": 40.0, "tls": 2.0, "checkpoint": 1.0}
+#: order must reflect.  The accuracy study (seven sampling runs, then
+#: 23 configurations scored over the samples) costs more than the
+#: costliest TM point of ``repro reproduce``, at its default sizing and
+#: at the end-to-end benchmark's, so it enters the pool first.
+_KIND_WEIGHT = {"tm": 40.0, "tls": 2.0, "checkpoint": 1.0, "accuracy": 4.0}
 
 #: The knob that scales each kind's work, with the driver's default.
 _KIND_UNITS = {
     "tm": ("txns_per_thread", 12),
     "tls": ("num_tasks", 160),
     "checkpoint": ("num_epochs", 64),
+    "accuracy": ("max_samples_per_app", 1500),
 }
 
 
@@ -180,6 +196,7 @@ def _execute_point(payload: Dict[str, Any]) -> Dict[str, Any]:
     simulation, so the ``"comparison"`` member is identical to the bare
     result of an uninstrumented run.
     """
+    from repro.analysis.accuracy import run_accuracy_study
     from repro.analysis.experiments import (
         run_checkpoint_comparison,
         run_tls_comparison,
@@ -190,6 +207,7 @@ def _execute_point(payload: Dict[str, Any]) -> Dict[str, Any]:
         "tm": run_tm_comparison,
         "tls": run_tls_comparison,
         "checkpoint": run_checkpoint_comparison,
+        "accuracy": run_accuracy_study,
     }
     knobs = dict(payload["knobs"])
     obs = None
@@ -344,12 +362,24 @@ class GridRunner:
         )
         self.observability = observability
 
+    def _observes(self, point: GridPoint) -> bool:
+        """Whether ``point`` runs instrumented.  The accuracy study never
+        does: the metrics and trace summaries are those of the scheme
+        comparisons, which the instrumented goldens pin point by point."""
+        return self.observability and point.kind != "accuracy"
+
+    def _caches(self, point: GridPoint) -> bool:
+        """Whether ``point`` is read from and stored in the cache.  The
+        accuracy study is recomputed on every run, so a cache directory
+        holds the scheme comparisons only."""
+        return self.cache is not None and point.kind != "accuracy"
+
     def _payload(self, point: GridPoint) -> Dict[str, Any]:
-        """The point's execution/cache payload.  Only observability runs
+        """The point's execution/cache payload.  Only instrumented points
         gain the extra ``"obs"`` member, so plain runs keep their cache
         keys (and cached results) from before instrumentation existed."""
         payload = point.payload()
-        if self.observability:
+        if self._observes(point):
             payload["obs"] = True
         return payload
 
@@ -360,10 +390,11 @@ class GridRunner:
     def run(self, points: Iterable[GridPoint]) -> GridResult:
         """Execute every point and return the deterministic merge.
 
-        Each point that is not in the cache runs once and is cached as
-        soon as it finishes.  The first point to raise stops the run: no
-        point that is not yet running or handed to a pool worker starts,
-        a :class:`~repro.errors.ConfigurationError` reaches the caller as
+        Each point that is not in the cache runs once and, unless it is
+        the accuracy study, is cached as soon as it finishes.  The first
+        point to raise stops the run: no point that is not yet running
+        or handed to a pool worker starts, a
+        :class:`~repro.errors.ConfigurationError` reaches the caller as
         itself, and any other error becomes a :class:`GridExecutionError`
         that names the point's key, chained to the cause.
         """
@@ -398,9 +429,9 @@ class GridRunner:
                 self._cache_store(point, entry)
                 computed[point.key] = entry
 
-        for key in sorted(computed):
-            entry = computed[key]
-            if self.observability:
+        for point in ordered:
+            key, entry = point.key, computed[point.key]
+            if self._observes(point):
                 result.results[key] = entry["comparison"]
                 result.metrics[key] = entry["metrics"]
                 result.traces[key] = entry["trace"]
@@ -477,7 +508,7 @@ class GridRunner:
     # ------------------------------------------------------------------
 
     def _cache_lookup(self, point: GridPoint) -> Optional[Dict[str, Any]]:
-        if self.cache is None:
+        if not self._caches(point):
             return None
         key = self.cache.key_for(self._payload(point))
         entry = self.cache.get(key)
@@ -501,7 +532,7 @@ class GridRunner:
         return True
 
     def _cache_store(self, point: GridPoint, result: Dict[str, Any]) -> None:
-        if self.cache is None:
+        if not self._caches(point):
             return
         payload = self._payload(point)
         self.cache.put(self.cache.key_for(payload), payload, result)

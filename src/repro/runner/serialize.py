@@ -13,9 +13,11 @@ recomputed by the dataclasses' properties after reconstruction.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from dataclasses import fields as dataclass_fields
 from typing import Any, Dict, List
 
+from repro.analysis.accuracy import AccuracyRow, AccuracyStudy
 from repro.analysis.experiments import (
     CheckpointComparison,
     TlsComparison,
@@ -120,7 +122,8 @@ def _samples_from_lists(data: List[List[List[int]]]) -> List[DisambiguationSampl
 # ----------------------------------------------------------------------
 
 def comparison_to_dict(comparison: Any) -> Dict[str, Any]:
-    """Encode a :class:`TmComparison` or :class:`TlsComparison`."""
+    """Encode a :class:`TmComparison`, :class:`TlsComparison`,
+    :class:`CheckpointComparison` or :class:`AccuracyStudy`."""
     if isinstance(comparison, TmComparison):
         return {
             "kind": "tm",
@@ -156,6 +159,12 @@ def comparison_to_dict(comparison: Any) -> Dict[str, Any]:
                 scheme: _stats_to_dict(stats)
                 for scheme, stats in comparison.stats.items()
             },
+        }
+    if isinstance(comparison, AccuracyStudy):
+        return {
+            "kind": "accuracy",
+            "samples": comparison.samples,
+            "rows": [asdict(row) for row in comparison.rows],
         }
     raise TypeError(f"cannot serialise {type(comparison).__name__}")
 
@@ -194,4 +203,9 @@ def comparison_from_dict(data: Dict[str, Any]) -> Any:
             for scheme, stats in data["stats"].items()
         }
         return comparison
+    if kind == "accuracy":
+        return AccuracyStudy(
+            samples=data["samples"],
+            rows=tuple(AccuracyRow(**row) for row in data["rows"]),
+        )
     raise ValueError(f"unknown result kind {kind!r}")
