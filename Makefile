@@ -7,16 +7,10 @@ PYTHON ?= python
 
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test test-output verify bench bench-output examples clean
+.PHONY: install verify bench examples clean
 
 install:
 	$(PYTHON) -m pip install -e .
-
-test:
-	$(PYTHON) -m pytest tests/
-
-test-output:
-	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
 
 # The tier-1 gate: the exact invocation CI and the roadmap specify.
 verify:
@@ -24,9 +18,6 @@ verify:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
-
-bench-output:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
 examples:
 	@for example in examples/*.py; do \

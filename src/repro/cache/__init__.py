@@ -10,13 +10,11 @@ structure the BDM wraps.
 from repro.cache.geometry import CacheGeometry, TLS_L1_GEOMETRY, TM_L1_GEOMETRY
 from repro.cache.line import CacheLine
 from repro.cache.cache import Cache
-from repro.cache.stats import CacheStats
 
 __all__ = [
     "Cache",
     "CacheGeometry",
     "CacheLine",
-    "CacheStats",
     "TLS_L1_GEOMETRY",
     "TM_L1_GEOMETRY",
 ]

@@ -14,18 +14,16 @@ from typing import Iterator, List, Optional, Sequence
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.line import CacheLine
-from repro.cache.stats import CacheStats
 from repro.errors import SimulationError
 
 
 class Cache:
     """A set-associative, write-back, write-allocate cache with LRU."""
 
-    __slots__ = ("geometry", "stats", "_sets", "_set_mask", "_associativity")
+    __slots__ = ("geometry", "_sets", "_set_mask", "_associativity")
 
     def __init__(self, geometry: CacheGeometry) -> None:
         self.geometry = geometry
-        self.stats = CacheStats()
         # The geometry's num_sets/set_index are derived properties (a
         # division per call); lookup runs per memory access, so the
         # power-of-two mask and the associativity are pinned here once.
@@ -82,20 +80,12 @@ class Cache:
         victim: Optional[CacheLine] = None
         if len(cache_set) >= self._associativity:
             _, victim = cache_set.popitem(last=False)
-            self.stats.evictions += 1
-            if victim.dirty:
-                self.stats.dirty_evictions += 1
         cache_set[line_address] = CacheLine(line_address, words, dirty)
-        self.stats.fills += 1
         return victim
 
     def invalidate(self, line_address: int) -> Optional[CacheLine]:
         """Remove a line, returning it (or ``None`` if absent)."""
-        cache_set = self._sets[line_address & self._set_mask]
-        line = cache_set.pop(line_address, None)
-        if line is not None:
-            self.stats.invalidations += 1
-        return line
+        return self._sets[line_address & self._set_mask].pop(line_address, None)
 
     def clean(self, line_address: int) -> None:
         """Clear a line's dirty bit (after a writeback or downgrade)."""

@@ -36,7 +36,7 @@ from repro.core.expansion import expand_signature, line_may_be_in
 from repro.core.wordmask import UpdatedWordBitmaskUnit, merge_line
 from repro.core.rle import rle_decode, rle_encode, rle_size_bits
 from repro.core.disambiguation import DisambiguationResult, disambiguate
-from repro.core.bdm import BulkDisambiguationModule, SetOwner, VersionContext
+from repro.core.bdm import BulkDisambiguationModule, VersionContext
 
 __all__ = [
     "BitPermutation",
@@ -60,6 +60,5 @@ __all__ = [
     "DisambiguationResult",
     "disambiguate",
     "BulkDisambiguationModule",
-    "SetOwner",
     "VersionContext",
 ]

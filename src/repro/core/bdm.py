@@ -22,7 +22,6 @@ invalidation of dirty lines safe.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.cache.cache import Cache
@@ -60,20 +59,6 @@ class SetRestrictionAction(enum.Enum):
     #: merge threads — Section 4.5).  The systems here squash the more
     #: speculative of the two, matching the paper's TLS evaluation.
     CONFLICT = "conflict"
-
-
-@dataclass
-class BdmStats:
-    """Counters a BDM accumulates, feeding Tables 6 and 7."""
-
-    safe_writebacks: int = 0
-    set_restriction_conflicts: int = 0
-    commit_invalidations: int = 0
-    false_commit_invalidations: int = 0
-    merged_lines: int = 0
-    squash_invalidations: int = 0
-    overflow_checks_filtered: int = 0
-    nacked_external_requests: int = 0
 
 
 class VersionContext:
@@ -159,14 +144,6 @@ class VersionContext:
         )
 
 
-class SetOwner(enum.Enum):
-    """Who may own the dirty lines of a cache set right now."""
-
-    NONSPECULATIVE = "nonspeculative"
-    RUNNING = "running"
-    PREEMPTED = "preempted"
-
-
 class BulkDisambiguationModule:
     """Signature file + functional units + Set Restriction logic.
 
@@ -230,7 +207,6 @@ class BulkDisambiguationModule:
             for slot in range(num_contexts)
         ]
         self.running: Optional[VersionContext] = None
-        self.stats = BdmStats()
         self.word_unit: Optional[UpdatedWordBitmaskUnit] = (
             UpdatedWordBitmaskUnit(config)
             if config.granularity is Granularity.WORD
@@ -367,14 +343,8 @@ class BulkDisambiguationModule:
             return SetRestrictionAction.PROCEED
         for context in self.contexts:
             if context.active and context is not running and context.delta_mask & bit:
-                self.stats.set_restriction_conflicts += 1
                 return SetRestrictionAction.CONFLICT
         return SetRestrictionAction.WRITEBACK_NONSPEC
-
-    def note_safe_writeback(self, count: int = 1) -> None:
-        """Record non-speculative dirty lines written back for the
-        restriction (the *Safe WB* metric of Tables 6 and 7)."""
-        self.stats.safe_writebacks += count
 
     def assert_set_restriction(self, cache: Cache) -> None:
         """Validate the invariant over the whole cache (test hook).
@@ -431,7 +401,6 @@ class BulkDisambiguationModule:
                 if cache.contains(line.line_address):
                     cache.invalidate(line.line_address)
                     invalidated += 1
-        self.stats.squash_invalidations += invalidated
         return invalidated
 
     def squash_invalidate_contexts(
@@ -488,7 +457,6 @@ class BulkDisambiguationModule:
                 ):
                     cache.invalidate(line.line_address)
                     invalidated += 1
-        self.stats.squash_invalidations += invalidated
         return invalidated
 
     def commit_invalidate(
@@ -498,7 +466,7 @@ class BulkDisambiguationModule:
         fetch_committed_line: Optional[LineFetcher] = None,
         exact_written_lines: Optional[Set[int]] = None,
         invalidate_nonspec_dirty: bool = False,
-    ) -> Tuple[int, int, int]:
+    ) -> Tuple[int, int, int, int]:
         """Commit-side bulk invalidation: apply an incoming W_C to the cache.
 
         Clean lines passing the membership test are invalidated (possibly
@@ -523,23 +491,26 @@ class BulkDisambiguationModule:
 
         ``exact_written_lines`` is a simulator-only oracle (the committer's
         true write set) used to count false invalidations for Tables 6/7;
-        it does not influence behaviour.
+        it does not influence behaviour.  Without it no invalidation is
+        counted as false.
 
-        Returns ``(invalidated, merged, writeback_invalidated)`` counts.
+        Returns ``(invalidated, false_invalidated, merged,
+        writeback_invalidated)`` counts; the caller charges them to its
+        system's stats.
         """
         invalidated = 0
+        false_invalidated = 0
         merged = 0
         writeback_invalidated = 0
         for set_index, line in matched_lines(committed_write, cache, self.decoder):
             if not line.dirty:
                 cache.invalidate(line.line_address)
                 invalidated += 1
-                self.stats.commit_invalidations += 1
                 if (
                     exact_written_lines is not None
                     and line.line_address not in exact_written_lines
                 ):
-                    self.stats.false_commit_invalidations += 1
+                    false_invalidated += 1
                 continue
             # Dirty line.  If a local speculative context owns this set,
             # the line carries local speculative updates to merge with the
@@ -566,8 +537,7 @@ class BulkDisambiguationModule:
                 merge_line(committed_words, line.snapshot_words(), mask)
             )
             merged += 1
-            self.stats.merged_lines += 1
-        return invalidated, merged, writeback_invalidated
+        return invalidated, false_invalidated, merged, writeback_invalidated
 
     # ------------------------------------------------------------------
     # Overflow screening (Section 6.2.2)
@@ -586,10 +556,7 @@ class BulkDisambiguationModule:
         if not context.overflow:
             return False
         address = self.config.granularity.from_byte(byte_address)
-        if address in context.write_signature:
-            return True
-        self.stats.overflow_checks_filtered += 1
-        return False
+        return address in context.write_signature
 
     def note_speculative_eviction(self, context: VersionContext) -> None:
         """Set the context's Overflow bit (a dirty speculative line left

@@ -17,7 +17,6 @@ from repro.mem.address import (
     byte_to_word,
     line_index_bits,
     line_to_byte,
-    line_of_word,
     word_offset_in_line,
     word_to_byte,
     word_to_line,
@@ -35,7 +34,6 @@ __all__ = [
     "byte_to_word",
     "line_index_bits",
     "line_to_byte",
-    "line_of_word",
     "word_offset_in_line",
     "word_to_byte",
     "word_to_line",

@@ -110,11 +110,6 @@ def word_to_line(word_address: int) -> int:
     return word_address >> WORD_TO_LINE_SHIFT
 
 
-def line_of_word(word_address: int) -> int:
-    """Alias of :func:`word_to_line` (reads better in some call sites)."""
-    return word_to_line(word_address)
-
-
 def word_offset_in_line(word_address: int) -> int:
     """Offset (0..15) of a word within its cache line."""
     return word_address & (WORDS_PER_LINE - 1)

@@ -13,8 +13,9 @@ area is accessed only
   the area entirely), and
 * to deallocate it wholesale when the owning thread squashes or commits.
 
-The :class:`OverflowArea` model counts those accesses so the evaluation can
-reproduce the *Overflow Accesses Bulk/Lazy* column of Table 7.
+The TM system charges those accesses to ``TmStats.overflow_area_accesses``
+(the *Overflow Accesses Bulk/Lazy* column of Table 7); the area itself only
+holds the lines.
 """
 
 from __future__ import annotations
@@ -31,60 +32,38 @@ class OverflowArea:
     mirroring how a hardware scheme would spill ``(tag, data)`` pairs.
     """
 
-    __slots__ = ("owner", "_lines", "accesses", "allocated")
+    __slots__ = ("owner", "_lines", "allocated")
 
     def __init__(self, owner: int) -> None:
         #: Thread id owning this area.
         self.owner = owner
         self._lines: Dict[int, Tuple[int, ...]] = {}
-        #: Number of times the area was read or written (Table 7 metric).
-        self.accesses = 0
         #: Whether the area is live.  Deallocated areas reject operations.
         self.allocated = True
 
     def spill(self, line_address: int, words: Tuple[int, ...]) -> None:
         """Move an evicted dirty speculative line into the area."""
         self._check_live()
-        self.accesses += 1
         self._lines[line_address] = tuple(words)
 
     def lookup(self, line_address: int) -> Optional[Tuple[int, ...]]:
-        """Fetch an overflowed line, if present.  Counts as one access."""
+        """Fetch an overflowed line, if present."""
         self._check_live()
-        self.accesses += 1
         return self._lines.get(line_address)
-
-    def contains(self, line_address: int) -> bool:
-        """Exact presence check.
-
-        This models the XADT-style search a conventional scheme performs;
-        Bulk uses the signature membership test *instead* and only calls
-        :meth:`lookup` when the test passes, which is what makes its
-        overflow-access count a small fraction of Lazy's (Table 7).
-        """
-        self._check_live()
-        self.accesses += 1
-        return line_address in self._lines
 
     def drain(self) -> Dict[int, Tuple[int, ...]]:
         """Remove and return all overflowed lines (used at commit)."""
         self._check_live()
-        if self._lines:
-            self.accesses += 1
         lines, self._lines = self._lines, {}
         return lines
 
     def deallocate(self) -> int:
         """Discard the area's contents (used at squash).
 
-        Returns the number of lines discarded.  Deallocation is counted as
-        a single access if the area held anything — the paper notes a
-        squashed thread "only accesses its overflow area to deallocate it".
+        Returns the number of lines discarded.
         """
         self._check_live()
         discarded = len(self._lines)
-        if discarded:
-            self.accesses += 1
         self._lines.clear()
         self.allocated = False
         return discarded
@@ -106,6 +85,5 @@ class OverflowArea:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"OverflowArea(owner={self.owner}, lines={len(self._lines)}, "
-            f"accesses={self.accesses})"
+            f"OverflowArea(owner={self.owner}, lines={len(self._lines)})"
         )

@@ -244,9 +244,7 @@ class SpecSystemCore:
     # Set Restriction
     # ------------------------------------------------------------------
 
-    def charge_safe_writebacks(
-        self, cache: Any, bdm: Any, set_index: int
-    ) -> int:
+    def charge_safe_writebacks(self, cache: Any, set_index: int) -> int:
         """Write back every non-speculative dirty line in one cache set.
 
         The Set Restriction's WRITEBACK_NONSPEC action (Section 4.3):
@@ -258,7 +256,6 @@ class SpecSystemCore:
         for line in cache.dirty_lines_in_set(set_index):
             self.bus.record(MessageKind.WRITEBACK)
             cache.clean(line.line_address)
-            bdm.note_safe_writeback()
             self.stats.safe_writebacks += 1
             written_back += 1
         return written_back

@@ -183,7 +183,7 @@ class TlsBulkScheme(TlsScheme):
             return None
         if action is SetRestrictionAction.WRITEBACK_NONSPEC:
             set_index = proc.cache.set_index(line_address)
-            system.charge_safe_writebacks(proc.cache, bdm, set_index)
+            system.charge_safe_writebacks(proc.cache, set_index)
             return None
         # Wr-Wr conflict: a preempted (waiting) task owns dirty lines in
         # this set.  The more speculative task — the storer — is squashed
@@ -347,22 +347,21 @@ class TlsBulkScheme(TlsScheme):
         committer_proc = system.processors[committer.proc]
         committer_ctx = self.ctx_of(committer_proc, committer.task_id)
         bdm = self.bdm_of(proc)
-        before_false = bdm.stats.false_commit_invalidations
-        invalidated, merged, writeback_invalidated = bdm.commit_invalidate(
-            proc.cache,
-            committer_ctx.write_signature,
-            fetch_committed_line=system.memory.load_line,
-            exact_written_lines=committer.write_lines(),
-            # Word-granularity TLS needs the writeback-invalidate rule
-            # for non-speculative dirty lines the committer partially
-            # overwrote (see BulkDisambiguationModule.commit_invalidate).
-            invalidate_nonspec_dirty=True,
+        invalidated, false_invalidated, merged, writeback_invalidated = (
+            bdm.commit_invalidate(
+                proc.cache,
+                committer_ctx.write_signature,
+                fetch_committed_line=system.memory.load_line,
+                exact_written_lines=committer.write_lines(),
+                # Word-granularity TLS needs the writeback-invalidate
+                # rule for non-speculative dirty lines the committer
+                # partially overwrote (see
+                # BulkDisambiguationModule.commit_invalidate).
+                invalidate_nonspec_dirty=True,
+            )
         )
         system.stats.commit_invalidations += invalidated
         system.stats.merged_lines += merged
-        false_invalidated = (
-            bdm.stats.false_commit_invalidations - before_false
-        )
         system.stats.false_commit_invalidations += false_invalidated
         for _ in range(writeback_invalidated):
             system.bus.record(MessageKind.WRITEBACK)

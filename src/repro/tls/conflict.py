@@ -2,7 +2,9 @@
 
 Mirrors :mod:`repro.tm.conflict` but for TLS semantics: in-order task
 commit, eager data forwarding, squash propagation to children, Partial
-Overlap, and word-grain disambiguation.
+Overlap, and word-grain disambiguation.  As there, the commit-side cache
+update and the squash cleanup default to the exact schemes' shared
+behaviour, which Bulk overrides.
 """
 
 from __future__ import annotations
@@ -157,7 +159,21 @@ class TlsScheme(SpecScheme):
         proc: "TlsProcessor",
     ) -> None:
         """Invalidate (and, at word grain, merge) the committer's written
-        lines in one processor's cache."""
+        lines in one processor's cache.
+
+        The exact schemes walk the committer's write lines: a clean copy
+        is invalidated, a dirty one holds the receiver's own speculative
+        words and is rebuilt exactly from per-word access bits."""
+        for line_address in committer.write_lines():
+            line = proc.cache.lookup(line_address, touch=False)
+            if line is None:
+                continue
+            if line.dirty:
+                system.rebuild_merged_line(proc, line_address)
+                system.stats.merged_lines += 1
+            else:
+                proc.cache.invalidate(line_address)
+                system.stats.commit_invalidations += 1
 
     # ------------------------------------------------------------------
     # Squash and cleanup
@@ -168,7 +184,10 @@ class TlsScheme(SpecScheme):
     ) -> None:
         """Discard the squashed task's cache footprint: its dirty written
         lines *and* the lines it read (Section 6.3), plus any
-        scheme-private state."""
+        scheme-private state.  The exact schemes invalidate exactly the
+        lines the task wrote or read."""
+        for line_address in state.write_lines() | state.read_lines():
+            proc.cache.invalidate(line_address)
 
     def on_commit_cleanup(
         self, system: "TlsSystem", proc: "TlsProcessor", state: TaskState

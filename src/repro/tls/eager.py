@@ -83,35 +83,7 @@ class TlsEagerScheme(TlsScheme):
     # ------------------------------------------------------------------
 
     def commit_packet(self, system: "TlsSystem", state: TaskState) -> int:
+        """Quiet: remote copies were invalidated store by store, so the
+        commit-side cache update (the base hook) only refreshes copies
+        forwarded *after* the stores."""
         return 0
-
-    def commit_update_cache(
-        self,
-        system: "TlsSystem",
-        committer: TaskState,
-        proc: "TlsProcessor",
-    ) -> None:
-        """Remote copies were already invalidated store by store; only
-        forwarded copies created *after* the stores need refreshing."""
-        for line_address in committer.write_lines():
-            line = proc.cache.lookup(line_address, touch=False)
-            if line is None:
-                continue
-            if line.dirty:
-                # The receiver's own speculative updates to another part
-                # of the line: rebuild exactly (per-word access bits).
-                system.rebuild_merged_line(proc, line_address)
-                system.stats.merged_lines += 1
-            else:
-                proc.cache.invalidate(line_address)
-                system.stats.commit_invalidations += 1
-
-    # ------------------------------------------------------------------
-    # Squash
-    # ------------------------------------------------------------------
-
-    def squash_cleanup(
-        self, system: "TlsSystem", proc: "TlsProcessor", state: TaskState
-    ) -> None:
-        for line_address in state.write_lines() | state.read_lines():
-            proc.cache.invalidate(line_address)

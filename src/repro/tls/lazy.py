@@ -84,31 +84,3 @@ class TlsLazyScheme(TlsScheme):
         receiver: TaskState,
     ) -> bool:
         return bool(self.exact_dependence(committer, receiver))
-
-    def commit_update_cache(
-        self,
-        system: "TlsSystem",
-        committer: TaskState,
-        proc: "TlsProcessor",
-    ) -> None:
-        for line_address in committer.write_lines():
-            line = proc.cache.lookup(line_address, touch=False)
-            if line is None:
-                continue
-            if line.dirty:
-                # Word-grain merge with exact per-word information.
-                system.rebuild_merged_line(proc, line_address)
-                system.stats.merged_lines += 1
-            else:
-                proc.cache.invalidate(line_address)
-                system.stats.commit_invalidations += 1
-
-    # ------------------------------------------------------------------
-    # Squash
-    # ------------------------------------------------------------------
-
-    def squash_cleanup(
-        self, system: "TlsSystem", proc: "TlsProcessor", state: TaskState
-    ) -> None:
-        for line_address in state.write_lines() | state.read_lines():
-            proc.cache.invalidate(line_address)

@@ -82,7 +82,6 @@ class TaskState:
         "finish_clock",
         "blocked_on",
         "respawn_pending",
-        "direct_squashes",
     )
 
     def __init__(self, task: TlsTask) -> None:
@@ -125,7 +124,6 @@ class TaskState:
         #: again — which is also what makes anchoring the shadow write
         #: set at the spawn point sound across restarts.
         self.respawn_pending = False
-        self.direct_squashes = 0
 
     # ------------------------------------------------------------------
 

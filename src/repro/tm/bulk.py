@@ -139,7 +139,7 @@ class BulkScheme(TmScheme):
             # decision pass per store.
             if action is SetRestrictionAction.WRITEBACK_NONSPEC:
                 system.charge_safe_writebacks(
-                    proc.cache, bdm, proc.cache.set_index(line_address)
+                    proc.cache, proc.cache.set_index(line_address)
                 )
             return None
         set_index = proc.cache.set_index(line_address)
@@ -158,14 +158,8 @@ class BulkScheme(TmScheme):
         if bdm.store_set_action(line_address) is (
             SetRestrictionAction.WRITEBACK_NONSPEC
         ):
-            system.charge_safe_writebacks(proc.cache, bdm, set_index)
+            system.charge_safe_writebacks(proc.cache, set_index)
         return None
-
-    @staticmethod
-    def _run_length(proc: TmProcessor) -> int:
-        if proc.txn is None:
-            return 0
-        return proc.cursor - proc.txn.start_cursor
 
     def record_load(
         self, system: "TmSystem", proc: TmProcessor, byte_address: int
@@ -184,7 +178,7 @@ class BulkScheme(TmScheme):
         # register records the access without re-encoding it.
         mask = bdm.record_load(byte_address)
         assert proc.txn is not None
-        section = proc.txn.sections[-1]  # == .current, sans property call
+        section = proc.txn.sections[-1]  # the section being recorded
         if section.read_signature is not None:
             section.read_signature.add_mask(mask)
 
@@ -204,7 +198,7 @@ class BulkScheme(TmScheme):
         mask = config.flat_mask(address)
         bdm.record_store_granule(address, mask)
         assert proc.txn is not None
-        section = proc.txn.sections[-1]  # == .current, sans property call
+        section = proc.txn.sections[-1]  # the section being recorded
         if section.write_signature is not None:
             section.write_signature.add_mask(mask)
 
@@ -306,17 +300,14 @@ class BulkScheme(TmScheme):
         """Bulk invalidation of W_C over the receiver's cache."""
         assert committer.txn is not None
         bdm = self.bdm_of(receiver)
-        before = bdm.stats.false_commit_invalidations
-        invalidated, _, _ = bdm.commit_invalidate(
+        invalidated, false_invalidated, _, _ = bdm.commit_invalidate(
             receiver.cache,
             self._commit_signature(committer),
             fetch_committed_line=None,
             exact_written_lines=committer.txn.all_write_lines(),
         )
         system.stats.commit_invalidations += invalidated
-        system.stats.false_commit_invalidations += (
-            bdm.stats.false_commit_invalidations - before
-        )
+        system.stats.false_commit_invalidations += false_invalidated
         if system.obs_enabled:
             system.note_sig_expansion(
                 "commit-invalidate",
@@ -324,7 +315,7 @@ class BulkScheme(TmScheme):
                 committer=committer.pid,
                 receiver=receiver.pid,
                 invalidated=invalidated,
-                false_invalidated=bdm.stats.false_commit_invalidations - before,
+                false_invalidated=false_invalidated,
             )
 
     def commit_cleanup(self, system: "TmSystem", proc: TmProcessor) -> None:

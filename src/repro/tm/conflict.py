@@ -8,7 +8,10 @@ this interface.
 
 All hook methods receive the system so they can charge bus messages,
 inspect other processors, and request squashes; per-processor scheme
-state lives in :attr:`TmProcessor.scheme_state`.
+state lives in :attr:`TmProcessor.scheme_state`.  Where the two exact
+schemes behave alike (squash cleanup, non-speculative invalidations,
+the overflow walk) the base hook is their shared behaviour, and Bulk
+overrides it.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import abc
 from typing import TYPE_CHECKING, Optional
 
+from repro.mem.address import byte_to_line
 from repro.spec.scheme import SpecScheme
 from repro.tm.processor import TmProcessor
 
@@ -69,6 +73,14 @@ class TmScheme(SpecScheme):
         access proceed.
         """
         return None
+
+    @staticmethod
+    def _run_length(proc: TmProcessor) -> int:
+        """Trace events the processor's transaction has run (0 outside
+        one): who yields when two transactions must not both proceed."""
+        if proc.txn is None:
+            return 0
+        return proc.cursor - proc.txn.start_cursor
 
     def record_load(
         self, system: "TmSystem", proc: TmProcessor, byte_address: int
@@ -134,7 +146,16 @@ class TmScheme(SpecScheme):
         from_section: int,
     ) -> None:
         """Discard speculative cache state for sections >= ``from_section``
-        (``0`` means the whole transaction) and repair scheme state."""
+        (``0`` means the whole transaction) and repair scheme state.
+
+        The exact schemes drop every dirty line the transaction wrote,
+        whatever ``from_section`` is."""
+        assert proc.txn is not None
+        cache = proc.cache
+        for line_address in proc.txn.all_write_lines():
+            line = cache.lookup(line_address, touch=False)
+            if line is not None and line.dirty:
+                cache.invalidate(line_address)
 
     def commit_cleanup(self, system: "TmSystem", proc: TmProcessor) -> None:
         """Release scheme state after a successful commit."""
@@ -147,8 +168,14 @@ class TmScheme(SpecScheme):
         self, system: "TmSystem", proc: TmProcessor, byte_address: int
     ) -> bool:
         """Whether an incoming non-speculative invalidation for
-        ``byte_address`` must squash ``proc``'s transaction."""
-        return False
+        ``byte_address`` must squash ``proc``'s transaction: exactly when
+        the line is in its read or write set."""
+        assert proc.txn is not None
+        line = byte_to_line(byte_address)
+        return (
+            line in proc.txn.all_read_granules()
+            or line in proc.txn.all_write_granules()
+        )
 
     def miss_checks_overflow(
         self, system: "TmSystem", proc: TmProcessor, byte_address: int
@@ -167,10 +194,17 @@ class TmScheme(SpecScheme):
         """Charge overflow-area traffic incurred by disambiguating a
         commit against a receiver that has spilled lines.
 
-        Conventional schemes must walk the overflowed addresses; Bulk
-        does not ("the overflowed addresses in memory are not accessed
-        when Bulk disambiguates threads").
+        Conventional schemes walk the overflowed addresses (the VTM-style
+        XADT search): one access per overflowed line.  Bulk overrides
+        this with nothing ("the overflowed addresses in memory are not
+        accessed when Bulk disambiguates threads").
         """
+        area = receiver.overflow_area
+        if area is None or not area.allocated:
+            return
+        walked = area.line_count
+        if walked:
+            system.charge_overflow_access(walked)
 
     def on_spec_eviction(self, system: "TmSystem", proc: TmProcessor) -> None:
         """A dirty speculative line left the cache for the overflow area."""

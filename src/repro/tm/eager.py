@@ -124,12 +124,6 @@ class EagerScheme(TmScheme):
             and other.pid < proc.pid
         )
 
-    @staticmethod
-    def _run_length(proc: TmProcessor) -> int:
-        if proc.txn is None:
-            return 0
-        return proc.cursor - proc.txn.start_cursor
-
     def _note_squash(self, aggressor: TmProcessor, victim: TmProcessor) -> None:
         key = (aggressor.pid, victim.pid)
         self._pair_squashes[key] = self._pair_squashes.get(key, 0) + 1
@@ -172,12 +166,7 @@ class EagerScheme(TmScheme):
     def squash_cleanup(
         self, system: "TmSystem", proc: TmProcessor, from_section: int
     ) -> None:
-        # Drop the speculative dirty lines this transaction created.
-        assert proc.txn is not None
-        for line_address in proc.txn.all_write_lines():
-            line = proc.cache.lookup(line_address, touch=False)
-            if line is not None and line.dirty:
-                proc.cache.invalidate(line_address)
+        super().squash_cleanup(system, proc, from_section)
         proc.scheme_state.pop("owned_lines", None)
         # NOTE: the pair-squash counters deliberately survive squashes —
         # they only reset on commit.  Resetting them here would disarm
@@ -187,33 +176,3 @@ class EagerScheme(TmScheme):
     def _reset_pairs_of(self, pid: int) -> None:
         for key in [k for k in self._pair_squashes if pid in k]:
             del self._pair_squashes[key]
-
-    # ------------------------------------------------------------------
-    # Non-speculative invalidations and overflow
-    # ------------------------------------------------------------------
-
-    def nonspec_inval_check(
-        self, system: "TmSystem", proc: TmProcessor, byte_address: int
-    ) -> bool:
-        assert proc.txn is not None
-        line = byte_to_line(byte_address)
-        return (
-            line in proc.txn.all_read_granules()
-            or line in proc.txn.all_write_granules()
-        )
-
-    def overflow_disambiguation_cost(
-        self,
-        system: "TmSystem",
-        committer: TmProcessor,
-        receiver: TmProcessor,
-    ) -> None:
-        """Conventional schemes must consult overflowed addresses when a
-        receiver with spilled state is disambiguated."""
-        if receiver.overflow_area is None or not receiver.overflow_area.allocated:
-            return
-        walked = receiver.overflow_area.line_count
-        if not walked:
-            return
-        receiver.overflow_area.accesses += walked
-        system.charge_overflow_access(walked)

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.coherence.message import MessageKind
-from repro.mem.address import byte_to_line
 from repro.tm.conflict import TmScheme
 from repro.tm.processor import TmProcessor
 
@@ -73,46 +72,3 @@ class LazyScheme(TmScheme):
                 continue
             receiver.cache.invalidate(line_address)
             system.stats.commit_invalidations += 1
-
-    # ------------------------------------------------------------------
-    # Squash
-    # ------------------------------------------------------------------
-
-    def squash_cleanup(
-        self, system: "TmSystem", proc: TmProcessor, from_section: int
-    ) -> None:
-        assert proc.txn is not None
-        for line_address in proc.txn.all_write_lines():
-            line = proc.cache.lookup(line_address, touch=False)
-            if line is not None and line.dirty:
-                proc.cache.invalidate(line_address)
-
-    # ------------------------------------------------------------------
-    # Non-speculative invalidations and overflow
-    # ------------------------------------------------------------------
-
-    def nonspec_inval_check(
-        self, system: "TmSystem", proc: TmProcessor, byte_address: int
-    ) -> bool:
-        assert proc.txn is not None
-        line = byte_to_line(byte_address)
-        return (
-            line in proc.txn.all_read_granules()
-            or line in proc.txn.all_write_granules()
-        )
-
-    def overflow_disambiguation_cost(
-        self,
-        system: "TmSystem",
-        committer: TmProcessor,
-        receiver: TmProcessor,
-    ) -> None:
-        """Walk the receiver's overflowed addresses against the commit —
-        the VTM-style XADT search Bulk avoids entirely."""
-        if receiver.overflow_area is None or not receiver.overflow_area.allocated:
-            return
-        walked = receiver.overflow_area.line_count
-        if not walked:
-            return
-        receiver.overflow_area.accesses += walked
-        system.charge_overflow_access(walked)

@@ -49,9 +49,6 @@ class TmParams:
     begin_overhead_cycles: int = 5
     #: Cycles charged to a squashed thread before it restarts.
     squash_overhead_cycles: int = 30
-    #: Backoff applied when the livelock mitigation stalls a thread and
-    #: the thread it waits for cannot be identified precisely.
-    stall_retry_cycles: int = 50
 
     # -- bus -------------------------------------------------------------
     #: Fixed bus occupancy of a commit slot.

@@ -63,11 +63,6 @@ class TmProcessor:
 
     # ------------------------------------------------------------------
 
-    @property
-    def in_txn(self) -> bool:
-        """Whether the processor is inside a transaction."""
-        return self.txn is not None
-
     def at_end(self) -> bool:
         """Whether the trace is exhausted."""
         return self.cursor >= len(self.trace.events)
@@ -93,7 +88,7 @@ class TmProcessor:
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "txn" if self.in_txn else "non-spec"
+        state = "txn" if self.txn is not None else "non-spec"
         return (
             f"TmProcessor(pid={self.pid}, clock={self.clock}, "
             f"cursor={self.cursor}/{len(self.trace.events)}, {state})"

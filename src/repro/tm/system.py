@@ -32,7 +32,7 @@ from repro.mem.address import LINE_SHIFT, WORD_SHIFT
 from repro.mem.memory import WordMemory
 from repro.obs import Observability
 from repro.sim.engine import MinClockScheduler
-from repro.sim.trace import EventKind, MemEvent, ThreadTrace
+from repro.sim.trace import EventKind, ThreadTrace
 from repro.spec.config import RunConfig
 from repro.spec.system import SpecSystemCore
 from repro.tm.bulk import BulkScheme
@@ -434,15 +434,14 @@ class TmSystem(SpecSystemCore):
         for other in self.processors:
             if other is proc or other.cache is proc.cache:
                 continue
-            # Cache.invalidate inlined (dict pop + counter): this probe
-            # runs once per remote cache per non-speculative store and
-            # almost always comes back empty.
+            # Cache.invalidate inlined (one dict pop): this probe runs
+            # once per remote cache per non-speculative store and almost
+            # always comes back empty.
             remote_cache = other.cache
             popped = remote_cache._sets[
                 line_address & remote_cache._set_mask
             ].pop(line_address, None)
             if popped is not None:
-                remote_cache.stats.invalidations += 1
                 any_copy = True
         if any_copy:
             self.bus.record(

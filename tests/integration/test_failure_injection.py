@@ -42,7 +42,7 @@ class TestBrokenCommitInvalidation:
         monkeypatch.setattr(
             BulkDisambiguationModule,
             "commit_invalidate",
-            lambda self, cache, committed_write, **kwargs: (0, 0, 0),
+            lambda self, cache, committed_write, **kwargs: (0, 0, 0, 0),
         )
         del original
         reader = ThreadTrace(0, [load(0xB000), compute(600), load(0xB000)])

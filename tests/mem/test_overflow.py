@@ -18,13 +18,6 @@ class TestOverflowArea:
         area = OverflowArea(owner=0)
         assert area.lookup(0x99) is None
 
-    def test_accesses_are_counted(self):
-        area = OverflowArea(owner=0)
-        area.spill(1, LINE)
-        area.lookup(1)
-        area.contains(2)
-        assert area.accesses == 3
-
     def test_drain_returns_everything_and_empties(self):
         area = OverflowArea(owner=0)
         area.spill(1, LINE)

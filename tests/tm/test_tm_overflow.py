@@ -6,6 +6,7 @@ from dataclasses import replace
 from repro.cache.geometry import CacheGeometry
 from repro.sim.trace import ThreadTrace, compute, load, store, tx_begin, tx_end
 from repro.tm.bulk import BulkScheme
+from repro.tm.eager import EagerScheme
 from repro.tm.lazy import LazyScheme
 from repro.tm.params import TM_DEFAULTS, TmParams
 from repro.tm.system import TmSystem
@@ -38,7 +39,7 @@ def tiny_params(**overrides):
 
 
 class TestOverflow:
-    @pytest.mark.parametrize("scheme_cls", [LazyScheme, BulkScheme])
+    @pytest.mark.parametrize("scheme_cls", [EagerScheme, LazyScheme, BulkScheme])
     def test_overflowed_transaction_still_commits_correctly(self, scheme_cls):
         result = TmSystem([overflowing_trace()], scheme_cls(), tiny_params()).run()
         assert result.stats.committed_transactions == 1
@@ -46,11 +47,31 @@ class TestOverflow:
             address = (set0 * 4) << 6
             assert result.memory.load(address >> 2) == address + 1
 
-    @pytest.mark.parametrize("scheme_cls", [LazyScheme, BulkScheme])
+    @pytest.mark.parametrize("scheme_cls", [EagerScheme, LazyScheme, BulkScheme])
     def test_overflow_accesses_recorded(self, scheme_cls):
         result = TmSystem([overflowing_trace()], scheme_cls(), tiny_params()).run()
         assert result.stats.overflow_area_accesses > 0
         assert result.stats.overflowed_transactions == 1
+
+    @pytest.mark.parametrize(
+        "scheme_cls, charged", [(EagerScheme, 3), (LazyScheme, 3), (BulkScheme, 0)]
+    )
+    def test_disambiguating_an_overflowed_receiver(self, scheme_cls, charged):
+        """The exact schemes walk every overflowed line of a receiver
+        they disambiguate (one access each); Bulk disambiguates on
+        signatures alone and touches none."""
+        system = TmSystem(
+            [overflowing_trace(0), overflowing_trace(1)],
+            scheme_cls(),
+            tiny_params(),
+        )
+        committer, receiver = system.processors
+        area = receiver.ensure_overflow_area()
+        for line_address in (0, 4, 8):
+            area.spill(line_address, tuple(range(16)))
+        system.scheme.overflow_disambiguation_cost(system, committer, receiver)
+        assert system.stats.overflow_area_accesses == charged
+        assert area.line_count == 3  # a walk reads the area, never drains it
 
     def test_bulk_filters_more_overflow_lookups_than_lazy(self):
         """Table 7's Overflow column: Bulk's membership filter skips
