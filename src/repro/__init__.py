@@ -36,7 +36,6 @@ from repro.core.signature_config import (
     table8_config,
 )
 from repro.core.wordmask import UpdatedWordBitmaskUnit, merge_line
-from repro.checkpoint import Checkpoint, CheckpointedProcessor
 from repro.cache.cache import Cache
 from repro.cache.geometry import CacheGeometry, TLS_L1_GEOMETRY, TM_L1_GEOMETRY
 from repro.errors import BulkError
@@ -66,8 +65,6 @@ __all__ = [
     "table8_config",
     "UpdatedWordBitmaskUnit",
     "merge_line",
-    "Checkpoint",
-    "CheckpointedProcessor",
     "Cache",
     "CacheGeometry",
     "TLS_L1_GEOMETRY",

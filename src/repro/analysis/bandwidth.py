@@ -7,19 +7,15 @@ bandwidth as a percentage of Lazy's.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.coherence.bus import BandwidthBreakdown
 from repro.coherence.message import BandwidthCategory
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.tracer import EventTracer
 
 
 def normalized_breakdown(
     breakdown: BandwidthBreakdown,
     baseline_total_bytes: int,
-    tracer: "Optional[EventTracer]" = None,
     label: str = "",
     warn: "Optional[Callable[[str], None]]" = None,
 ) -> Optional[Dict[str, float]]:
@@ -31,17 +27,11 @@ def normalized_breakdown(
     A degenerate baseline (zero total bytes — e.g. a workload so small
     the baseline scheme never touched the bus) cannot be normalised
     against; the row is skipped by returning ``None`` instead of aborting
-    the whole report.  The skip is reported once, here: as a ``warning``
-    event on ``tracer`` and/or through the ``warn`` callback (callers
-    pass e.g. a stderr printer) when either is supplied.
+    the whole report.  The skip is reported once, here, through the
+    ``warn`` callback (callers pass e.g. a stderr printer) when one is
+    supplied.
     """
     if baseline_total_bytes <= 0:
-        if tracer is not None:
-            tracer.warn(
-                "zero baseline bandwidth; skipping normalised breakdown",
-                label=label,
-                baseline_total_bytes=baseline_total_bytes,
-            )
         if warn is not None:
             warn(f"{label}: zero baseline bandwidth, row skipped")
         return None

@@ -15,7 +15,7 @@ it to every per-scheme system.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.analysis.bandwidth import commit_bandwidth_ratio, normalized_breakdown
@@ -69,20 +69,18 @@ class TmComparison:
     def bandwidth_vs_eager(
         self,
         scheme: str,
-        tracer: "Optional[object]" = None,
         warn: "Optional[object]" = None,
     ) -> Optional[Dict[str, float]]:
         """Figure 13's metric: category percentages of Eager's total.
 
         ``None`` when the Eager baseline moved no bytes (degenerate
         workload) — callers skip the row rather than crash; the skip is
-        reported through ``tracer`` / ``warn`` by
+        reported through ``warn`` by
         :func:`~repro.analysis.bandwidth.normalized_breakdown`.
         """
         return normalized_breakdown(
             self.stats[scheme].bandwidth,
             self.stats["Eager"].bandwidth.total_bytes,
-            tracer=tracer,
             label=f"{self.app}/{scheme}",
             warn=warn,
         )
@@ -131,26 +129,22 @@ def run_tm_comparison(
         txns_per_thread=txns_per_thread,
         seed=seed,
     )
-    # TmSystem reads ``partial_rollback`` only at a nested TX_BEGIN or
-    # TX_END (``_begin``/``_end``) and for a squash from a section past
-    # the first (``squash``), and only nested markers open such a
-    # section.  So on traces that never nest the flag is cleared from a
-    # run's key, and an entry whose key an earlier entry ran takes a
-    # deep copy of that run's cycles and stats.  It still runs when
-    # observed (its metrics and trace events are output) or when it
+    # TmSystem reads the scheme's ``partial_rollback`` only at a nested
+    # TX_BEGIN or TX_END (``_begin``/``_end``) and for a squash from a
+    # section past the first (``squash``), and only nested markers open
+    # such a section.  So on traces that never nest the flag is cleared
+    # from a run's key, and an entry whose key an earlier entry ran
+    # takes a deep copy of that run's cycles and stats.  It still runs
+    # when observed (its metrics and trace events are output) or when it
     # collects samples (the earlier run may not have).
     nested = any(trace.max_depth > 1 for trace in traces)
     runs: Dict[tuple, tuple] = {}
     for entry in scheme_entries("tm", include_variants=include_partial):
-        # Variants (Bulk-Partial) carry parameter overrides and skip
-        # sample collection — they exist for Figure 11's extra bar, not
-        # for the Figure 15 accuracy methodology.
-        run_params = replace(params, **entry.params) if entry.params else params
+        # Variants (Bulk-Partial) skip sample collection — they exist for
+        # Figure 11's extra bar, not for the Figure 15 accuracy
+        # methodology.
         scheme = entry.factory()
-        key = (
-            type(scheme),
-            run_params if nested else replace(run_params, partial_rollback=False),
-        )
+        key = (type(scheme), nested and scheme.partial_rollback)
         sampled = collect_samples and not entry.variant
         if obs is None and not sampled and key in runs:
             cycles, stats = runs[key]
@@ -160,7 +154,7 @@ def run_tm_comparison(
         result = TmSystem(
             traces,
             scheme,
-            run_params,
+            params,
             collect_samples=sampled,
             obs=obs,
             config=config,

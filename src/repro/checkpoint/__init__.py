@@ -5,30 +5,30 @@ multiprocessors provide primitives to enable aggressive thread
 speculation", and Figure 7 notes the BDM's version contexts are "useful
 for buffering the state of multiple threads or multiple checkpoints".
 
-:class:`~repro.checkpoint.processor.CheckpointedProcessor` implements
-that use: each checkpoint owns a BDM version context; stores update the
-cache speculatively under the Set Restriction; rolling back to a
-checkpoint bulk-invalidates the discarded contexts' dirty lines (safe by
-delta-exactness, as in a squash) and replays nothing; committing the
-oldest checkpoint makes its log architectural and gang-clears its
-signatures — the same primitives TM and TLS are built from, composed
-differently.
+The substrate is built like TM and TLS: a system that owns the machine,
+timing, oracle and observability, plus scheme hooks.
+:class:`~repro.checkpoint.system.CheckpointSystem` is one processor with
+a stack of live checkpoints; it runs an epoch stream to completion (or
+is driven by hand through its ``take_checkpoint`` / ``load`` /
+``store`` / ``commit_oldest`` / ``rollback_to`` primitives).  Under
+:class:`~repro.checkpoint.schemes.BulkCheckpointScheme` each checkpoint
+owns a BDM version context; stores update the cache speculatively under
+the Set Restriction; rolling back bulk-invalidates the discarded
+contexts' dirty lines (safe by delta-exactness, as in a squash) and
+replays nothing; committing the oldest checkpoint makes its log
+architectural and gang-clears its signatures — the same primitives TM
+and TLS are built from, composed differently.
+:class:`~repro.checkpoint.schemes.ExactCheckpointScheme` is the
+exact-log baseline it is judged against.
 
-The rest of the package promotes that processor to a full substrate
-alongside TM and TLS: :mod:`~repro.checkpoint.params` and
-:mod:`~repro.checkpoint.workload` describe machines and epoch streams,
-:mod:`~repro.checkpoint.schemes` pits the Bulk engine against an
-exact-log baseline, and :class:`~repro.checkpoint.system.CheckpointSystem`
-runs either to completion with TM/TLS-grade timing, bandwidth, and
-observability accounting.
+:mod:`~repro.checkpoint.params` and :mod:`~repro.checkpoint.workload`
+describe machines and epoch streams.
 """
 
 from repro.checkpoint.params import CHECKPOINT_DEFAULTS, CheckpointParams
-from repro.checkpoint.processor import Checkpoint, CheckpointedProcessor
 from repro.checkpoint.schemes import (
     BulkCheckpointScheme,
     CheckpointScheme,
-    ExactCheckpointEngine,
     ExactCheckpointScheme,
 )
 from repro.checkpoint.stats import CheckpointStats
@@ -43,15 +43,12 @@ __all__ = [
     "CHECKPOINT_DEFAULTS",
     "CHECKPOINT_WORKLOADS",
     "BulkCheckpointScheme",
-    "Checkpoint",
     "CheckpointEpoch",
     "CheckpointParams",
     "CheckpointScheme",
     "CheckpointStats",
     "CheckpointSystem",
-    "CheckpointedProcessor",
     "EpochRecord",
-    "ExactCheckpointEngine",
     "ExactCheckpointScheme",
     "build_checkpoint_workload",
 ]

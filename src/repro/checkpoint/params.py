@@ -23,8 +23,8 @@ class CheckpointParams:
 
     #: L1 geometry (Table 5: 32 KB, 4-way, 64 B lines).
     geometry: CacheGeometry = TM_L1_GEOMETRY
-    #: Signature configuration (S14 over line addresses).  Only used by
-    #: the Bulk scheme's engine.
+    #: Signature configuration (S14 over line addresses).  Only the Bulk
+    #: scheme uses it.
     signature_config: SignatureConfig = field(default_factory=default_tm_config)
     #: Live checkpoints the processor can hold — one BDM version context
     #: each (Figure 7: contexts buffer "multiple checkpoints").

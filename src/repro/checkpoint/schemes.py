@@ -1,38 +1,31 @@
 """Checkpoint-substrate schemes: Bulk signatures vs an exact-log baseline.
 
-Both schemes drive an *engine* with the same duck-typed surface —
-``take_checkpoint`` / ``rollback_to`` / ``commit_oldest`` / ``load`` /
-``store`` plus a ``cache`` and a ``memory`` — so the
-:class:`~repro.checkpoint.system.CheckpointSystem` run loop is scheme
-agnostic:
+The :class:`~repro.checkpoint.system.CheckpointSystem` owns the one
+processor's memory, L1 cache and stack of live checkpoints, and does
+all timing and accounting; a scheme supplies only the disambiguation
+hooks.  As in :class:`~repro.tm.conflict.TmScheme`, the base hooks are
+the exact baseline's behaviour and Bulk overrides them:
 
-* :class:`BulkCheckpointScheme` wraps the paper's
-  :class:`~repro.checkpoint.processor.CheckpointedProcessor` — one BDM
-  version context per checkpoint, rollback by signature expansion (which
-  can falsely invalidate aliased lines), commit broadcast as one
-  RLE-compressed write signature.
 * :class:`ExactCheckpointScheme` is the idealised hardware the paper
   compares against: per-checkpoint exact write logs, rollback
   invalidates precisely the discarded epochs' written lines (zero false
   invalidations by construction), commit enumerates one invalidation
   per written line — the Lazy-style cost model of
-  :mod:`repro.tm.lazy`.
+  :mod:`repro.tm.lazy`.  It has no Set Restriction.
+* :class:`BulkCheckpointScheme` is the paper's design (Section 4.5,
+  Figure 7): one BDM version context per live checkpoint, rollback by
+  signature expansion (which can falsely invalidate aliased lines),
+  commit broadcast as one RLE-compressed write signature.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+import abc
+from typing import TYPE_CHECKING, List
 
-from repro.cache.cache import Cache
-from repro.cache.geometry import CacheGeometry, TM_L1_GEOMETRY
-from repro.checkpoint.params import CheckpointParams
-from repro.checkpoint.processor import CheckpointedProcessor
 from repro.coherence.message import MessageKind
-from repro.core.backend.base import SignatureBackend
+from repro.core.bdm import BulkDisambiguationModule, SetRestrictionAction
 from repro.core.rle import rle_encode
-from repro.errors import SimulationError
-from repro.mem.address import byte_to_line, byte_to_word
-from repro.mem.memory import WordMemory
 from repro.spec.scheme import SpecScheme
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -40,24 +33,63 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class CheckpointScheme(SpecScheme):
-    """Hook surface a checkpoint scheme implements."""
+    """Hook surface a checkpoint scheme implements.
 
-    def make_engine(
-        self, params: CheckpointParams, backend: SignatureBackend
-    ):
-        """Build the scheme's checkpointed execution engine; ``backend``
-        is the signature backend the system resolved for the run."""
-        raise NotImplementedError
+    The system is its own one processor, so the hooks receive it alone
+    (and ``setup_processor`` receives it as both arguments).  A scheme
+    instance serves one system: the scheme table builds a fresh one per
+    run.
+    """
 
+    def setup_processor(
+        self, system: "CheckpointSystem", proc: "CheckpointSystem"
+    ) -> None:
+        """Allocate the processor's scheme state before the run starts."""
+
+    def on_take(self, system: "CheckpointSystem", record: "EpochRecord") -> None:
+        """A checkpoint was taken; ``record`` is not yet on the stack."""
+
+    def record_load(self, system: "CheckpointSystem", byte_address: int) -> None:
+        """The newest epoch loaded a word (its exact read set is updated
+        by the system)."""
+
+    def prepare_store(self, system: "CheckpointSystem", line_address: int) -> None:
+        """Pre-store policy hook (Bulk's Set Restriction), called after
+        the line is in the cache and before the newest epoch writes it."""
+
+    def record_store(self, system: "CheckpointSystem", byte_address: int) -> None:
+        """The newest epoch stored a word (its log and exact sets are
+        updated by the system)."""
+
+    def commit_cleanup(
+        self, system: "CheckpointSystem", record: "EpochRecord"
+    ) -> None:
+        """Release scheme state after the oldest checkpoint committed."""
+
+    def rollback_invalidate(
+        self, system: "CheckpointSystem", discarded: List["EpochRecord"]
+    ) -> List[int]:
+        """Invalidate the discarded epochs' speculative lines (they are
+        already off the stack) and return the invalidated line addresses.
+
+        The exact baseline drops exactly the dirty lines those epochs
+        wrote."""
+        doomed = set().union(*(record.write_lines for record in discarded))
+        cache = system.cache
+        invalidated = []
+        for line_address in sorted(doomed):
+            line = cache.lookup(line_address, touch=False)
+            if line is not None and line.dirty:
+                cache.invalidate(line_address)
+                invalidated.append(line_address)
+        return invalidated
+
+    @abc.abstractmethod
     def commit_packet(
         self, system: "CheckpointSystem", record: "EpochRecord"
     ) -> int:
-        """Bus bytes of the commit broadcast for the oldest checkpoint.
-
-        Called *before* the engine releases the checkpoint, so the Bulk
-        scheme can still read its write signature.
-        """
-        raise NotImplementedError
+        """Charge the oldest checkpoint's commit broadcast; returns its
+        size in bytes.  Called before :meth:`commit_cleanup`."""
 
     def on_rollback(
         self,
@@ -69,30 +101,103 @@ class CheckpointScheme(SpecScheme):
         """Observability hook after a rollback's cache invalidation."""
 
 
+class ExactCheckpointScheme(CheckpointScheme):
+    """The exact-log baseline the Bulk checkpoint scheme is judged against."""
+
+    name = "Exact"
+
+    def commit_packet(
+        self, system: "CheckpointSystem", record: "EpochRecord"
+    ) -> int:
+        """One enumerated invalidation per written line (the exact log's
+        line-grain footprint), as in the Lazy TM commit."""
+        total = 0
+        for _ in range(len(record.write_lines)):
+            total += system.bus.record(
+                MessageKind.INVALIDATION, is_commit_traffic=True
+            )
+        return total
+
+
 class BulkCheckpointScheme(CheckpointScheme):
-    """Checkpoints on Bulk signatures (Section 4.5 / Figure 7)."""
+    """Checkpoints on Bulk signatures (Section 4.5 / Figure 7).
+
+    The cache holds the speculative data with no checkpoint metadata:
+    which dirty lines belong to which checkpoint is derivable from the
+    decoded write signatures, exactly as Section 4.5 describes for
+    threads.  The newest checkpoint's context is always the BDM's
+    running one.
+    """
 
     name = "Bulk"
+    #: The processor's BDM, built by :meth:`setup_processor`.
+    bdm: BulkDisambiguationModule
 
-    def make_engine(
-        self, params: CheckpointParams, backend: SignatureBackend
-    ) -> CheckpointedProcessor:
-        return CheckpointedProcessor(
-            memory=WordMemory(),
-            config=params.signature_config,
-            geometry=params.geometry,
-            max_checkpoints=params.max_live_checkpoints,
-            backend=backend,
+    def setup_processor(
+        self, system: "CheckpointSystem", proc: "CheckpointSystem"
+    ) -> None:
+        params = system.params
+        self.bdm = BulkDisambiguationModule(
+            params.signature_config,
+            params.geometry,
+            num_contexts=params.max_live_checkpoints,
+            backend=system.resolve_sig_backend(),
         )
+
+    def on_take(self, system: "CheckpointSystem", record: "EpochRecord") -> None:
+        # The system caps live checkpoints at the BDM's context count.
+        record.context = self.bdm.allocate_context(owner=record.checkpoint_id)
+        self.bdm.set_running(record.context)
+
+    def record_load(self, system: "CheckpointSystem", byte_address: int) -> None:
+        self.bdm.record_load(byte_address)
+
+    def prepare_store(self, system: "CheckpointSystem", line_address: int) -> None:
+        action = self.bdm.store_set_action(line_address)
+        if action is SetRestrictionAction.WRITEBACK_NONSPEC:
+            system.charge_safe_writebacks(
+                system.cache, system.cache.set_index(line_address),
+                now=system.clock, port=0,
+            )
+        # CONFLICT: an older checkpoint owns the set.  A single processor
+        # cannot squash its own past; fold the epochs together by treating
+        # the ownership as inherited (the "merging the two threads" option
+        # of Section 4.5 — merging epochs is always safe because rollback
+        # discards *suffixes*, and a set owned by an older checkpoint is
+        # invalidated by that checkpoint's own signature when it rolls
+        # back).
+
+    def record_store(self, system: "CheckpointSystem", byte_address: int) -> None:
+        self.bdm.record_store(byte_address)
+
+    def commit_cleanup(
+        self, system: "CheckpointSystem", record: "EpochRecord"
+    ) -> None:
+        # Commit by clearing a signature (Table 2); the committed
+        # checkpoint is the running one only when it was the last.
+        self.bdm.release_context(record.context)
+
+    def rollback_invalidate(
+        self, system: "CheckpointSystem", discarded: List["EpochRecord"]
+    ) -> List[int]:
+        """Bulk-invalidate through each discarded context's write
+        signature, youngest first (safe by delta-exactness, as in a
+        squash), then release the contexts."""
+        invalidated = self.bdm.squash_invalidate_contexts(
+            system.cache, [record.context for record in reversed(discarded)]
+        )
+        for record in discarded:
+            self.bdm.release_context(record.context)
+        self.bdm.set_running(system.live[-1].context if system.live else None)
+        return invalidated
 
     def commit_packet(
         self, system: "CheckpointSystem", record: "EpochRecord"
     ) -> int:
         """One RLE-compressed signature, regardless of write-set size."""
-        signature = system.engine.oldest().context.write_signature
         return system.bus.record(
             MessageKind.COMMIT_SIGNATURE,
-            payload_bytes=max(1, len(rle_encode(signature))),
+            payload_bytes=max(1, len(rle_encode(record.context.write_signature))),
             is_commit_traffic=True,
         )
 
@@ -109,147 +214,3 @@ class BulkCheckpointScheme(CheckpointScheme):
             invalidated=invalidated,
             false_invalidated=false_invalidated,
         )
-
-
-class ExactCheckpoint:
-    """One live checkpoint of the exact engine: log + written-line set."""
-
-    __slots__ = ("index", "write_log", "written_lines")
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-        self.write_log: Dict[int, int] = {}
-        self.written_lines: Set[int] = set()
-
-
-class ExactCheckpointEngine:
-    """Idealised checkpointing: exact per-checkpoint write logs.
-
-    API-compatible with :class:`CheckpointedProcessor` (the subset the
-    system uses).  Rollback invalidates exactly the cached lines the
-    discarded epochs wrote — no signatures, hence no aliasing and no
-    false invalidations — and there is no Set Restriction, so
-    ``safe_writebacks`` stays zero.
-    """
-
-    def __init__(
-        self,
-        memory: Optional[WordMemory] = None,
-        geometry: CacheGeometry = TM_L1_GEOMETRY,
-        max_checkpoints: int = 4,
-    ) -> None:
-        self.memory = memory if memory is not None else WordMemory()
-        self.cache = Cache(geometry)
-        self.max_checkpoints = max_checkpoints
-        self._checkpoints: List[ExactCheckpoint] = []
-        self._next_index = 0
-        #: Always zero — kept for engine API compatibility.
-        self.safe_writebacks = 0
-
-    @property
-    def depth(self) -> int:
-        return len(self._checkpoints)
-
-    def take_checkpoint(self) -> int:
-        if len(self._checkpoints) >= self.max_checkpoints:
-            raise SimulationError(
-                "out of checkpoints: commit or roll back first"
-            )
-        checkpoint = ExactCheckpoint(self._next_index)
-        self._next_index += 1
-        self._checkpoints.append(checkpoint)
-        return checkpoint.index
-
-    def oldest(self) -> ExactCheckpoint:
-        if not self._checkpoints:
-            raise SimulationError("no live checkpoint")
-        return self._checkpoints[0]
-
-    def rollback_to(self, checkpoint_id: int) -> int:
-        positions = [c.index for c in self._checkpoints]
-        if checkpoint_id not in positions:
-            raise SimulationError(f"unknown checkpoint {checkpoint_id}")
-        keep = positions.index(checkpoint_id)
-        discarded = self._checkpoints[keep:]
-        doomed: Set[int] = set()
-        for checkpoint in discarded:
-            doomed.update(checkpoint.written_lines)
-        for line_address in sorted(doomed):
-            line = self.cache.lookup(line_address, touch=False)
-            if line is not None and line.dirty:
-                self.cache.invalidate(line_address)
-        del self._checkpoints[keep:]
-        return len(discarded)
-
-    def commit_oldest(self) -> int:
-        if not self._checkpoints:
-            raise SimulationError("no checkpoint to commit")
-        checkpoint = self._checkpoints.pop(0)
-        for word, value in checkpoint.write_log.items():
-            self.memory.store(word, value)
-        return checkpoint.index
-
-    def commit_all(self) -> None:
-        while self._checkpoints:
-            self.commit_oldest()
-
-    def load(self, byte_address: int) -> int:
-        word = byte_to_word(byte_address)
-        for checkpoint in reversed(self._checkpoints):
-            if word in checkpoint.write_log:
-                return checkpoint.write_log[word]
-        return self.memory.load(word)
-
-    def store(self, byte_address: int, value: int) -> None:
-        if not self._checkpoints:
-            raise SimulationError(
-                "no live checkpoint: call take_checkpoint() first"
-            )
-        current = self._checkpoints[-1]
-        line_address = byte_to_line(byte_address)
-        line = self.cache.lookup(line_address)
-        if line is None:
-            self.cache.fill(line_address, self.line_view(line_address))
-            line = self.cache.lookup(line_address, touch=False)
-            assert line is not None
-        word = byte_to_word(byte_address)
-        line.write_word(word, value)
-        current.write_log[word] = value & 0xFFFFFFFF
-        current.written_lines.add(line_address)
-
-    def line_view(self, line_address: int) -> List[int]:
-        words = list(self.memory.load_line(line_address))
-        base = line_address << 4
-        for checkpoint in self._checkpoints:
-            for offset in range(16):
-                value = checkpoint.write_log.get(base + offset)
-                if value is not None:
-                    words[offset] = value
-        return words
-
-
-class ExactCheckpointScheme(CheckpointScheme):
-    """The exact-log baseline the Bulk checkpoint scheme is judged against."""
-
-    name = "Exact"
-
-    def make_engine(
-        self, params: CheckpointParams, backend: SignatureBackend
-    ) -> ExactCheckpointEngine:
-        return ExactCheckpointEngine(
-            memory=WordMemory(),
-            geometry=params.geometry,
-            max_checkpoints=params.max_live_checkpoints,
-        )
-
-    def commit_packet(
-        self, system: "CheckpointSystem", record: "EpochRecord"
-    ) -> int:
-        """One enumerated invalidation per written line (the exact log's
-        line-grain footprint), as in the Lazy TM commit."""
-        total = 0
-        for _ in range(len(record.write_lines)):
-            total += system.bus.record(
-                MessageKind.INVALIDATION, is_commit_traffic=True
-            )
-        return total

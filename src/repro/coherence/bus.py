@@ -51,25 +51,6 @@ class BandwidthBreakdown:
         """Bytes in one category."""
         return self.by_category[category]
 
-    def merge(self, other: "BandwidthBreakdown") -> None:
-        """Accumulate another breakdown into this one.
-
-        Tolerant of key skew in either operand: a breakdown deserialized
-        from an older on-disk cache entry may lack categories or message
-        kinds that exist today (or carry ones this process pre-filled
-        and the other did not), and must still merge instead of raising
-        ``KeyError``.
-        """
-        for category, amount in other.by_category.items():
-            self.by_category[category] = (
-                self.by_category.get(category, 0) + amount
-            )
-        self.commit_bytes += other.commit_bytes
-        for kind, count in other.message_counts.items():
-            self.message_counts[kind] = (
-                self.message_counts.get(kind, 0) + count
-            )
-
 
 class Bus:
     """A shared broadcast bus with serialised commit slots.

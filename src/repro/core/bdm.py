@@ -158,9 +158,6 @@ class BulkDisambiguationModule:
         Versions").  When all are in use, :meth:`allocate_context` returns
         ``None`` and the system must spill a context's signatures to
         memory (Section 6.2.2) — modelled by the TM system layer.
-    require_exact_delta:
-        Enforce the Section 4.3 exactness requirement.  Disable only for
-        accuracy experiments that never perform bulk invalidation.
     backend:
         Signature storage backend (:mod:`repro.core.backend`) for every
         context's registers; ``None`` keeps the default packed storage.
@@ -171,7 +168,6 @@ class BulkDisambiguationModule:
         config: SignatureConfig,
         geometry: CacheGeometry,
         num_contexts: int = 4,
-        require_exact_delta: bool = True,
         backend: "Optional[SignatureBackend]" = None,
     ) -> None:
         if num_contexts <= 0:
@@ -193,8 +189,9 @@ class BulkDisambiguationModule:
         else:
             self._byte_shift = WORD_SHIFT
             self._granule_line_shift = WORD_TO_LINE_SHIFT
-        if require_exact_delta:
-            self.decoder.require_exact()
+        # The Section 4.3 exactness requirement that makes bulk
+        # invalidation of dirty lines safe.
+        self.decoder.require_exact()
         # The signature file (Figure 7): every context's registers come
         # from one arena — R, W, and a possible shadow W per context —
         # so a backend with matrix storage keeps a whole BDM's
@@ -405,28 +402,34 @@ class BulkDisambiguationModule:
 
     def squash_invalidate_contexts(
         self, cache: Cache, contexts: Sequence[VersionContext]
-    ) -> int:
-        """Squash-side bulk invalidation over several contexts at once.
+    ) -> List[int]:
+        """Squash-side bulk invalidation over several contexts at once;
+        returns the invalidated line addresses.
 
-        The multi-level rollback path (checkpoint
-        :meth:`~repro.checkpoint.processor.CheckpointedProcessor.rollback_to`)
-        discards a whole run of contexts in one event.  With a vectorised
-        codec, decode each context's W once, gather every selected set's
-        resident lines into one shared address batch, and membership-test
-        all contexts against it in a single
+        Checkpoint rollback discards a whole run of contexts in one
+        event.  With a vectorised codec, decode each context's W once,
+        gather every selected set's resident lines into one shared
+        address batch, and membership-test all contexts against it in a
+        single
         :meth:`~repro.core.backend.codec.CodecKernels.match_lines_many`
-        pass.  Bit-identical to calling :meth:`squash_invalidate` once
-        per context in order: candidates are snapshotted up front, and an
-        apply-time ``contains`` check reproduces the scalar behaviour
-        where an earlier context's invalidations remove lines from later
-        contexts' walks.
+        pass.  Bit-identical to invalidating each context's dirty W
+        matches in order, as :meth:`squash_invalidate` does: candidates
+        are snapshotted up front, and an apply-time ``contains`` check
+        reproduces the scalar behaviour where an earlier context's
+        invalidations remove lines from later contexts' walks.
         """
         contexts = list(contexts)
         codec = None if self.backend is None else self.backend.codec
+        invalidated: List[int] = []
         if codec is None or len(contexts) <= 1:
-            return sum(
-                self.squash_invalidate(cache, context) for context in contexts
-            )
+            for context in contexts:
+                for _, line in matched_lines(
+                    context.write_signature, cache, self.decoder
+                ):
+                    if line.dirty:
+                        cache.invalidate(line.line_address)
+                        invalidated.append(line.line_address)
+            return invalidated
         columns: dict = {}
         addresses: List[int] = []
         per_context: List[list] = []
@@ -442,12 +445,11 @@ class BulkDisambiguationModule:
                     candidates.append((column, line))
             per_context.append(candidates)
         if not addresses:
-            return 0
+            return invalidated
         note_codec("expansion_vectorised")
         flag_rows = codec.match_lines_many(
             [context.write_signature for context in contexts], addresses
         )
-        invalidated = 0
         for candidates, flags in zip(per_context, flag_rows):
             for column, line in candidates:
                 if (
@@ -456,7 +458,7 @@ class BulkDisambiguationModule:
                     and cache.contains(line.line_address)
                 ):
                     cache.invalidate(line.line_address)
-                    invalidated += 1
+                    invalidated.append(line.line_address)
         return invalidated
 
     def commit_invalidate(

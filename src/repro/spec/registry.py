@@ -14,9 +14,9 @@ for byte):
 * TLS: Eager, Lazy, Bulk (Partial Overlap on), BulkNoOverlap (Figure 10);
 * checkpoint: Exact (enumerated-log baseline), Bulk (signature BDM).
 
-A *variant* is a parameter setting of another scheme rather than an
-independent baseline: today only TM's ``Bulk-Partial``, which is plain
-``Bulk`` under ``partial_rollback=True``.  Variants come last in their
+A *variant* is a setting of another scheme rather than an independent
+baseline: today only TM's ``Bulk-Partial``, which is
+``BulkScheme(partial_rollback=True)``.  Variants come last in their
 substrate's list and are listed only when ``include_variants`` is
 requested, as the CLI's ``--partial`` flag appends ``Bulk-Partial``
 after the core three.
@@ -27,26 +27,22 @@ Adding a scheme is one :class:`SchemeEntry` in :data:`_SCHEMES`.
 from __future__ import annotations
 
 import importlib
-from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Tuple
 
 from repro.errors import UnknownSchemeError
 
 
 class SchemeEntry(NamedTuple):
-    """One scheme: its name, a factory for fresh instances, and run
-    metadata.
+    """One scheme: its name, a factory for fresh instances, and whether
+    it is a variant.
 
     ``factory`` takes no arguments; schemes hold per-run state, so every
-    resolution builds a new instance.  ``params`` holds keyword
-    overrides a driver applies to the substrate's parameter dataclass
-    before running this scheme (``Bulk-Partial`` sets
-    ``partial_rollback=True``).
+    resolution builds a new instance.
     """
 
     name: str
     factory: Callable[[], Any]
     variant: bool = False
-    params: Mapping[str, Any] = {}
 
 
 def _scheme(module: str, cls: str, **kwargs: Any) -> Callable[[], Any]:
@@ -60,16 +56,6 @@ def _scheme(module: str, cls: str, **kwargs: Any) -> Callable[[], Any]:
     return factory
 
 
-def _bulk_partial() -> Any:
-    from repro.tm.bulk import BulkScheme
-
-    scheme = BulkScheme()
-    # Distinct label so partial-rollback runs don't fold into plain
-    # Bulk's per-scheme trace accounting.
-    scheme.name = "Bulk-Partial"
-    return scheme
-
-
 #: substrate -> its schemes, in run and report order.
 _SCHEMES: Dict[str, Tuple[SchemeEntry, ...]] = {
     "tm": (
@@ -78,9 +64,8 @@ _SCHEMES: Dict[str, Tuple[SchemeEntry, ...]] = {
         SchemeEntry("Bulk", _scheme("repro.tm.bulk", "BulkScheme")),
         SchemeEntry(
             "Bulk-Partial",
-            _bulk_partial,
+            _scheme("repro.tm.bulk", "BulkScheme", partial_rollback=True),
             variant=True,
-            params={"partial_rollback": True},
         ),
     ),
     "tls": (

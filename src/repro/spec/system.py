@@ -244,17 +244,25 @@ class SpecSystemCore:
     # Set Restriction
     # ------------------------------------------------------------------
 
-    def charge_safe_writebacks(self, cache: Any, set_index: int) -> int:
+    def charge_safe_writebacks(
+        self,
+        cache: Any,
+        set_index: int,
+        now: Optional[int] = None,
+        port: Optional[int] = None,
+    ) -> int:
         """Write back every non-speculative dirty line in one cache set.
 
         The Set Restriction's WRITEBACK_NONSPEC action (Section 4.3):
         non-speculative dirty data mirrors memory in this model, so each
-        writeback costs one bus message and a clean bit.  Returns the
-        number of lines written back.
+        writeback costs one bus message and a clean bit.  ``now`` and
+        ``port`` stamp the messages for the timed bus, as in
+        :meth:`~repro.coherence.bus.Bus.record`.  Returns the number of
+        lines written back.
         """
         written_back = 0
         for line in cache.dirty_lines_in_set(set_index):
-            self.bus.record(MessageKind.WRITEBACK)
+            self.bus.record(MessageKind.WRITEBACK, now=now, port=port)
             cache.clean(line.line_address)
             self.stats.safe_writebacks += 1
             written_back += 1

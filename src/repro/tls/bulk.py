@@ -33,6 +33,7 @@ from repro.core.bdm import (
     VersionContext,
 )
 from repro.core.disambiguation import disambiguate
+from repro.core.expansion import expand_signature
 from repro.core.rle import rle_encode
 from repro.core.signature import Signature
 from repro.errors import SimulationError
@@ -138,7 +139,7 @@ class TlsBulkScheme(TlsScheme):
         payload = len(rle_encode(snapshot))
         system.bus.record(MessageKind.SPAWN_SIGNATURE, payload_bytes=max(1, payload))
         flushed = 0
-        for _, line in bdm_expansion(bdm, snapshot, proc):
+        for _, line in expand_signature(snapshot, proc.cache, bdm.decoder):
             if system.spawn_flush_line(proc, state, parent, line.line_address):
                 flushed += 1
         if system.obs_enabled:
@@ -406,11 +407,3 @@ class TlsBulkScheme(TlsScheme):
         if context is not None:
             bdm.release_context(context)
         self._spawn_write_snapshot.pop(state.task_id + 1, None)
-
-
-def bdm_expansion(bdm: BulkDisambiguationModule, signature: Signature, proc):
-    """Signature expansion of an arbitrary signature over a processor's
-    cache using its BDM decoder (helper for the spawn flush)."""
-    from repro.core.expansion import expand_signature
-
-    return expand_signature(signature, proc.cache, bdm.decoder)

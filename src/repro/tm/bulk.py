@@ -56,6 +56,13 @@ class BulkScheme(TmScheme):
     #: the broadcast (scalar fallback).
     _commit_flags: Optional[tuple] = None
 
+    def __init__(self, partial_rollback: bool = False) -> None:
+        self.partial_rollback = partial_rollback
+        if partial_rollback:
+            # The Bulk-Partial bar of Figure 11, under its own name so its
+            # runs don't fold into plain Bulk's per-scheme accounting.
+            self.name = "Bulk-Partial"
+
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------

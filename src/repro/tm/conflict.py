@@ -35,6 +35,11 @@ class TmScheme(SpecScheme):
     lifecycle, access, and overflow hooks.
     """
 
+    #: Closed nesting with partial rollback (Section 6.2.1): nested
+    #: TX_BEGIN/TX_END markers open sections, and a conflict past the
+    #: first section rolls back only from there.  Bulk-Partial only.
+    partial_rollback = False
+
     # ------------------------------------------------------------------
     # Construction hooks
     # ------------------------------------------------------------------

@@ -64,9 +64,6 @@ class TmParams:
     #: How many consecutive mutual squashes between a thread pair trigger
     #: the mitigation.
     livelock_threshold: int = 3
-    #: Bulk only: support closed nesting with partial rollback
-    #: (Section 6.2.1) — the Bulk-Partial bar of Figure 11.
-    partial_rollback: bool = False
     #: Hard cap on restarts of a single transaction before the simulator
     #: declares livelock (raises SimulationError).  With the mitigation
     #: enabled this should never trigger.

@@ -255,7 +255,7 @@ class TmSystem(SpecSystemCore):
                 )
         else:
             proc.txn.depth += 1
-            if self.params.partial_rollback:
+            if self.scheme.partial_rollback:
                 proc.txn.push_section(proc.cursor + 1)
         proc.cursor += 1
 
@@ -264,7 +264,7 @@ class TmSystem(SpecSystemCore):
             raise SimulationError(f"TX_END with no open transaction on {proc.pid}")
         if proc.txn.depth > 1:
             proc.txn.depth -= 1
-            if self.params.partial_rollback:
+            if self.scheme.partial_rollback:
                 proc.txn.push_section(proc.cursor + 1)
             proc.cursor += 1
             return
@@ -284,13 +284,6 @@ class TmSystem(SpecSystemCore):
             return
         proc.waiting_on = stall_on
         target.waiters.append(proc.pid)
-
-    def _expected_value(self, proc: TmProcessor, word_address: int) -> int:
-        if proc.txn is not None:
-            speculative = proc.txn.lookup_word(word_address)
-            if speculative is not None:
-                return speculative
-        return self.memory.load(word_address)
 
     def _spec_writer_of_line(self, cache, line_address: int) -> Optional[TmProcessor]:
         """The thread whose live transaction wrote a line held in
@@ -345,8 +338,8 @@ class TmSystem(SpecSystemCore):
             observed = line.words[word & 0xF]  # == line.read_word(word)
             # The stale-read oracle only matters on hits: the nack path
             # serves from memory and the miss path rebuilds the line from
-            # memory + the thread's own log, so computing the expected
-            # value there was pure overhead (== _expected_value, inlined).
+            # memory + the thread's own log.  The expected value is the
+            # transaction's own logged store, else memory.
             txn = proc.txn
             expected = txn.lookup_word(word) if txn is not None else None
             if expected is None:
@@ -683,7 +676,7 @@ class TmSystem(SpecSystemCore):
                 clock=now,
             )
 
-        partial = self.params.partial_rollback and from_section > 0
+        partial = self.scheme.partial_rollback and from_section > 0
         self.scheme.squash_cleanup(self, victim, from_section if partial else 0)
         if partial:
             victim.cursor = txn.discard_sections_from(from_section)

@@ -7,7 +7,6 @@ import pytest
 from repro.analysis.bandwidth import commit_bandwidth_ratio, normalized_breakdown
 from repro.coherence.bus import BandwidthBreakdown
 from repro.coherence.message import BandwidthCategory
-from repro.obs.tracer import EventTracer
 
 
 def breakdown(inv=0, fill=0, commit=0):
@@ -27,23 +26,19 @@ class TestNormalizedBreakdown:
 
     def test_zero_baseline_degrades_gracefully(self):
         # Regression: a degenerate baseline used to raise ValueError and
-        # abort the whole report; now the row is skipped (None).
-        assert normalized_breakdown(breakdown(), 0) is None
+        # abort the whole report; now the row is skipped (None), and the
+        # skip is reported once.
+        warnings = []
+        assert normalized_breakdown(
+            breakdown(), 0, label="app/Bulk", warn=warnings.append
+        ) is None
         assert normalized_breakdown(breakdown(inv=5), -1) is None
-
-    def test_zero_baseline_warns_on_tracer(self):
-        tracer = EventTracer()
-        result = normalized_breakdown(
-            breakdown(inv=5), 0, tracer=tracer, label="app/Bulk"
-        )
-        assert result is None
-        summary = tracer.summary()
-        assert summary["events"].get("warning") == 1
+        assert warnings == ["app/Bulk: zero baseline bandwidth, row skipped"]
 
     def test_nonzero_baseline_does_not_warn(self):
-        tracer = EventTracer()
-        assert normalized_breakdown(breakdown(inv=5), 10, tracer=tracer)
-        assert "warning" not in tracer.summary()["events"]
+        warnings = []
+        assert normalized_breakdown(breakdown(inv=5), 10, warn=warnings.append)
+        assert warnings == []
 
 
 class TestCommitRatio:

@@ -1,6 +1,6 @@
 """Tests for the bus: bandwidth accounting and commit arbitration."""
 
-from repro.coherence.bus import BandwidthBreakdown, Bus
+from repro.coherence.bus import Bus
 from repro.coherence.message import BandwidthCategory, MessageKind
 
 
@@ -24,16 +24,6 @@ class TestAccounting:
         bus.record(MessageKind.WRITEBACK)
         bus.record(MessageKind.WRITEBACK)
         assert bus.bandwidth.message_counts[MessageKind.WRITEBACK] == 2
-
-    def test_merge_breakdowns(self):
-        first = BandwidthBreakdown()
-        second = BandwidthBreakdown()
-        first.by_category[BandwidthCategory.INV] = 10
-        second.by_category[BandwidthCategory.INV] = 5
-        second.commit_bytes = 3
-        first.merge(second)
-        assert first.by_category[BandwidthCategory.INV] == 15
-        assert first.commit_bytes == 3
 
 
 class TestCommitArbitration:

@@ -37,20 +37,6 @@ class TestConstruction:
         with pytest.raises(DeltaInexactError):
             BulkDisambiguationModule(config, TM_L1_GEOMETRY)
 
-    def test_inexact_allowed_when_disabled(self):
-        sources = list(range(26))
-        sources[0], sources[15] = sources[15], sources[0]
-        config = SignatureConfig.make(
-            (10, 10),
-            Granularity.LINE,
-            permutation=BitPermutation(26, sources),
-            name="scrambled",
-        )
-        bdm = BulkDisambiguationModule(
-            config, TM_L1_GEOMETRY, require_exact_delta=False
-        )
-        assert not bdm.decoder.is_exact
-
     def test_needs_at_least_one_context(self):
         with pytest.raises(ConfigurationError):
             BulkDisambiguationModule(default_tm_config(), TM_L1_GEOMETRY, 0)

@@ -8,8 +8,6 @@ counterexamples when a protocol bug slips in — these tests caught several
 during development.
 """
 
-from dataclasses import replace
-
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +22,6 @@ from repro.tls.task import TlsTask
 from repro.tm.bulk import BulkScheme
 from repro.tm.eager import EagerScheme
 from repro.tm.lazy import LazyScheme
-from repro.tm.params import TM_DEFAULTS
 from repro.tm.system import TmSystem
 
 #: A tiny pool of addresses, so random workloads conflict often.
@@ -109,12 +106,13 @@ class TestRandomTmWorkloads:
         # has no section to act on: run_tm_comparison relies on this to
         # give Bulk-Partial a copy of Bulk's run on such workloads.
         assert all(trace.max_depth == 1 for trace in workload)
-        partial = replace(TM_DEFAULTS, partial_rollback=True)
         for bus in ("legacy", "timed:latency=3,policy=round-robin"):
             outcomes = []
-            for params in (TM_DEFAULTS, partial):
+            for partial in (False, True):
                 result = TmSystem(
-                    workload, BulkScheme(), params, config=RunConfig(bus=bus)
+                    workload,
+                    BulkScheme(partial_rollback=partial),
+                    config=RunConfig(bus=bus),
                 ).run()
                 outcomes.append(
                     (

@@ -41,14 +41,14 @@ class TestBuiltinCatalogue:
             substrate, name
         )
 
-    def test_entries_carry_variant_and_params(self):
+    def test_entries_carry_variant(self):
         entries = {
             e.name: e for e in scheme_entries("tm", include_variants=True)
         }
         assert not entries["Bulk"].variant
-        assert entries["Bulk"].params == {}
+        assert not entries["Bulk"].factory().partial_rollback
         assert entries["Bulk-Partial"].variant
-        assert entries["Bulk-Partial"].params == {"partial_rollback": True}
+        assert entries["Bulk-Partial"].factory().partial_rollback
         # Variants are excluded from the default listing...
         assert "Bulk-Partial" not in {e.name for e in scheme_entries("tm")}
         # ...but still resolve by direct name lookup.

@@ -6,7 +6,6 @@ from repro.sim.trace import ThreadTrace, compute, load, store, tx_begin, tx_end
 from repro.tm.bulk import BulkScheme
 from repro.tm.eager import EagerScheme
 from repro.tm.lazy import LazyScheme
-from repro.tm.params import TmParams
 from repro.tm.system import TmSystem
 
 
@@ -58,10 +57,9 @@ class TestFlatNesting:
 
 class TestPartialRollback:
     def test_violation_in_late_section_preserves_early_sections(self):
-        params = TmParams(partial_rollback=True)
         victim = nested_trace(0, 0xF000, read_in_section=3)
         writer = writer_trace(1, 0xF000)
-        system = TmSystem([victim, writer], BulkScheme(), params)
+        system = TmSystem([victim, writer], BulkScheme(partial_rollback=True))
         result = system.run()
         assert result.stats.committed_transactions == 2
         assert result.stats.partial_rollbacks >= 1
@@ -70,10 +68,11 @@ class TestPartialRollback:
         assert result.memory.load(0xF000 >> 2) == 42
 
     def test_violation_in_first_section_is_full_squash(self):
-        params = TmParams(partial_rollback=True)
         victim = nested_trace(0, 0xF000, read_in_section=1)
         writer = writer_trace(1, 0xF000)
-        result = TmSystem([victim, writer], BulkScheme(), params).run()
+        result = TmSystem(
+            [victim, writer], BulkScheme(partial_rollback=True)
+        ).run()
         assert result.stats.committed_transactions == 2
         assert result.stats.partial_rollbacks == 0
         assert result.stats.squashes >= 1
@@ -87,7 +86,6 @@ class TestPartialRollback:
     def test_commit_broadcasts_union_of_section_writes(self):
         """Figure 8: the outer commit sends W1 ∪ W2 ∪ W3 — a receiver
         that read data written in the *inner* section must squash."""
-        params = TmParams(partial_rollback=True)
         writer = ThreadTrace(
             0,
             [tx_begin(), store(0x1000, 1), tx_begin(), store(0x2000, 2),
@@ -97,6 +95,8 @@ class TestPartialRollback:
             1,
             [tx_begin(), load(0x2000), compute(2000), tx_end()],
         )
-        result = TmSystem([writer, reader], BulkScheme(), params).run()
+        result = TmSystem(
+            [writer, reader], BulkScheme(partial_rollback=True)
+        ).run()
         assert result.stats.committed_transactions == 2
         assert result.stats.squashes >= 1
