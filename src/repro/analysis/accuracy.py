@@ -6,9 +6,10 @@ dependence, and measure how often each signature configuration reports
 one anyway — the false-positive fraction.  Bars use no initial bit
 permutation; error segments sweep permutations, best and worst.
 
-The sampling here reuses the same mechanism: exact Lazy runs record
-``(W_C, R_R, W_R)`` address-set triples whose exact intersection is
-empty; configurations are then evaluated *offline* against the recorded
+Here the exact information is the exact Lazy scheme's: each TM
+application runs under a Lazy scheme that records the ``(W_C, R_R,
+W_R)`` address sets of every receiver it clears at a commit.
+Configurations are then evaluated *offline* against the recorded
 samples, which keeps the sweep over 23 configurations × many
 permutations cheap.
 """
@@ -27,15 +28,59 @@ from repro.errors import ConfigurationError
 from repro.sim.rng import SubstreamRng
 from repro.tm.lazy import LazyScheme
 from repro.tm.params import TM_DEFAULTS, TmParams
-from repro.tm.system import (
-    DisambiguationSample,
-    _SampleBudgetFull,
-    _SamplingTmSystem,
-)
+from repro.tm.processor import TmProcessor
+from repro.tm.system import TmSystem
 from repro.workloads.kernels import TM_KERNELS, build_tm_workload
+
+#: One Figure 15 sample: (committed write set, receiver read set, receiver
+#: write set) of a disambiguation whose exact dependence set was empty.
+DisambiguationSample = Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]
 
 #: The signature catalogues a study can sweep, by name.
 _CATALOGUES: Dict[str, Dict[str, SignatureConfig]] = {"table8": TABLE8_CONFIGS}
+
+
+class _SampleBudgetFull(Exception):
+    """Ends a sampling run at the commit that records its last sample."""
+
+
+class _SamplingLazyScheme(LazyScheme):
+    """Exact Lazy that records the first ``budget`` receivers it clears
+    as samples, and ends the run at the commit that records the last.
+
+    Lazy clears a receiver exactly when its exact dependence set is
+    empty, so each cleared receiver is one Figure 15 sample.  Samples
+    are recorded only at commits and none past the budget, so the
+    stopped run records exactly what a full run would; the rest of it
+    would only simulate.  :meth:`commit_cleanup`, the commit's last
+    scheme hook, raises :class:`_SampleBudgetFull` out of
+    ``TmSystem.run``: every simulated step keeps the stale-read oracle,
+    and only the checks at the end of the run are skipped.
+    """
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.samples: List[DisambiguationSample] = []
+
+    def receiver_conflict(
+        self,
+        system: TmSystem,
+        committer: TmProcessor,
+        receiver: TmProcessor,
+    ) -> Optional[int]:
+        section = super().receiver_conflict(system, committer, receiver)
+        if section is None and len(self.samples) < self.budget:
+            self.samples.append((
+                frozenset(committer.txn.all_write_granules()),
+                frozenset(receiver.txn.all_read_granules()),
+                frozenset(receiver.txn.all_write_granules()),
+            ))
+        return section
+
+    def commit_cleanup(self, system: TmSystem, proc: TmProcessor) -> None:
+        super().commit_cleanup(system, proc)
+        if len(self.samples) >= self.budget:
+            raise _SampleBudgetFull
 
 
 def collect_tm_samples(
@@ -47,10 +92,11 @@ def collect_tm_samples(
 ) -> List[DisambiguationSample]:
     """Collect dependence-free disambiguation samples from TM runs.
 
-    Each application's exact Lazy run records its first
-    ``max_samples_per_app`` samples and ends at the commit that records
-    the last of them; a run that never fills its budget runs to the
-    end.  Samples with an empty committed write set are then dropped.
+    Each application runs under exact Lazy, which records the first
+    ``max_samples_per_app`` receivers it clears and ends the run at the
+    commit that records the last of them; a run that never fills its
+    budget runs to the end.  Samples with an empty committed write set
+    count against the budget and are then dropped.
     ``txns_per_thread`` and ``max_samples_per_app`` must be at least 1.
     """
     for name, value in (
@@ -69,18 +115,12 @@ def collect_tm_samples(
             txns_per_thread=txns_per_thread,
             seed=seed,
         )
-        system = _SamplingTmSystem(
-            traces,
-            LazyScheme(),
-            params,
-            collect_samples=True,
-            max_samples=max_samples_per_app,
-        )
+        scheme = _SamplingLazyScheme(max_samples_per_app)
         try:
-            system.run()
+            TmSystem(traces, scheme, params).run()
         except _SampleBudgetFull:
             pass
-        samples.extend(sample for sample in system.samples if sample[0])
+        samples.extend(sample for sample in scheme.samples if sample[0])
     return samples
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.analysis.bandwidth import commit_bandwidth_ratio, normalized_breakdown
 
@@ -32,7 +32,7 @@ from repro.tls.stats import TlsStats
 from repro.tls.system import TlsSystem, simulate_sequential
 from repro.tm.params import TM_DEFAULTS, TmParams
 from repro.tm.stats import TmStats
-from repro.tm.system import DisambiguationSample, TmSystem
+from repro.tm.system import TmSystem
 from repro.workloads.kernels import build_tm_workload
 from repro.workloads.tls_spec import build_tls_workload
 
@@ -46,21 +46,6 @@ class TmComparison:
     app: str
     cycles: Dict[str, int] = field(default_factory=dict)
     stats: Dict[str, TmStats] = field(default_factory=dict)
-    #: Dependence-free disambiguation samples per scheme (only populated
-    #: when the comparison ran with ``collect_samples=True``).
-    samples_by_scheme: Dict[str, List[DisambiguationSample]] = field(
-        default_factory=dict
-    )
-
-    @property
-    def samples(self) -> List[DisambiguationSample]:
-        """The exact Lazy scheme's samples.
-
-        The Figure 15 accuracy methodology samples disambiguations whose
-        *exact* dependence set is empty, so the exact Lazy run is the
-        canonical source; use :attr:`samples_by_scheme` for the others.
-        """
-        return self.samples_by_scheme.get("Lazy", [])
 
     def speedup_over_eager(self, scheme: str) -> float:
         """Figure 11's metric."""
@@ -98,7 +83,6 @@ def run_tm_comparison(
     seed: int = 42,
     params: TmParams = TM_DEFAULTS,
     include_partial: bool = False,
-    collect_samples: bool = False,
     obs: "Optional[Observability]" = None,
     **run_options: Any,
 ) -> TmComparison:
@@ -135,35 +119,21 @@ def run_tm_comparison(
     # such a section.  So on traces that never nest the flag is cleared
     # from a run's key, and an entry whose key an earlier entry ran
     # takes a deep copy of that run's cycles and stats.  It still runs
-    # when observed (its metrics and trace events are output) or when it
-    # collects samples (the earlier run may not have).
+    # when observed: its metrics and trace events are output.
     nested = any(trace.max_depth > 1 for trace in traces)
     runs: Dict[tuple, tuple] = {}
     for entry in scheme_entries("tm", include_variants=include_partial):
-        # Variants (Bulk-Partial) skip sample collection — they exist for
-        # Figure 11's extra bar, not for the Figure 15 accuracy
-        # methodology.
         scheme = entry.factory()
         key = (type(scheme), nested and scheme.partial_rollback)
-        sampled = collect_samples and not entry.variant
-        if obs is None and not sampled and key in runs:
+        if obs is None and key in runs:
             cycles, stats = runs[key]
             comparison.cycles[entry.name] = cycles
             comparison.stats[entry.name] = copy.deepcopy(stats)
             continue
-        result = TmSystem(
-            traces,
-            scheme,
-            params,
-            collect_samples=sampled,
-            obs=obs,
-            config=config,
-        ).run()
+        result = TmSystem(traces, scheme, params, obs=obs, config=config).run()
         runs[key] = (result.cycles, result.stats)
         comparison.cycles[entry.name] = result.cycles
         comparison.stats[entry.name] = result.stats
-        if sampled:
-            comparison.samples_by_scheme[entry.name] = result.samples
     return comparison
 
 

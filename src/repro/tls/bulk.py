@@ -86,13 +86,9 @@ class TlsBulkScheme(TlsScheme):
             )
         return context
 
-    def has_free_context(self, proc: "TlsProcessor") -> bool:
-        """Whether another task can become resident on this processor."""
-        bdm = self.bdm_of(proc)
-        return any(not context.active for context in bdm.contexts)
-
     def can_accept_task(self, system: "TlsSystem", proc: "TlsProcessor") -> bool:
-        return self.has_free_context(proc)
+        contexts = self.bdm_of(proc).contexts
+        return any(not context.active for context in contexts)
 
     # ------------------------------------------------------------------
     # Dispatch and spawn

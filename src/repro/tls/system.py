@@ -238,11 +238,6 @@ class TlsSystem(SpecSystemCore):
             proc.epoch += 1
             self._scheduler.push(proc.clock, proc.pid, proc.epoch)
 
-    def _wake(self, proc: TlsProcessor) -> None:
-        """Re-queue a processor whose schedule changed (squash, commit,
-        re-spawn, gate release)."""
-        self._schedule(proc)
-
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
@@ -302,7 +297,7 @@ class TlsSystem(SpecSystemCore):
                 clock=proc.clock,
             )
         self.scheme.on_dispatch(self, proc, state)
-        self._wake(proc)
+        self._schedule(proc)
 
     # ------------------------------------------------------------------
     # One step of one processor
@@ -365,7 +360,7 @@ class TlsSystem(SpecSystemCore):
                     child_proc = self.processors[child_state.proc]
                     child_proc.clock = max(child_proc.clock, proc.clock)
                     self.scheme.on_respawn(self, child_proc, child_state)
-                    self._wake(child_proc)
+                    self._schedule(child_proc)
 
     # ------------------------------------------------------------------
     # Loads and stores
@@ -644,7 +639,7 @@ class TlsSystem(SpecSystemCore):
         self.head += 1
         self._dispatch_all(commit_time)
         for other_proc in self.processors:
-            self._wake(other_proc)
+            self._schedule(other_proc)
 
     def _note_direct_squash_stats(
         self, dependence: int, false_positive: bool
@@ -705,7 +700,7 @@ class TlsSystem(SpecSystemCore):
             # The task timer measures the attempt that commits; restart
             # the measurement at the replay's start.
             self.start_unit_timer(state.task_id, proc.clock)
-            self._wake(proc)
+            self._schedule(proc)
 
     # ------------------------------------------------------------------
     # Exact word-grain merge helper (used by the exact schemes)

@@ -78,25 +78,19 @@ class EagerScheme(TmScheme):
                 system.stats.mitigation_stalls += 1
                 return other.pid
             self._note_squash(proc, other)
-            dep = self._dependence_size(proc, other, line)
             system.squash(
                 victim=other,
                 from_section=0,
                 now=proc.clock,
-                dependence_granules=dep,
+                # Eager detects one address at a time: the squash's
+                # dependence set is that single granule.
+                dependence_granules=1,
                 false_positive=False,
                 cause="eager-conflict",
             )
             if other.has_overflow():
                 self.overflow_disambiguation_cost(system, proc, other)
         return None
-
-    def _dependence_size(
-        self, proc: TmProcessor, other: TmProcessor, line: int
-    ) -> int:
-        """Eager detects one address at a time; the dependence set of the
-        squash is that single granule."""
-        return 1
 
     def _should_stall(
         self, system: "TmSystem", proc: TmProcessor, other: TmProcessor

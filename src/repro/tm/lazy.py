@@ -51,13 +51,15 @@ class LazyScheme(TmScheme):
         receiver: TmProcessor,
     ) -> Optional[int]:
         assert committer.txn is not None and receiver.txn is not None
+        # Lazy never opens a second section (its ``partial_rollback`` is
+        # False), so the transaction's whole exact sets decide: ``None``
+        # exactly when the receiver has no true dependence.
         written = committer.txn.all_write_granules()
-        for index, section in enumerate(receiver.txn.sections):
-            if not written.isdisjoint(section.read_granules) or not (
-                written.isdisjoint(section.write_granules)
-            ):
-                return index
-        return None
+        if written.isdisjoint(receiver.txn.all_read_granules()) and (
+            written.isdisjoint(receiver.txn.all_write_granules())
+        ):
+            return None
+        return 0
 
     def commit_update_receiver(
         self,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.coherence.message import MessageKind
 from repro.errors import SimulationError
@@ -42,11 +42,6 @@ from repro.tm.processor import TmProcessor
 from repro.tm.stats import TmStats
 from repro.tm.txstate import TxnState
 
-#: One Figure 15 sample: (committed write set, receiver read set, receiver
-#: write set) of a disambiguation whose exact dependence set was empty.
-DisambiguationSample = Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]
-
-
 @dataclass
 class TmRunResult:
     """Everything a finished TM run exposes."""
@@ -57,8 +52,6 @@ class TmRunResult:
     memory: WordMemory
     #: txn ids in global commit order (the serialisation witness).
     commit_order: List[int] = field(default_factory=list)
-    #: Figure 15 samples, if collection was enabled.
-    samples: List[DisambiguationSample] = field(default_factory=list)
 
 
 class TmSystem(SpecSystemCore):
@@ -69,8 +62,6 @@ class TmSystem(SpecSystemCore):
         traces: Sequence[ThreadTrace],
         scheme: TmScheme,
         params: TmParams = TM_DEFAULTS,
-        collect_samples: bool = False,
-        max_samples: int = 4000,
         obs: Optional[Observability] = None,
         config: Optional[RunConfig] = None,
     ) -> None:
@@ -116,9 +107,6 @@ class TmSystem(SpecSystemCore):
                     * params.threads_per_core
                 ]
                 proc.cache = first.cache
-        self.collect_samples = collect_samples
-        self.max_samples = max_samples
-        self.samples: List[DisambiguationSample] = []
         self.commit_order: List[int] = []
         self._scheduler: Optional[MinClockScheduler] = None
         #: Logs of committed (txn id -> write log) in commit order, used
@@ -184,7 +172,6 @@ class TmSystem(SpecSystemCore):
             stats=self.stats,
             memory=self.memory,
             commit_order=self.commit_order,
-            samples=self.samples,
         )
 
     # ------------------------------------------------------------------
@@ -572,18 +559,6 @@ class TmSystem(SpecSystemCore):
                     committed_writes & other.txn.all_write_granules()
                 )
                 section = self.scheme.receiver_conflict(self, proc, other)
-                if (
-                    self.collect_samples
-                    and not exact_dep
-                    and len(self.samples) < self.max_samples
-                ):
-                    self.samples.append(
-                        (
-                            frozenset(committed_writes),
-                            frozenset(other.txn.all_read_granules()),
-                            frozenset(other.txn.all_write_granules()),
-                        )
-                    )
                 if section is not None:
                     self.squash(
                         victim=other,
@@ -775,27 +750,3 @@ class TmSystem(SpecSystemCore):
                 reference.store(word, value)
         return reference
 
-
-class _SampleBudgetFull(Exception):
-    """Ends a :class:`_SamplingTmSystem` run at its last budgeted sample."""
-
-
-class _SamplingTmSystem(TmSystem):
-    """A Figure 15 sampling run (built with ``collect_samples=True``)
-    that ends at the commit that records its ``max_samples``-th sample.
-
-    Samples are appended only at commits, and none after the budget is
-    full, so the run records exactly the samples a full run would; the
-    rest of the run would only simulate.  :meth:`run` raises
-    :class:`_SampleBudgetFull` at that commit, and the caller reads
-    :attr:`samples`.  Every simulated step keeps the stale-read oracle
-    and every other check; only the deadlock check at the end of
-    :meth:`run` is skipped, because the remaining processors are
-    deliberately not run.  A run that never fills its budget returns
-    as a plain run does.
-    """
-
-    def _commit(self, proc: TmProcessor) -> None:
-        super()._commit(proc)
-        if len(self.samples) >= self.max_samples:
-            raise _SampleBudgetFull

@@ -1,6 +1,7 @@
 """Tests for the signature accuracy harness (Figure 15 machinery)."""
 
 import functools
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,6 @@ from repro.analysis.accuracy import (
     false_positive_fraction,
     sweep_signature_configs,
 )
-from repro.analysis.experiments import run_tm_comparison
 from repro.core.permutation import BitPermutation
 from repro.core.rle import rle_size_bits
 from repro.core.signature import Signature
@@ -27,8 +27,6 @@ from repro.core.signature_config import (
 from repro.errors import ConfigurationError
 from repro.mem.address import Granularity
 from repro.sim.rng import SubstreamRng
-from repro.spec import scheme_entries
-from repro.tm.lazy import LazyScheme
 from repro.tm.params import TM_DEFAULTS
 from repro.tm.system import TmSystem
 from repro.workloads.kernels import TM_KERNELS, build_tm_workload
@@ -276,31 +274,33 @@ TM_APPS = sorted(TM_KERNELS)
 
 
 @functools.lru_cache(maxsize=None)
-def full_lazy_runs(txns, budget, seed):
-    """Each application's Lazy run to completion with the same cap, as
-    ``collect_tm_samples`` ran it before the budget stop."""
-    return [
-        TmSystem(
+def full_lazy_runs(txns, seed):
+    """Each application's sampling run to completion with an unbounded
+    budget, as ``(result, samples)``."""
+    runs = []
+    for app in TM_APPS:
+        scheme = accuracy._SamplingLazyScheme(sys.maxsize)
+        result = TmSystem(
             build_tm_workload(
                 app,
                 num_threads=TM_DEFAULTS.num_processors,
                 txns_per_thread=txns,
                 seed=seed,
             ),
-            LazyScheme(),
+            scheme,
             TM_DEFAULTS,
-            collect_samples=True,
-            max_samples=budget,
         ).run()
-        for app in TM_APPS
-    ]
+        runs.append((result, scheme.samples))
+    return runs
 
 
 def reference_samples(txns, budget, seed):
+    """The first ``budget`` samples of each full run, empty ``W_C``
+    dropped afterwards."""
     return [
         sample
-        for result in full_lazy_runs(txns, budget, seed)
-        for sample in result.samples
+        for _, samples in full_lazy_runs(txns, seed)
+        for sample in samples[:budget]
         if sample[0]
     ]
 
@@ -339,52 +339,30 @@ class TestSampleBudgetStop:
         assert len(runs) == len(TM_APPS)
 
     def test_full_budgets_stop_early(self, record_tm_runs):
-        full_runs = full_lazy_runs(4, 30, 42)
+        full_runs = full_lazy_runs(4, 42)
         runs = record_tm_runs()
         collect_tm_samples(txns_per_thread=4, seed=42, max_samples_per_app=30)
         assert len(runs) == len(full_runs)
-        for (system, result), full in zip(runs, full_runs):
+        for (system, result), (full, _) in zip(runs, full_runs):
             assert result is None  # stopped at its budget
-            assert len(system.samples) == 30
+            assert len(system.scheme.samples) == 30
             assert len(system.commit_order) < len(full.commit_order)
             assert system.commit_order == (
                 full.commit_order[: len(system.commit_order)]
             )
 
     def test_unfilled_budgets_run_to_the_end(self, record_tm_runs):
-        full_runs = full_lazy_runs(3, 100, 42)
+        full_runs = full_lazy_runs(3, 42)
         runs = record_tm_runs()
         collect_tm_samples(
             txns_per_thread=3, seed=42, max_samples_per_app=100
         )
         unfilled = 0
-        for (system, result), full in zip(runs, full_runs):
-            if len(full.samples) == 100:
+        for (system, result), (full, samples) in zip(runs, full_runs):
+            if len(samples) >= 100:
                 continue
             unfilled += 1
             assert result is not None
             assert result.cycles == full.cycles
             assert result.commit_order == full.commit_order
         assert unfilled == len(TM_APPS) - 1  # all but lu
-
-    def test_comparison_sampling_runs_to_completion(self, record_tm_runs):
-        traces = build_tm_workload(
-            "mc", num_threads=TM_DEFAULTS.num_processors,
-            txns_per_thread=4, seed=3,
-        )
-        full_runs = {}
-        for entry in scheme_entries("tm"):
-            full_runs[entry.name] = TmSystem(
-                traces, entry.factory(), TM_DEFAULTS, collect_samples=True
-            ).run()
-        runs = record_tm_runs()
-        comparison = run_tm_comparison(
-            "mc", txns_per_thread=4, seed=3, collect_samples=True
-        )
-        assert [type(system) for system, _ in runs] == (
-            [TmSystem] * len(full_runs)
-        )
-        for name, full in full_runs.items():
-            assert comparison.cycles[name] == full.cycles
-            assert comparison.stats[name] == full.stats
-            assert comparison.samples_by_scheme[name] == full.samples

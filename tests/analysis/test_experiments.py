@@ -143,28 +143,3 @@ class TestBulkPartialReuse:
         assert plain == observed
         assert plain_runs == (4 if app in NESTING_KERNELS else 3)
         assert observed_runs == 4
-
-
-class TestSampleCollection:
-    """Regression: ``collect_samples`` must keep every scheme's samples,
-    not silently retain whichever scheme ran last."""
-
-    @pytest.fixture(scope="class")
-    def comparison(self):
-        return run_tm_comparison(
-            "mc", txns_per_thread=4, seed=3, collect_samples=True
-        )
-
-    def test_samples_collected_per_scheme(self, comparison):
-        assert set(comparison.samples_by_scheme) == {"Eager", "Lazy", "Bulk"}
-
-    def test_samples_alias_is_lazy(self, comparison):
-        # The documented back-compat contract: `.samples` is the exact
-        # Lazy run's list (the Figure 15 methodology's source).
-        assert comparison.samples is not None
-        assert comparison.samples == comparison.samples_by_scheme["Lazy"]
-
-    def test_samples_empty_without_flag(self):
-        comparison = run_tm_comparison("mc", txns_per_thread=2, seed=3)
-        assert comparison.samples_by_scheme == {}
-        assert comparison.samples == []

@@ -165,13 +165,11 @@ class TestSerializationTolerance:
 class TestSerializationRoundTrip:
     def test_tm_comparison_round_trip(self):
         comparison = run_tm_comparison(
-            "mc", txns_per_thread=3, seed=5, include_partial=True,
-            collect_samples=True,
+            "mc", txns_per_thread=3, seed=5, include_partial=True
         )
         rebuilt = comparison_from_dict(comparison_to_dict(comparison))
         assert rebuilt.app == comparison.app
         assert rebuilt.cycles == comparison.cycles
-        assert rebuilt.samples == comparison.samples
         for scheme, stats in comparison.stats.items():
             other = rebuilt.stats[scheme]
             assert other.committed_transactions == stats.committed_transactions
