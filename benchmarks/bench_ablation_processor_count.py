@@ -30,7 +30,7 @@ PROCESSOR_COUNTS = [2, 4, 8, 16]
 def test_ablation_tls_processor_count(benchmark):
     def sweep():
         tasks = build_tls_workload("vortex", num_tasks=96, seed=SEED)
-        sequential = simulate_sequential(tasks, TLS_DEFAULTS)
+        sequential, _ = simulate_sequential(tasks, TLS_DEFAULTS)
         rows = []
         for processors in PROCESSOR_COUNTS:
             params = replace(TLS_DEFAULTS, num_processors=processors)

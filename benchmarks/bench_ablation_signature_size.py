@@ -81,7 +81,7 @@ def test_ablation_tls_signature_size(benchmark):
     def sweep():
         rows = []
         tasks = build_tls_workload("crafty", num_tasks=80, seed=SEED)
-        sequential = simulate_sequential(tasks, TLS_DEFAULTS)
+        sequential, _ = simulate_sequential(tasks, TLS_DEFAULTS)
         for name in TLS_CONFIGS:
             config = table8_config(
                 name, Granularity.WORD, use_paper_permutation=False

@@ -61,11 +61,10 @@ def build_tasks(num_tasks=64, iterations_per_task=24, seed=3):
 
 def main() -> None:
     tasks = build_tasks()
-    sequential = simulate_sequential(tasks, TLS_DEFAULTS)
+    sequential, sequential_memory = simulate_sequential(tasks, TLS_DEFAULTS)
     print(f"sequential execution: {sequential} cycles\n")
     print(f"{'scheme':14s} {'cycles':>8s} {'speedup':>8s} "
           f"{'squashes':>9s} {'falsePos':>9s}")
-    finals = []
     for scheme in (
         TlsEagerScheme(),
         TlsLazyScheme(),
@@ -79,12 +78,9 @@ def main() -> None:
             f"{sequential / result.cycles:8.2f} {stats.squashes:9d} "
             f"{stats.false_positive_squashes:9d}"
         )
-        finals.append(
-            {k: v for k, v in result.memory.snapshot().items() if v != 0}
-        )
-    assert all(final == finals[0] for final in finals)
-    print("\nfinal histograms identical under every scheme — sequential "
-          "semantics preserved.")
+        assert result.memory == sequential_memory
+    print("\nfinal histograms equal the sequential run's under every "
+          "scheme — sequential semantics preserved.")
 
 
 if __name__ == "__main__":

@@ -26,6 +26,8 @@ from repro.checkpoint.params import CHECKPOINT_DEFAULTS, CheckpointParams
 from repro.checkpoint.stats import CheckpointStats
 from repro.checkpoint.system import CheckpointSystem
 from repro.checkpoint.workload import build_checkpoint_workload
+from repro.errors import SimulationError
+from repro.mem.memory import WordMemory
 from repro.spec import RunConfig, resolve_scheme, scheme_entries, scheme_names
 from repro.tls.params import TLS_DEFAULTS, TlsParams
 from repro.tls.stats import TlsStats
@@ -167,15 +169,32 @@ def run_tls_comparison(
     # Tasks are immutable static descriptors; the sequential baseline
     # and every scheme share one build (same seed == same sequence).
     tasks = build_tls_workload(app, num_tasks=num_tasks, seed=seed)
-    comparison.sequential_cycles = simulate_sequential(tasks, params)
+    comparison.sequential_cycles, sequential_memory = simulate_sequential(
+        tasks, params
+    )
     for name in scheme_names("tls"):
         result = TlsSystem(
             tasks, resolve_scheme("tls", name), params, obs=obs, config=config
         ).run()
+        # TLS must preserve sequential semantics: every scheme ends with
+        # the memory of the sequential run.
+        if result.memory != sequential_memory:
+            word = _first_differing_word(result.memory, sequential_memory)
+            raise SimulationError(
+                f"TLS {app}: {name} ends with word {word:#x} = "
+                f"{result.memory.load(word)}, the sequential run with "
+                f"{sequential_memory.load(word)}"
+            )
         result.stats.sequential_cycles = comparison.sequential_cycles
         comparison.cycles[name] = result.cycles
         comparison.stats[name] = result.stats
     return comparison
+
+
+def _first_differing_word(memory: WordMemory, reference: WordMemory) -> int:
+    """The lowest word address at which two memories differ."""
+    words = set(memory.snapshot()) | set(reference.snapshot())
+    return min(w for w in words if memory.load(w) != reference.load(w))
 
 
 @dataclass

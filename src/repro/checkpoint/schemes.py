@@ -31,6 +31,15 @@ from repro.spec.scheme import SpecScheme
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.checkpoint.system import CheckpointSystem, EpochRecord
 
+# Each enum member this module compares or passes, bound once: on
+# Python 3.9-3.11 ``SetRestrictionAction.WRITEBACK_NONSPEC`` goes
+# through the enum metaclass's ``__getattr__``, several times slower
+# than a module global, and the store hook compares them per store and
+# the commit hooks pass them per message.
+_INVALIDATION = MessageKind.INVALIDATION
+_WRITEBACK_NONSPEC = SetRestrictionAction.WRITEBACK_NONSPEC
+_COMMIT_SIGNATURE = MessageKind.COMMIT_SIGNATURE
+
 
 class CheckpointScheme(SpecScheme):
     """Hook surface a checkpoint scheme implements.
@@ -113,9 +122,7 @@ class ExactCheckpointScheme(CheckpointScheme):
         line-grain footprint), as in the Lazy TM commit."""
         total = 0
         for _ in range(len(record.write_lines)):
-            total += system.bus.record(
-                MessageKind.INVALIDATION, is_commit_traffic=True
-            )
+            total += system.bus.record(_INVALIDATION, is_commit_traffic=True)
         return total
 
 
@@ -154,7 +161,7 @@ class BulkCheckpointScheme(CheckpointScheme):
 
     def prepare_store(self, system: "CheckpointSystem", line_address: int) -> None:
         action = self.bdm.store_set_action(line_address)
-        if action is SetRestrictionAction.WRITEBACK_NONSPEC:
+        if action is _WRITEBACK_NONSPEC:
             system.charge_safe_writebacks(
                 system.cache, system.cache.set_index(line_address),
                 now=system.clock, port=0,
@@ -196,7 +203,7 @@ class BulkCheckpointScheme(CheckpointScheme):
     ) -> int:
         """One RLE-compressed signature, regardless of write-set size."""
         return system.bus.record(
-            MessageKind.COMMIT_SIGNATURE,
+            _COMMIT_SIGNATURE,
             payload_bytes=max(1, len(rle_encode(record.context.write_signature))),
             is_commit_traffic=True,
         )

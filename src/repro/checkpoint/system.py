@@ -43,6 +43,13 @@ from repro.obs import Observability
 from repro.spec.config import RunConfig
 from repro.spec.system import SpecSystemCore
 
+# Each enum member this module compares or passes, bound once: on
+# Python 3.9-3.11 ``MessageKind.FILL`` goes through the enum
+# metaclass's ``__getattr__``, several times slower than a module
+# global, and the access path passes them per miss and per writeback.
+_WRITEBACK = MessageKind.WRITEBACK
+_FILL = MessageKind.FILL
+
 
 class EpochRecord:
     """One live checkpoint: its epoch, write log and exact footprint."""
@@ -203,7 +210,7 @@ class CheckpointSystem(SpecSystemCore):
         for line_address in sorted(committed_lines):
             line = self.cache.lookup(line_address, touch=False)
             if line is not None and line.dirty:
-                self.bus.record(MessageKind.WRITEBACK, now=self.clock, port=0)
+                self.bus.record(_WRITEBACK, now=self.clock, port=0)
                 self.cache.clean(line_address)
         self.stats.committed_checkpoints += 1
         self.stats.read_set_words += len(record.read_words)
@@ -310,7 +317,7 @@ class CheckpointSystem(SpecSystemCore):
             self.clock += self.params.hit_cycles
             return line
         self.clock += self.params.miss_cycles
-        self.bus.record(MessageKind.FILL, now=self.clock, port=0)
+        self.bus.record(_FILL, now=self.clock, port=0)
         words = list(self.memory.load_line(line_address))
         base = line_address << 4
         for record in self.live:
@@ -320,5 +327,5 @@ class CheckpointSystem(SpecSystemCore):
                     words[offset] = value
         victim = self.cache.fill(line_address, words)
         if victim is not None and victim.dirty:
-            self.bus.record(MessageKind.WRITEBACK, now=self.clock, port=0)
+            self.bus.record(_WRITEBACK, now=self.clock, port=0)
         return self.cache.lookup(line_address, touch=False)

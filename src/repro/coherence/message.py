@@ -105,6 +105,14 @@ FIXED_MESSAGE_BYTES: dict = {
 }
 
 
+# Each enum member this module compares or passes, bound once: on
+# Python 3.9-3.11 ``MessageKind.COMMIT_SIGNATURE`` goes through the
+# enum metaclass's ``__getattr__``, several times slower than a module
+# global, and ``message_bytes`` compares them per signature packet.
+_COMMIT_SIGNATURE = MessageKind.COMMIT_SIGNATURE
+_SPAWN_SIGNATURE = MessageKind.SPAWN_SIGNATURE
+
+
 def message_bytes(kind: MessageKind, payload_bytes: int = 0) -> int:
     """Total bytes of one message of a given kind.
 
@@ -119,7 +127,7 @@ def message_bytes(kind: MessageKind, payload_bytes: int = 0) -> int:
                 f"{kind.value} messages have a fixed size; got payload override"
             )
         return size
-    if kind is MessageKind.COMMIT_SIGNATURE or kind is MessageKind.SPAWN_SIGNATURE:
+    if kind is _COMMIT_SIGNATURE or kind is _SPAWN_SIGNATURE:
         if payload_bytes <= 0:
             raise ConfigurationError(
                 f"{kind.value} messages need an explicit payload size"

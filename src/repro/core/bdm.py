@@ -61,6 +61,17 @@ class SetRestrictionAction(enum.Enum):
     CONFLICT = "conflict"
 
 
+# Each enum member this module compares or passes, bound once: on
+# Python 3.9-3.11 ``SetRestrictionAction.PROCEED`` goes through the
+# enum metaclass's ``__getattr__``, several times slower than a module
+# global, and ``store_set_action`` returns them per speculative store.
+_PROCEED = SetRestrictionAction.PROCEED
+_WRITEBACK_NONSPEC = SetRestrictionAction.WRITEBACK_NONSPEC
+_CONFLICT = SetRestrictionAction.CONFLICT
+_LINE = Granularity.LINE
+_WORD = Granularity.WORD
+
+
 class VersionContext:
     """One speculative version's signature state within a BDM.
 
@@ -183,7 +194,7 @@ class BulkDisambiguationModule:
         # Per-access fast-path constants, fixed by the configuration:
         # byte address -> granule is one shift, granule -> cache set is a
         # shift plus the mask (== decoder.set_index_of).
-        if config.granularity is Granularity.LINE:
+        if config.granularity is _LINE:
             self._byte_shift = LINE_SHIFT
             self._granule_line_shift = 0
         else:
@@ -206,7 +217,7 @@ class BulkDisambiguationModule:
         self.running: Optional[VersionContext] = None
         self.word_unit: Optional[UpdatedWordBitmaskUnit] = (
             UpdatedWordBitmaskUnit(config)
-            if config.granularity is Granularity.WORD
+            if config.granularity is _WORD
             else None
         )
 
@@ -337,11 +348,11 @@ class BulkDisambiguationModule:
         bit = 1 << (line_address & self._set_mask)
         running = self.running
         if running is not None and running.delta_mask & bit:
-            return SetRestrictionAction.PROCEED
+            return _PROCEED
         for context in self.contexts:
             if context.active and context is not running and context.delta_mask & bit:
-                return SetRestrictionAction.CONFLICT
-        return SetRestrictionAction.WRITEBACK_NONSPEC
+                return _CONFLICT
+        return _WRITEBACK_NONSPEC
 
     def assert_set_restriction(self, cache: Cache) -> None:
         """Validate the invariant over the whole cache (test hook).

@@ -34,6 +34,13 @@ from repro.core.signature_config import SignatureConfig
 from repro.errors import DeltaInexactError
 from repro.mem.address import WORD_TO_LINE_SHIFT, Granularity, line_index_bits
 
+# Each enum member this module compares or passes, bound once: on
+# Python 3.9-3.11 ``Granularity.LINE`` goes through the enum
+# metaclass's ``__getattr__``, several times slower than a module
+# global.  Only a decoder's construction compares it here, but every
+# simulator module keeps the one rule (tests/sim/test_hot_loops.py).
+_LINE = Granularity.LINE
+
 
 class DeltaDecoder:
     """Precomputed decode logic for one (configuration, cache geometry) pair.
@@ -67,7 +74,7 @@ class DeltaDecoder:
         # cache set index?  For line addresses they are the low bits; for
         # word addresses the line address is word >> 4, so the index bits
         # sit above the word-in-line offset.
-        if config.granularity is Granularity.LINE:
+        if config.granularity is _LINE:
             first = 0
         else:
             first = WORD_TO_LINE_SHIFT

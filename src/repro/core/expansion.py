@@ -42,6 +42,12 @@ _LINE_MASK_CACHES: Dict[SignatureConfig, LruCache] = {}
 
 _LINE_MASK_MISS = object()
 
+# Each enum member this module compares or passes, bound once: on
+# Python 3.9-3.11 ``Granularity.LINE`` goes through the enum
+# metaclass's ``__getattr__``, several times slower than a module
+# global, and ``line_may_be_in`` compares them per probed line.
+_LINE = Granularity.LINE
+
 
 def _line_masks(config: SignatureConfig, line_address: int) -> tuple:
     """``(union_mask, per-word flat masks)`` of a line's 16 words.
@@ -77,7 +83,7 @@ def line_may_be_in(signature: Signature, line_address: int) -> bool:
     against the memoised line→mask encoding, behind a single-AND
     negative pre-filter on the union of the word masks.
     """
-    if signature.config.granularity is Granularity.LINE:
+    if signature.config.granularity is _LINE:
         return line_address in signature
     union, masks = _line_masks(signature.config, line_address)
     flat = signature.to_flat_int()

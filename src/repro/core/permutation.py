@@ -75,18 +75,16 @@ class BitPermutation:
         # Byte-indexed lookup tables: applying the permutation becomes a
         # handful of table lookups and ORs instead of a per-bit loop.
         # This is the hottest operation of the whole library (every load
-        # and store of every simulated thread encodes an address).
-        num_tables = (width + 7) // 8
+        # and store of every simulated thread encodes an address).  Each
+        # table is built by doubling: after source bit k, entry v holds
+        # the permuted value of v's low k+1 bits.  Bits at or above the
+        # width contribute nothing, as ``apply`` drops them.
         tables = []
-        for table_index in range(num_tables):
-            low = table_index * 8
-            table = [0] * 256
-            for value in range(256):
-                permuted = 0
-                for bit in range(min(8, width - low)):
-                    if (value >> bit) & 1:
-                        permuted |= 1 << dest_of[low + bit]
-                table[value] = permuted
+        for low in range(0, width, 8):
+            table = [0]
+            for src in range(low, low + 8):
+                bit = 1 << dest_of[src] if src < width else 0
+                table += [entry | bit for entry in table]
             tables.append(tuple(table))
         self._byte_tables: Tuple[Tuple[int, ...], ...] = tuple(tables)
 

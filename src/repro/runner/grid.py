@@ -230,32 +230,26 @@ def _execute_point(payload: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _warm_worker() -> None:
-    """Pool-worker initializer: pre-import and pre-build the hot state.
+    """Pool-worker initializer: pre-import the experiment drivers.
 
-    Every grid point pays the same start-up costs inside a fresh worker
-    process: importing the experiment drivers, materialising the Table 8
-    signature catalogue (each config builds its permutation and layout)
-    and the two paper-default configs.  Doing it once per *worker*
-    instead of once per *point* removes that cost from every point
-    after the first.  Warming touches only process-local
-    caches — it computes nothing a point's simulation depends on — so
-    results, merge order, and cache keys are byte-identical with or
-    without it.
+    Every grid point pays the same start-up cost inside a fresh worker
+    process: importing the experiment drivers, which materialises the
+    Table 8 signature catalogue (each config builds its permutation and
+    layout) and the TM, TLS and checkpoint default parameters with their
+    signature configurations.  Doing it once per *worker* instead of
+    once per *point* removes that cost from every point after the first
+    (a forked worker inherits the parent's imports; a spawned one pays
+    here).  Warming touches only process-local state — it computes
+    nothing a point's simulation depends on — so results, merge order,
+    and cache keys are byte-identical with or without it.
     """
     import repro.analysis.experiments  # noqa: F401 - imported for side effect
     from repro.core.backend import suppress_fallback_warnings
-    from repro.core.signature_config import (  # noqa: F401
-        TABLE8_CONFIGS,
-        default_tls_config,
-        default_tm_config,
-    )
 
     # The parent pre-resolves every backend the grid names and emits the
     # single user-facing degradation warning; each fresh worker would
     # otherwise repeat it (once per process x jobs workers).
     suppress_fallback_warnings()
-    default_tm_config()
-    default_tls_config()
 
 
 @dataclass

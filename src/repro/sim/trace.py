@@ -36,6 +36,17 @@ class EventKind(enum.Enum):
     __hash__ = object.__hash__
 
 
+# Each enum member this module compares or passes, bound once: on
+# Python 3.9-3.11 ``EventKind.LOAD`` goes through the enum metaclass's
+# ``__getattr__``, several times slower than a module global, and the
+# event code compares them per event it builds or validates.
+_LOAD = EventKind.LOAD
+_STORE = EventKind.STORE
+_COMPUTE = EventKind.COMPUTE
+_TX_BEGIN = EventKind.TX_BEGIN
+_TX_END = EventKind.TX_END
+
+
 class _EventFields(NamedTuple):
     kind: EventKind
     address: int = 0
@@ -61,10 +72,10 @@ class MemEvent(_EventFields):
         value: int = 0,
         cycles: int = 0,
     ) -> "MemEvent":
-        if kind is EventKind.LOAD or kind is EventKind.STORE:
+        if kind is _LOAD or kind is _STORE:
             if address < 0:
                 raise TraceError(f"negative address in {kind.value} event")
-        elif kind is EventKind.COMPUTE and cycles <= 0:
+        elif kind is _COMPUTE and cycles <= 0:
             raise TraceError("compute events need a positive cycle count")
         return _new_event(cls, (kind, address, value, cycles))
 
@@ -78,11 +89,8 @@ class MemEvent(_EventFields):
 # of events, and skipping ``MemEvent.__new__``'s dispatch on the kind
 # makes each one cheaper.  Each runs its own kind's check.
 _new_event = tuple.__new__
-_LOAD = EventKind.LOAD
-_STORE = EventKind.STORE
-_COMPUTE = EventKind.COMPUTE
-_TX_BEGIN = MemEvent(EventKind.TX_BEGIN)
-_TX_END = MemEvent(EventKind.TX_END)
+_TX_BEGIN_EVENT = MemEvent(_TX_BEGIN)
+_TX_END_EVENT = MemEvent(_TX_END)
 
 
 def load(address: int) -> MemEvent:
@@ -108,12 +116,12 @@ def compute(cycles: int) -> MemEvent:
 
 def tx_begin() -> MemEvent:
     """A transaction-begin marker (one shared instance)."""
-    return _TX_BEGIN
+    return _TX_BEGIN_EVENT
 
 
 def tx_end() -> MemEvent:
     """A transaction-end marker (one shared instance)."""
-    return _TX_END
+    return _TX_END_EVENT
 
 
 class ThreadTrace:
@@ -136,11 +144,12 @@ class ThreadTrace:
     def _validate(self) -> int:
         depth = max_depth = 0
         for position, event in enumerate(self.events):
-            if event.kind is EventKind.TX_BEGIN:
+            kind = event.kind
+            if kind is _TX_BEGIN:
                 depth += 1
                 if depth > max_depth:
                     max_depth = depth
-            elif event.kind is EventKind.TX_END:
+            elif kind is _TX_END:
                 depth -= 1
                 if depth < 0:
                     raise TraceError(
@@ -159,11 +168,12 @@ class ThreadTrace:
         depth = 0
         count = 0
         for event in self.events:
-            if event.kind is EventKind.TX_BEGIN:
+            kind = event.kind
+            if kind is _TX_BEGIN:
                 if depth == 0:
                     count += 1
                 depth += 1
-            elif event.kind is EventKind.TX_END:
+            elif kind is _TX_END:
                 depth -= 1
         return count
 
@@ -190,6 +200,6 @@ def serial_reference_memory(
     memory: dict = {}
     for trace in traces:
         for event in trace.events:
-            if event.kind is EventKind.STORE:
+            if event.kind is _STORE:
                 memory[event.address >> 2] = event.value & 0xFFFFFFFF
     return memory

@@ -32,6 +32,13 @@ from repro.interconnect import InterconnectConfig, TimedBus, build_bus
 from repro.obs import Observability
 from repro.spec.config import DEFAULT_RUN_CONFIG, RunConfig
 
+# Each enum member this module compares or passes, bound once: on
+# Python 3.9-3.11 ``MessageKind.WRITEBACK`` goes through the enum
+# metaclass's ``__getattr__``, several times slower than a module
+# global, and the safe-writeback charge passes them per written-back
+# line.
+_WRITEBACK = MessageKind.WRITEBACK
+
 
 class SpecSystemCore:
     """Shared bus construction, metrics wiring, and obs-event helpers."""
@@ -262,7 +269,7 @@ class SpecSystemCore:
         """
         written_back = 0
         for line in cache.dirty_lines_in_set(set_index):
-            self.bus.record(MessageKind.WRITEBACK, now=now, port=port)
+            self.bus.record(_WRITEBACK, now=now, port=port)
             cache.clean(line.line_address)
             self.stats.safe_writebacks += 1
             written_back += 1

@@ -43,6 +43,17 @@ from repro.tls.task import TaskState
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.tls.system import TlsProcessor, TlsSystem
 
+# Each enum member this module compares or passes, bound once: on
+# Python 3.9-3.11 ``SetRestrictionAction.PROCEED`` goes through the
+# enum metaclass's ``__getattr__``, several times slower than a module
+# global, and the store hook compares them per store and the commit
+# hooks pass them per message.
+_SPAWN_SIGNATURE = MessageKind.SPAWN_SIGNATURE
+_PROCEED = SetRestrictionAction.PROCEED
+_WRITEBACK_NONSPEC = SetRestrictionAction.WRITEBACK_NONSPEC
+_COMMIT_SIGNATURE = MessageKind.COMMIT_SIGNATURE
+_WRITEBACK = MessageKind.WRITEBACK
+
 
 class TlsBulkScheme(TlsScheme):
     """Signature-based lazy TLS disambiguation through per-processor BDMs."""
@@ -133,7 +144,7 @@ class TlsBulkScheme(TlsScheme):
         bdm = self.bdm_of(proc)
         parent = system.tasks[state.task_id - 1]
         payload = len(rle_encode(snapshot))
-        system.bus.record(MessageKind.SPAWN_SIGNATURE, payload_bytes=max(1, payload))
+        system.bus.record(_SPAWN_SIGNATURE, payload_bytes=max(1, payload))
         flushed = 0
         for _, line in expand_signature(snapshot, proc.cache, bdm.decoder):
             if system.spawn_flush_line(proc, state, parent, line.line_address):
@@ -176,9 +187,9 @@ class TlsBulkScheme(TlsScheme):
         bdm = self.bdm_of(proc)
         bdm.set_running(self.ctx_of(proc, state.task_id))
         action = bdm.store_set_action(line_address)
-        if action is SetRestrictionAction.PROCEED:
+        if action is _PROCEED:
             return None
-        if action is SetRestrictionAction.WRITEBACK_NONSPEC:
+        if action is _WRITEBACK_NONSPEC:
             set_index = proc.cache.set_index(line_address)
             system.charge_safe_writebacks(proc.cache, set_index)
             return None
@@ -240,7 +251,7 @@ class TlsBulkScheme(TlsScheme):
         proc = system.processors[state.proc]
         context = self.ctx_of(proc, state.task_id)
         total = system.bus.record(
-            MessageKind.COMMIT_SIGNATURE,
+            _COMMIT_SIGNATURE,
             payload_bytes=max(1, len(rle_encode(context.write_signature))),
             is_commit_traffic=True,
         )
@@ -248,7 +259,7 @@ class TlsBulkScheme(TlsScheme):
             # "When a thread commits, it sends both its write signature W
             # and its shadow one Wsh" (Figure 9).
             total += system.bus.record(
-                MessageKind.COMMIT_SIGNATURE,
+                _COMMIT_SIGNATURE,
                 payload_bytes=max(
                     1, len(rle_encode(context.shadow_write_signature))
                 ),
@@ -361,7 +372,7 @@ class TlsBulkScheme(TlsScheme):
         system.stats.merged_lines += merged
         system.stats.false_commit_invalidations += false_invalidated
         for _ in range(writeback_invalidated):
-            system.bus.record(MessageKind.WRITEBACK)
+            system.bus.record(_WRITEBACK)
         if system.obs_enabled:
             system.note_sig_expansion(
                 "commit-invalidate",

@@ -23,6 +23,12 @@ from repro.tls.task import TaskState
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.tls.system import TlsProcessor, TlsSystem
 
+# Each enum member this module compares or passes, bound once: on
+# Python 3.9-3.11 ``MessageKind.INVALIDATION`` goes through the enum
+# metaclass's ``__getattr__``, several times slower than a module
+# global, and the store check passes them per invalidating store.
+_INVALIDATION = MessageKind.INVALIDATION
+
 
 class TlsEagerScheme(TlsScheme):
     """Exact, store-time disambiguation."""
@@ -76,7 +82,7 @@ class TlsEagerScheme(TlsScheme):
             if other_proc.cache.invalidate(line_address) is not None:
                 any_copy = True
         if any_copy:
-            system.bus.record(MessageKind.INVALIDATION)
+            system.bus.record(_INVALIDATION)
 
     # ------------------------------------------------------------------
     # Commit: quiet

@@ -24,6 +24,13 @@ from repro.tls.task import TaskState
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.tls.system import TlsProcessor, TlsSystem
 
+# Each enum member this module compares or passes, bound once: on
+# Python 3.9-3.11 ``MessageKind.INVALIDATION`` goes through the enum
+# metaclass's ``__getattr__``, several times slower than a module
+# global, and the commit and spawn hooks pass them per message.
+_SPAWN_SIGNATURE = MessageKind.SPAWN_SIGNATURE
+_INVALIDATION = MessageKind.INVALIDATION
+
 
 class TlsLazyScheme(TlsScheme):
     """Exact, commit-time disambiguation with enumerated packets."""
@@ -61,7 +68,7 @@ class TlsLazyScheme(TlsScheme):
             if system.spawn_flush_line(proc, state, parent, line_address):
                 flushed = True
         if flushed or parent.prespawn_write_words:
-            system.bus.record(MessageKind.SPAWN_SIGNATURE, payload_bytes=max(
+            system.bus.record(_SPAWN_SIGNATURE, payload_bytes=max(
                 1, 4 * len({byte_to_line(w << 2) for w in parent.prespawn_write_words})
             ))
 
@@ -72,9 +79,7 @@ class TlsLazyScheme(TlsScheme):
     def commit_packet(self, system: "TlsSystem", state: TaskState) -> int:
         total = 0
         for _ in state.write_lines():
-            total += system.bus.record(
-                MessageKind.INVALIDATION, is_commit_traffic=True
-            )
+            total += system.bus.record(_INVALIDATION, is_commit_traffic=True)
         return total
 
     def receiver_conflict(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.cache import Cache
 from repro.coherence.message import MessageKind
@@ -39,6 +39,22 @@ from repro.tls.conflict import TlsScheme
 from repro.tls.params import TLS_DEFAULTS, TlsParams
 from repro.tls.stats import TlsStats
 from repro.tls.task import TaskState, TaskStatus, TlsTask
+
+# Each enum member this module compares or passes, bound once: on
+# Python 3.9-3.11 ``EventKind.LOAD`` goes through the enum metaclass's
+# ``__getattr__``, several times slower than a module global, and the
+# step loop compares them per event and per scheduling decision and
+# passes them per bus message.
+_LOAD = EventKind.LOAD
+_STORE = EventKind.STORE
+_COMPUTE = EventKind.COMPUTE
+_PENDING = TaskStatus.PENDING
+_RUNNING = TaskStatus.RUNNING
+_WAITING = TaskStatus.WAITING
+_COMMITTED = TaskStatus.COMMITTED
+_FILL = MessageKind.FILL
+_WRITEBACK = MessageKind.WRITEBACK
+_DOWNGRADE = MessageKind.DOWNGRADE
 
 
 class TlsProcessor:
@@ -142,7 +158,7 @@ class TlsSystem(SpecSystemCore):
         heap = scheduler._heap
         heappush_ = heapq.heappush
         heappop_ = heapq.heappop
-        waiting = TaskStatus.WAITING
+        waiting = _WAITING
         pushes = stale = 0
         while heap:
             clock, pid, epoch = heappop_(heap)
@@ -172,7 +188,7 @@ class TlsSystem(SpecSystemCore):
         self._scheduler = None
 
         uncommitted = [
-            t.task_id for t in self.tasks if t.status is not TaskStatus.COMMITTED
+            t.task_id for t in self.tasks if t.status is not _COMMITTED
         ]
         if uncommitted:
             raise SimulationError(
@@ -199,13 +215,13 @@ class TlsSystem(SpecSystemCore):
         """The least-speculative resident task that can make progress."""
         for task_id in proc.resident:
             state = self.tasks[task_id]
-            if state.status is not TaskStatus.RUNNING:
+            if state.status is not _RUNNING:
                 continue
             if state.respawn_pending:
                 continue
             if state.blocked_on is not None:
                 blocker = self.tasks[state.blocked_on]
-                if blocker.status is not TaskStatus.COMMITTED:
+                if blocker.status is not _COMMITTED:
                     continue
                 state.blocked_on = None
             return state
@@ -245,7 +261,7 @@ class TlsSystem(SpecSystemCore):
     def _dispatch_all(self, now: int) -> None:
         while self.next_dispatch < len(self.tasks):
             state = self.tasks[self.next_dispatch]
-            if state.status is not TaskStatus.PENDING:
+            if state.status is not _PENDING:
                 self.next_dispatch += 1
                 continue
             if self.next_dispatch not in self.spawn_times:
@@ -266,7 +282,7 @@ class TlsSystem(SpecSystemCore):
             if not self.scheme.can_accept_task(self, proc):
                 continue
             if any(
-                self.tasks[tid].status is TaskStatus.RUNNING
+                self.tasks[tid].status is _RUNNING
                 for tid in proc.resident
             ):
                 continue
@@ -276,7 +292,7 @@ class TlsSystem(SpecSystemCore):
 
     def _dispatch(self, proc: TlsProcessor, state: TaskState, now: int) -> None:
         state.proc = proc.pid
-        state.status = TaskStatus.RUNNING
+        state.status = _RUNNING
         state.cursor = 0
         state.attempts = max(state.attempts, 1)
         proc.resident.append(state.task_id)
@@ -315,14 +331,14 @@ class TlsSystem(SpecSystemCore):
         event = events[state.cursor]
         kind = event.kind
         # Branches ordered by frequency: loads, stores, compute bursts.
-        if kind is EventKind.LOAD:
+        if kind is _LOAD:
             self._load(proc, state, event.address)
-        elif kind is EventKind.STORE:
+        elif kind is _STORE:
             if not self._store(proc, state, event):
                 # The store triggered a Wr-Wr squash of this very task;
                 # its cursor was already rewound.
                 return
-        elif kind is EventKind.COMPUTE:
+        elif kind is _COMPUTE:
             proc.clock += event.cycles
         else:  # pragma: no cover - TlsTask validates event kinds
             raise SimulationError(f"unhandled TLS event {kind!r}")
@@ -332,7 +348,7 @@ class TlsSystem(SpecSystemCore):
                 # Spawn point at the very end of the trace: fire it now,
                 # or the successor would never be dispatched.
                 self._spawn_point(proc, state)
-            state.status = TaskStatus.WAITING
+            state.status = _WAITING
             state.finish_clock = proc.clock
             # The processor now has a free slot: a pending task may start
             # here while this one waits to commit (multi-versioning).
@@ -471,13 +487,11 @@ class TlsSystem(SpecSystemCore):
                     words[offset] = value
                     if task_id == state.task_id:
                         dirty = True
-        self.bus.record(MessageKind.FILL, now=proc.clock, port=proc.pid)
+        self.bus.record(_FILL, now=proc.clock, port=proc.pid)
         self._downgrade_remote_dirty(proc, line_address)
         victim = proc.cache.fill(line_address, words, dirty=dirty)
         if victim is not None and victim.dirty:
-            self.bus.record(
-                MessageKind.WRITEBACK, now=proc.clock, port=proc.pid
-            )
+            self.bus.record(_WRITEBACK, now=proc.clock, port=proc.pid)
         line = proc.cache.lookup(line_address, touch=False)
         assert line is not None
         return line
@@ -500,9 +514,7 @@ class TlsSystem(SpecSystemCore):
             if remote is None or not remote.dirty:
                 continue
             speculative = self._speculative_dirty(other, line_address)
-            self.bus.record(
-                MessageKind.DOWNGRADE, now=proc.clock, port=proc.pid
-            )
+            self.bus.record(_DOWNGRADE, now=proc.clock, port=proc.pid)
             if not speculative:
                 other.cache.clean(line_address)
             break
@@ -552,9 +564,7 @@ class TlsSystem(SpecSystemCore):
             if not stale:
                 return False
             if not self._speculative_dirty(proc, line_address):
-                self.bus.record(
-                    MessageKind.WRITEBACK, now=proc.clock, port=proc.pid
-                )
+                self.bus.record(_WRITEBACK, now=proc.clock, port=proc.pid)
         proc.cache.invalidate(line_address)
         return True
 
@@ -567,7 +577,7 @@ class TlsSystem(SpecSystemCore):
         before ``up_to`` (``None`` = unconditionally)."""
         while self.head < len(self.tasks):
             state = self.tasks[self.head]
-            if state.status is not TaskStatus.WAITING:
+            if state.status is not _WAITING:
                 return
             if up_to is not None and state.finish_clock > up_to:
                 return
@@ -631,7 +641,7 @@ class TlsSystem(SpecSystemCore):
                 continue
             self.scheme.commit_update_cache(self, state, other_proc)
 
-        state.status = TaskStatus.COMMITTED
+        state.status = _COMMITTED
         self.scheme.on_commit_cleanup(self, proc, state)
         proc.resident.remove(state.task_id)
         if self._runnable_task(proc) is None:
@@ -730,18 +740,22 @@ class TlsSystem(SpecSystemCore):
         line.dirty = dirty
 
 
-def simulate_sequential(tasks: Sequence[TlsTask], params: TlsParams) -> int:
-    """Cycles to execute all tasks back-to-back on one processor.
+def simulate_sequential(
+    tasks: Sequence[TlsTask], params: TlsParams
+) -> Tuple[int, WordMemory]:
+    """Execute all tasks back-to-back on one processor.
 
     The sequential baseline of Figure 10: one cache, no speculation, no
-    TLS overheads.
+    TLS overheads.  Returns the cycles and the final memory, which every
+    TLS scheme's run must reproduce.
     """
     cache = Cache(params.geometry)
     memory = WordMemory()
     clock = 0
     for task in tasks:
         for event in task.events:
-            if event.kind is EventKind.COMPUTE:
+            kind = event.kind
+            if kind is _COMPUTE:
                 clock += event.cycles
                 continue
             line_address = event.address >> LINE_SHIFT
@@ -753,8 +767,8 @@ def simulate_sequential(tasks: Sequence[TlsTask], params: TlsParams) -> int:
                 assert line is not None
             else:
                 clock += params.hit_cycles
-            if event.kind is EventKind.STORE:
+            if kind is _STORE:
                 word = event.address >> WORD_SHIFT
                 memory.store(word, event.value)
                 line.write_word(word, event.value)
-    return clock
+    return clock, memory

@@ -31,7 +31,8 @@ class TlsTask:
         self.task_id = task_id
         self.events = tuple(events)
         for event in self.events:
-            if event.kind in (EventKind.TX_BEGIN, EventKind.TX_END):
+            kind = event.kind
+            if kind is _TX_BEGIN or kind is _TX_END:
                 raise TraceError("TLS task traces have no transaction markers")
         if not 0 <= spawn_cursor <= len(self.events):
             raise TraceError(
@@ -62,11 +63,24 @@ class TaskStatus(enum.Enum):
     COMMITTED = "committed"
 
 
+# Each enum member this module compares or passes, bound once: on
+# Python 3.9-3.11 ``TaskStatus.RUNNING`` goes through the enum
+# metaclass's ``__getattr__``, several times slower than a module
+# global, and the task code compares them per event of a new task and
+# per active-task test.
+_TX_BEGIN = EventKind.TX_BEGIN
+_TX_END = EventKind.TX_END
+_PENDING = TaskStatus.PENDING
+_RUNNING = TaskStatus.RUNNING
+_WAITING = TaskStatus.WAITING
+
+
 class TaskState:
     """Runtime state of one task across squash/restart attempts."""
 
     __slots__ = (
         "task",
+        "task_id",
         "status",
         "proc",
         "cursor",
@@ -86,7 +100,9 @@ class TaskState:
 
     def __init__(self, task: TlsTask) -> None:
         self.task = task
-        self.status = TaskStatus.PENDING
+        #: Static task id (also the commit-order position).
+        self.task_id = task.task_id
+        self.status = _PENDING
         self.proc: Optional[int] = None
         self.cursor = 0
         self.attempts = 0
@@ -127,14 +143,10 @@ class TaskState:
 
     # ------------------------------------------------------------------
 
-    @property
-    def task_id(self) -> int:
-        """Static task id (also the commit-order position)."""
-        return self.task.task_id
-
     def is_active(self) -> bool:
         """Dispatched and not yet committed."""
-        return self.status in (TaskStatus.RUNNING, TaskStatus.WAITING)
+        status = self.status
+        return status is _RUNNING or status is _WAITING
 
     def record_load(self, byte_address: int) -> None:
         """Add a load to the exact read set."""
@@ -183,7 +195,7 @@ class TaskState:
         self.shadow_write_words = None
         self.prespawn_write_words = set()
         self.pending_stale.clear()
-        self.status = TaskStatus.RUNNING
+        self.status = _RUNNING
         self.blocked_on = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -38,6 +38,14 @@ from repro.tm.processor import TmProcessor
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.tm.system import TmSystem
 
+# Each enum member this module compares or passes, bound once: on
+# Python 3.9-3.11 ``SetRestrictionAction.CONFLICT`` goes through the
+# enum metaclass's ``__getattr__``, several times slower than a module
+# global, and the eager check compares them per transactional store.
+_CONFLICT = SetRestrictionAction.CONFLICT
+_WRITEBACK_NONSPEC = SetRestrictionAction.WRITEBACK_NONSPEC
+_COMMIT_SIGNATURE = MessageKind.COMMIT_SIGNATURE
+
 
 class BulkScheme(TmScheme):
     """Signature-based lazy disambiguation through the BDM."""
@@ -141,10 +149,10 @@ class BulkScheme(TmScheme):
         bdm.set_running(context)
         line_address = byte_to_line(byte_address)
         action = bdm.store_set_action(line_address)
-        if action is not SetRestrictionAction.CONFLICT:
+        if action is not _CONFLICT:
             # The whole Set Restriction is resolved here, in one
             # decision pass per store.
-            if action is SetRestrictionAction.WRITEBACK_NONSPEC:
+            if action is _WRITEBACK_NONSPEC:
                 system.charge_safe_writebacks(
                     proc.cache, proc.cache.set_index(line_address)
                 )
@@ -162,9 +170,7 @@ class BulkScheme(TmScheme):
             return owner_proc.pid  # requester stalls (strict order: no cycles)
         system.squash_preempted_context(proc, owner_context)
         # The store proceeds this step: apply the post-squash decision.
-        if bdm.store_set_action(line_address) is (
-            SetRestrictionAction.WRITEBACK_NONSPEC
-        ):
+        if bdm.store_set_action(line_address) is _WRITEBACK_NONSPEC:
             system.charge_safe_writebacks(proc.cache, set_index)
         return None
 
@@ -218,7 +224,7 @@ class BulkScheme(TmScheme):
         signature = self._commit_signature(proc)
         payload = len(rle_encode(signature))
         return system.bus.record(
-            MessageKind.COMMIT_SIGNATURE,
+            _COMMIT_SIGNATURE,
             payload_bytes=payload,
             is_commit_traffic=True,
         )

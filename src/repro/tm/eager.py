@@ -30,6 +30,13 @@ from repro.tm.processor import TmProcessor
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.tm.system import TmSystem
 
+# Each enum member this module compares or passes, bound once: on
+# Python 3.9-3.11 ``MessageKind.INVALIDATION`` goes through the enum
+# metaclass's ``__getattr__``, several times slower than a module
+# global, and the eager check passes them per conflicting access.
+_INVALIDATION = MessageKind.INVALIDATION
+_UPGRADE = MessageKind.UPGRADE
+
 
 class EagerScheme(TmScheme):
     """Exact, access-time disambiguation with livelock mitigation."""
@@ -139,10 +146,10 @@ class EagerScheme(TmScheme):
             if other.cache.invalidate(line) is not None:
                 invalidated_any = True
         if invalidated_any:
-            system.bus.record(MessageKind.INVALIDATION)
+            system.bus.record(_INVALIDATION)
         else:
             # Gaining exclusivity still costs an upgrade request.
-            system.bus.record(MessageKind.UPGRADE)
+            system.bus.record(_UPGRADE)
 
     # ------------------------------------------------------------------
     # Commit

@@ -25,6 +25,12 @@ from repro.tm.processor import TmProcessor
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.tm.system import TmSystem
 
+# Each enum member this module compares or passes, bound once: on
+# Python 3.9-3.11 ``MessageKind.INVALIDATION`` goes through the enum
+# metaclass's ``__getattr__``, several times slower than a module
+# global, and the commit packet passes them per written line.
+_INVALIDATION = MessageKind.INVALIDATION
+
 
 class LazyScheme(TmScheme):
     """Exact, commit-time disambiguation with enumerated commit packets."""
@@ -39,9 +45,7 @@ class LazyScheme(TmScheme):
         assert proc.txn is not None
         total = 0
         for _ in proc.txn.all_write_lines():
-            total += system.bus.record(
-                MessageKind.INVALIDATION, is_commit_traffic=True
-            )
+            total += system.bus.record(_INVALIDATION, is_commit_traffic=True)
         return total
 
     def receiver_conflict(

@@ -42,6 +42,23 @@ from repro.tm.processor import TmProcessor
 from repro.tm.stats import TmStats
 from repro.tm.txstate import TxnState
 
+# Each enum member this module compares or passes, bound once: on
+# Python 3.9-3.11 ``EventKind.LOAD`` goes through the enum metaclass's
+# ``__getattr__``, several times slower than a module global, and the
+# step loop compares them per event and passes them per bus message.
+_LOAD = EventKind.LOAD
+_STORE = EventKind.STORE
+_COMPUTE = EventKind.COMPUTE
+_TX_BEGIN = EventKind.TX_BEGIN
+_TX_END = EventKind.TX_END
+_NACK = MessageKind.NACK
+_FILL = MessageKind.FILL
+_INVALIDATION = MessageKind.INVALIDATION
+_DOWNGRADE = MessageKind.DOWNGRADE
+_WRITEBACK = MessageKind.WRITEBACK
+_OVERFLOW_ACCESS = MessageKind.OVERFLOW_ACCESS
+
+
 @dataclass
 class TmRunResult:
     """Everything a finished TM run exposes."""
@@ -187,7 +204,7 @@ class TmSystem(SpecSystemCore):
         # access pre-check (formerly a separate _access method) is
         # inlined into both branches: it sat two frames deep on the
         # hottest path of the whole simulator.
-        if kind is EventKind.LOAD:
+        if kind is _LOAD:
             if proc.txn is not None and self.scheme.eager_checks_loads:
                 stall_on = self.scheme.eager_check(
                     self, proc, event.address, False
@@ -197,7 +214,7 @@ class TmSystem(SpecSystemCore):
                     return
             self._load(proc, event.address)
             proc.cursor += 1
-        elif kind is EventKind.STORE:
+        elif kind is _STORE:
             if proc.txn is not None:
                 stall_on = self.scheme.eager_check(
                     self, proc, event.address, True
@@ -207,12 +224,12 @@ class TmSystem(SpecSystemCore):
                     return
             self._store(proc, event.address, event.value)
             proc.cursor += 1
-        elif kind is EventKind.COMPUTE:
+        elif kind is _COMPUTE:
             proc.clock += event.cycles
             proc.cursor += 1
-        elif kind is EventKind.TX_BEGIN:
+        elif kind is _TX_BEGIN:
             self._begin(proc)
-        elif kind is EventKind.TX_END:
+        elif kind is _TX_END:
             self._end(proc)
         else:  # pragma: no cover - exhaustive over EventKind
             raise SimulationError(f"unhandled event kind {kind!r}")
@@ -318,8 +335,8 @@ class TmSystem(SpecSystemCore):
             # speculative line (Section 4.5's external-request rule,
             # applied within the core).
             proc.clock += self.params.miss_cycles
-            self.bus.record(MessageKind.NACK, now=proc.clock, port=proc.pid)
-            self.bus.record(MessageKind.FILL, now=proc.clock, port=proc.pid)
+            self.bus.record(_NACK, now=proc.clock, port=proc.pid)
+            self.bus.record(_FILL, now=proc.clock, port=proc.pid)
         elif line is not None:
             proc.clock += self.params.hit_cycles
             observed = line.words[word & 0xF]  # == line.read_word(word)
@@ -424,9 +441,7 @@ class TmSystem(SpecSystemCore):
             if popped is not None:
                 any_copy = True
         if any_copy:
-            self.bus.record(
-                MessageKind.INVALIDATION, now=proc.clock, port=proc.pid
-            )
+            self.bus.record(_INVALIDATION, now=proc.clock, port=proc.pid)
 
     def _miss_fill(self, proc: TmProcessor, byte_address: int, line_address: int):
         """Service a miss: overflow area first (if the scheme says so),
@@ -468,7 +483,7 @@ class TmSystem(SpecSystemCore):
         return line
 
     def _charge_fill_coherence(self, proc: TmProcessor, line_address: int) -> None:
-        self.bus.record(MessageKind.FILL, now=proc.clock, port=proc.pid)
+        self.bus.record(_FILL, now=proc.clock, port=proc.pid)
         for other in self.processors:
             if other is proc or other.cache is proc.cache:
                 continue
@@ -482,15 +497,11 @@ class TmSystem(SpecSystemCore):
                 # Speculative dirty data (possibly a co-resident thread's
                 # in an SMT core): the request is nacked and memory
                 # responds with the committed version.
-                self.bus.record(
-                    MessageKind.NACK, now=proc.clock, port=proc.pid
-                )
+                self.bus.record(_NACK, now=proc.clock, port=proc.pid)
             else:
                 # Non-speculative dirty: the owner downgrades (its data
                 # matches memory in this model).
-                self.bus.record(
-                    MessageKind.DOWNGRADE, now=proc.clock, port=proc.pid
-                )
+                self.bus.record(_DOWNGRADE, now=proc.clock, port=proc.pid)
                 other.cache.clean(line_address)
             break
 
@@ -512,9 +523,7 @@ class TmSystem(SpecSystemCore):
             self.charge_overflow_access(1)
             self.scheme.on_spec_eviction(self, owner)
         else:
-            self.bus.record(
-                MessageKind.WRITEBACK, now=proc.clock, port=proc.pid
-            )
+            self.bus.record(_WRITEBACK, now=proc.clock, port=proc.pid)
 
     # ------------------------------------------------------------------
     # Commit
@@ -592,9 +601,7 @@ class TmSystem(SpecSystemCore):
         for line_address in txn.all_write_lines():
             line = proc.cache.lookup(line_address, touch=False)
             if line is not None and line.dirty:
-                self.bus.record(
-                    MessageKind.WRITEBACK, now=now, port=proc.pid
-                )
+                self.bus.record(_WRITEBACK, now=now, port=proc.pid)
                 proc.cache.clean(line_address)
 
         if proc.overflow_area is not None and proc.overflow_area.allocated:
@@ -714,7 +721,7 @@ class TmSystem(SpecSystemCore):
     def charge_overflow_access(self, count: int) -> None:
         """Account ``count`` overflow-area accesses (bus UB + stats)."""
         for _ in range(count):
-            self.bus.record(MessageKind.OVERFLOW_ACCESS)
+            self.bus.record(_OVERFLOW_ACCESS)
         self.stats.overflow_area_accesses += count
         if self._m_overflow is not None:
             self._m_overflow.inc(count)

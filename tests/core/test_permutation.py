@@ -82,9 +82,14 @@ class TestApply:
         value = 0b101010101010
         assert bin(perm.apply(value)).count("1") == bin(value).count("1")
 
-    @given(permutations(10), st.integers(min_value=0, max_value=1023))
+    @given(
+        st.integers(min_value=1, max_value=32).flatmap(permutations),
+        st.integers(min_value=0, max_value=(1 << 32) - 1),
+    )
     def test_byte_table_fast_path_matches_per_bit(self, sources, address):
-        perm = BitPermutation(10, sources)
+        # Any width, including ones that end mid-byte; address bits above
+        # the width are dropped.
+        perm = BitPermutation(len(sources), sources)
         expected = 0
         for dest, src in enumerate(perm.sources):
             expected |= ((address >> src) & 1) << dest

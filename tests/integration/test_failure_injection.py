@@ -9,9 +9,11 @@ failures these oracles caught for real during development.
 
 import pytest
 
+from repro.analysis.experiments import run_tls_comparison
 from repro.core.bdm import BulkDisambiguationModule
 from repro.errors import SimulationError
 from repro.sim.trace import ThreadTrace, compute, load, store, tx_begin, tx_end
+from repro.spec import scheme_names
 from repro.tls.bulk import TlsBulkScheme
 from repro.tls.system import TlsSystem
 from repro.tls.task import TlsTask
@@ -159,3 +161,34 @@ class TestBrokenSquashInvalidation:
             # If no oracle fired, the run must at least be value-correct
             # (the squash re-read path may have refetched by luck).
             assert result.memory.load(0xC000 >> 2) == 9
+
+
+class TestBrokenTlsCommitWriteback:
+    def test_commit_that_skips_a_logged_word_fails_the_comparison(
+        self, monkeypatch
+    ):
+        """The last task's commit leaves one logged word out of memory.
+        No later task loads it, so no stale-read oracle can fire; the
+        comparison's check against the sequential run's memory must."""
+        original = TlsSystem._commit
+        skipped = []
+
+        def commit_skipping_a_word(self, state):
+            if state.task_id != len(self.tasks) - 1:
+                return original(self, state)
+            word = min(
+                w for w, value in state.write_log.items()
+                if value != self.memory.load(w)
+            )
+            before = self.memory.load(word)
+            original(self, state)
+            self.memory.store(word, before)
+            skipped.append(word)
+
+        monkeypatch.setattr(TlsSystem, "_commit", commit_skipping_a_word)
+        with pytest.raises(SimulationError) as caught:
+            run_tls_comparison("gzip", num_tasks=8, seed=42)
+        first_scheme = scheme_names("tls")[0]
+        assert skipped and str(caught.value).startswith(
+            f"TLS gzip: {first_scheme} ends with word {skipped[0]:#x} = "
+        )

@@ -65,7 +65,7 @@ class TestBasicExecution:
         self, scheme_factory
     ):
         tasks = independent_tasks(count=16, size=12)
-        sequential = simulate_sequential(tasks, TLS_DEFAULTS)
+        sequential, _ = simulate_sequential(tasks, TLS_DEFAULTS)
         result = run(tasks, scheme_factory)
         assert result.cycles < sequential
 
