@@ -71,9 +71,9 @@ class _SamplingLazyScheme(LazyScheme):
         section = super().receiver_conflict(system, committer, receiver)
         if section is None and len(self.samples) < self.budget:
             self.samples.append((
-                frozenset(committer.txn.all_write_granules()),
-                frozenset(receiver.txn.all_read_granules()),
-                frozenset(receiver.txn.all_write_granules()),
+                frozenset(committer.txn.write_granules),
+                frozenset(receiver.txn.read_granules),
+                frozenset(receiver.txn.write_granules),
             ))
         return section
 

@@ -20,18 +20,17 @@ them).
 Word-grain commit merging uses the BDM's Updated Word Bitmask unit
 (Section 4.4) — the committed line is fetched and the receiver's
 locally-written words are patched in.
+
+The scheme owns every processor's BDM; each dispatched task holds its own
+version context (``TaskState.context``) until it commits.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.coherence.message import MessageKind
-from repro.core.bdm import (
-    BulkDisambiguationModule,
-    SetRestrictionAction,
-    VersionContext,
-)
+from repro.core.bdm import BulkDisambiguationModule, SetRestrictionAction
 from repro.core.disambiguation import disambiguate
 from repro.core.expansion import expand_signature
 from repro.core.rle import rle_encode
@@ -69,36 +68,29 @@ class TlsBulkScheme(TlsScheme):
         #: broadcast against the full W, precomputed by a batched
         #: backend (``None`` = scalar disambiguation).
         self._commit_flags: Optional[Dict[int, bool]] = None
+        #: Each processor's BDM, indexed by pid.
+        self._bdms: List[BulkDisambiguationModule] = []
 
     # ------------------------------------------------------------------
     # BDM plumbing
     # ------------------------------------------------------------------
 
     def setup_processor(self, system: "TlsSystem", proc: "TlsProcessor") -> None:
-        proc.scheme_state["bdm"] = BulkDisambiguationModule(
-            system.params.signature_config,
-            system.params.geometry,
-            num_contexts=system.params.bdm_contexts,
-            backend=system.resolve_sig_backend(),
-        )
-        proc.scheme_state["ctx"] = {}
-
-    @staticmethod
-    def bdm_of(proc: "TlsProcessor") -> BulkDisambiguationModule:
-        """The processor's BDM."""
-        return proc.scheme_state["bdm"]
-
-    def ctx_of(self, proc: "TlsProcessor", task_id: int) -> VersionContext:
-        """The BDM version context holding a resident task's signatures."""
-        context = proc.scheme_state["ctx"].get(task_id)
-        if context is None:
-            raise SimulationError(
-                f"task {task_id} has no BDM context on processor {proc.pid}"
+        self._bdms.append(
+            BulkDisambiguationModule(
+                system.params.signature_config,
+                system.params.geometry,
+                num_contexts=system.params.bdm_contexts,
+                backend=system.resolve_sig_backend(),
             )
-        return context
+        )
+
+    def bdm_of(self, proc: "TlsProcessor") -> BulkDisambiguationModule:
+        """The processor's BDM."""
+        return self._bdms[proc.pid]
 
     def can_accept_task(self, system: "TlsSystem", proc: "TlsProcessor") -> bool:
-        contexts = self.bdm_of(proc).contexts
+        contexts = self._bdms[proc.pid].contexts
         return any(not context.active for context in contexts)
 
     # ------------------------------------------------------------------
@@ -108,17 +100,14 @@ class TlsBulkScheme(TlsScheme):
     def on_dispatch(
         self, system: "TlsSystem", proc: "TlsProcessor", state: TaskState
     ) -> None:
-        bdm = self.bdm_of(proc)
-        contexts = proc.scheme_state["ctx"]
-        context = contexts.get(state.task_id)
-        if context is None:
-            context = bdm.allocate_context(state.task_id)
-            if context is None:
-                raise SimulationError(
-                    f"BDM of processor {proc.pid} is out of version contexts"
-                )
-            contexts[state.task_id] = context
-        bdm.set_running(context)
+        # Each task is dispatched once; its context lives until commit.
+        bdm = self._bdms[proc.pid]
+        state.context = bdm.allocate_context(state.task_id)
+        if state.context is None:
+            raise SimulationError(
+                f"BDM of processor {proc.pid} is out of version contexts"
+            )
+        bdm.set_running(state.context)
         self._spawn_flush(system, proc, state)
 
     def on_respawn(
@@ -141,7 +130,7 @@ class TlsBulkScheme(TlsScheme):
         snapshot = self._spawn_write_snapshot.get(state.task_id)
         if snapshot is None:
             return
-        bdm = self.bdm_of(proc)
+        bdm = self._bdms[proc.pid]
         parent = system.tasks[state.task_id - 1]
         payload = len(rle_encode(snapshot))
         system.bus.record(_SPAWN_SIGNATURE, payload_bytes=max(1, payload))
@@ -167,7 +156,7 @@ class TlsBulkScheme(TlsScheme):
         # re-created when the replayed parent crosses the spawn again.
         if not self.partial_overlap:
             return
-        context = self.ctx_of(proc, state.task_id)
+        context = state.context
         context.start_shadow()
         self._spawn_write_snapshot[state.task_id + 1] = (
             context.write_signature.copy()
@@ -184,8 +173,8 @@ class TlsBulkScheme(TlsScheme):
         state: TaskState,
         line_address: int,
     ) -> Optional[int]:
-        bdm = self.bdm_of(proc)
-        bdm.set_running(self.ctx_of(proc, state.task_id))
+        bdm = self._bdms[proc.pid]
+        bdm.set_running(state.context)
         action = bdm.store_set_action(line_address)
         if action is _PROCEED:
             return None
@@ -211,17 +200,10 @@ class TlsBulkScheme(TlsScheme):
         state: TaskState,
         byte_address: int,
     ) -> None:
-        # Per-access path: the scheme-state dict is probed directly
-        # (bdm_of/ctx_of add two frames per recorded access).
-        scheme_state = proc.scheme_state
-        bdm = scheme_state["bdm"]
-        context = scheme_state["ctx"].get(state.task_id)
-        if context is None:
-            raise SimulationError(
-                f"task {state.task_id} has no BDM context on processor "
-                f"{proc.pid}"
-            )
-        bdm.set_running(context)
+        # Per-access path: the BDM list is indexed directly (bdm_of adds
+        # a frame per recorded access).
+        bdm = self._bdms[proc.pid]
+        bdm.set_running(state.context)
         bdm.record_load(byte_address)
 
     def record_store(
@@ -231,15 +213,8 @@ class TlsBulkScheme(TlsScheme):
         state: TaskState,
         byte_address: int,
     ) -> None:
-        scheme_state = proc.scheme_state
-        bdm = scheme_state["bdm"]
-        context = scheme_state["ctx"].get(state.task_id)
-        if context is None:
-            raise SimulationError(
-                f"task {state.task_id} has no BDM context on processor "
-                f"{proc.pid}"
-            )
-        bdm.set_running(context)
+        bdm = self._bdms[proc.pid]
+        bdm.set_running(state.context)
         bdm.record_store(byte_address)
 
     # ------------------------------------------------------------------
@@ -247,9 +222,7 @@ class TlsBulkScheme(TlsScheme):
     # ------------------------------------------------------------------
 
     def commit_packet(self, system: "TlsSystem", state: TaskState) -> int:
-        assert state.proc is not None
-        proc = system.processors[state.proc]
-        context = self.ctx_of(proc, state.task_id)
+        context = state.context
         total = system.bus.record(
             _COMMIT_SIGNATURE,
             payload_bytes=max(1, len(rle_encode(context.write_signature))),
@@ -270,9 +243,7 @@ class TlsBulkScheme(TlsScheme):
     def _signature_against(
         self, system: "TlsSystem", committer: TaskState, receiver: TaskState
     ) -> Signature:
-        assert committer.proc is not None
-        proc = system.processors[committer.proc]
-        context = self.ctx_of(proc, committer.task_id)
+        context = committer.context
         if (
             self.partial_overlap
             and receiver.task_id == committer.task_id + 1
@@ -299,16 +270,12 @@ class TlsBulkScheme(TlsScheme):
         backend = system.resolve_sig_backend()
         if not backend.batched:
             return
-        assert committer.proc is not None
-        committer_proc = system.processors[committer.proc]
-        committed = self.ctx_of(
-            committer_proc, committer.task_id
-        ).write_signature
+        committed = committer.context.write_signature
         bank = backend.make_bank(committed.config)
         for other in system.active_tasks():
             if other.task_id <= committer.task_id or other.proc is None:
                 continue
-            context = self.ctx_of(system.processors[other.proc], other.task_id)
+            context = other.context
             bank.add_row(
                 other.task_id, context.read_signature, context.write_signature
             )
@@ -321,7 +288,6 @@ class TlsBulkScheme(TlsScheme):
         committer: TaskState,
         receiver: TaskState,
     ) -> bool:
-        assert receiver.proc is not None
         flags = self._commit_flags
         if flags is not None:
             flag = flags.get(receiver.task_id)
@@ -336,8 +302,7 @@ class TlsBulkScheme(TlsScheme):
                 # below against the shadow W_sh ⊆ W, for which a set
                 # W-flag is only a superset.
                 return True
-        receiver_proc = system.processors[receiver.proc]
-        context = self.ctx_of(receiver_proc, receiver.task_id)
+        context = receiver.context
         committed_write = self._signature_against(system, committer, receiver)
         return bool(
             disambiguate(
@@ -351,14 +316,11 @@ class TlsBulkScheme(TlsScheme):
         committer: TaskState,
         proc: "TlsProcessor",
     ) -> None:
-        assert committer.proc is not None
-        committer_proc = system.processors[committer.proc]
-        committer_ctx = self.ctx_of(committer_proc, committer.task_id)
-        bdm = self.bdm_of(proc)
+        bdm = self._bdms[proc.pid]
         invalidated, false_invalidated, merged, writeback_invalidated = (
             bdm.commit_invalidate(
                 proc.cache,
-                committer_ctx.write_signature,
+                committer.context.write_signature,
                 fetch_committed_line=system.memory.load_line,
                 exact_written_lines=committer.write_lines(),
                 # Word-granularity TLS needs the writeback-invalidate
@@ -391,8 +353,8 @@ class TlsBulkScheme(TlsScheme):
     def squash_cleanup(
         self, system: "TlsSystem", proc: "TlsProcessor", state: TaskState
     ) -> None:
-        bdm = self.bdm_of(proc)
-        context = self.ctx_of(proc, state.task_id)
+        bdm = self._bdms[proc.pid]
+        context = state.context
         invalidated = bdm.squash_invalidate(
             proc.cache, context, invalidate_read_lines=True
         )
@@ -408,9 +370,6 @@ class TlsBulkScheme(TlsScheme):
     def on_commit_cleanup(
         self, system: "TlsSystem", proc: "TlsProcessor", state: TaskState
     ) -> None:
-        bdm = self.bdm_of(proc)
-        contexts = proc.scheme_state["ctx"]
-        context = contexts.pop(state.task_id, None)
-        if context is not None:
-            bdm.release_context(context)
+        self._bdms[proc.pid].release_context(state.context)
+        state.context = None
         self._spawn_write_snapshot.pop(state.task_id + 1, None)

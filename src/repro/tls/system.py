@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.cache import Cache
 from repro.coherence.message import MessageKind
@@ -60,7 +60,7 @@ _DOWNGRADE = MessageKind.DOWNGRADE
 class TlsProcessor:
     """One TLS processor: cache, clock, resident tasks."""
 
-    __slots__ = ("pid", "cache", "clock", "epoch", "resident", "scheme_state")
+    __slots__ = ("pid", "cache", "clock", "epoch", "resident")
 
     def __init__(self, pid: int, geometry) -> None:
         self.pid = pid
@@ -69,7 +69,6 @@ class TlsProcessor:
         self.epoch = 0
         #: Task ids resident on this processor, oldest first.
         self.resident: List[int] = []
-        self.scheme_state: Dict[str, Any] = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 from typing import Dict, Optional, Sequence, Set
 
+from repro.core.bdm import VersionContext
 from repro.errors import TraceError
 from repro.mem.address import WORD_SHIFT, WORD_TO_LINE_SHIFT
 from repro.sim.trace import EventKind, MemEvent
@@ -96,6 +97,7 @@ class TaskState:
         "finish_clock",
         "blocked_on",
         "respawn_pending",
+        "context",
     )
 
     def __init__(self, task: TlsTask) -> None:
@@ -140,6 +142,9 @@ class TaskState:
         #: again — which is also what makes anchoring the shadow write
         #: set at the spawn point sound across restarts.
         self.respawn_pending = False
+        #: The BDM version context holding the task's signatures from
+        #: dispatch to commit (Bulk only; kept across squashes).
+        self.context: Optional[VersionContext] = None
 
     # ------------------------------------------------------------------
 

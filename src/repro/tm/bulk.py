@@ -1,14 +1,16 @@
 """The Bulk conflict-detection scheme (the paper's contribution).
 
-Per-access work: add the address to the running version context's R/W
-signatures in the BDM (plus the current section's signatures when partial
-rollback is enabled).  Speculative stores are *silent* — no invalidations
-until commit.
+Per-access work: add the address to the transaction's version context's
+R/W signatures in the BDM (plus the current section's signatures when
+partial rollback is enabled).  Speculative stores are *silent* — no
+invalidations until commit.  The scheme owns every processor's BDM; each
+transaction holds its own version context (``TxnState.context``).
 
 Commit: broadcast one RLE-compressed write signature; every receiver
 performs bulk disambiguation (Equation 1) against its section signatures
-in order, squashing (or partially rolling back) on a hit, and then bulk
-invalidation of the committed signature over its cache (Section 4.3).
+in order (plain Bulk's one section is the context itself), squashing (or
+partially rolling back) on a hit, and then bulk invalidation of the
+committed signature over its cache (Section 4.3).
 
 Squash: bulk-invalidate the victim's dirty lines using its own write
 signature — safe because of delta-exactness and the Set Restriction.
@@ -20,7 +22,7 @@ no decision consults them.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.coherence.message import MessageKind
 from repro.core.bdm import (
@@ -34,6 +36,7 @@ from repro.errors import SimulationError
 from repro.mem.address import byte_to_line
 from repro.tm.conflict import TmScheme
 from repro.tm.processor import TmProcessor
+from repro.tm.txstate import TxnState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.tm.system import TmSystem
@@ -70,6 +73,8 @@ class BulkScheme(TmScheme):
             # The Bulk-Partial bar of Figure 11, under its own name so its
             # runs don't fold into plain Bulk's per-scheme accounting.
             self.name = "Bulk-Partial"
+        #: Each processor's BDM, indexed by pid.
+        self._bdms: List[BulkDisambiguationModule] = []
 
     # ------------------------------------------------------------------
     # Construction
@@ -77,49 +82,37 @@ class BulkScheme(TmScheme):
 
     def setup_processor(self, system: "TmSystem", proc: TmProcessor) -> None:
         threads_per_core = system.params.threads_per_core
-        if threads_per_core > 1:
-            first = system.processors[
-                (proc.pid // threads_per_core) * threads_per_core
-            ]
-            if proc is not first:
-                # Co-resident hardware threads share the core's BDM —
-                # each gets its own version context within it.
-                proc.scheme_state["bdm"] = first.scheme_state["bdm"]
-                return
-        proc.scheme_state["bdm"] = BulkDisambiguationModule(
-            system.params.signature_config,
-            system.params.geometry,
-            num_contexts=system.params.bdm_contexts,
-            backend=system.resolve_sig_backend(),
-        )
-
-    @staticmethod
-    def bdm_of(proc: TmProcessor) -> BulkDisambiguationModule:
-        """The processor's BDM."""
-        return proc.scheme_state["bdm"]
-
-    @staticmethod
-    def _ctx(proc: TmProcessor):
-        context = proc.scheme_state.get("ctx")
-        if context is None:
-            raise SimulationError(
-                f"processor {proc.pid} has no running BDM context"
+        if proc.pid % threads_per_core:
+            # Co-resident hardware threads share the core's BDM — each
+            # gets its own version context within it.
+            bdm = self._bdms[proc.pid - proc.pid % threads_per_core]
+        else:
+            bdm = BulkDisambiguationModule(
+                system.params.signature_config,
+                system.params.geometry,
+                num_contexts=system.params.bdm_contexts,
+                backend=system.resolve_sig_backend(),
             )
-        return context
+        self._bdms.append(bdm)
+
+    def bdm_of(self, proc: TmProcessor) -> BulkDisambiguationModule:
+        """The processor's BDM."""
+        return self._bdms[proc.pid]
 
     # ------------------------------------------------------------------
     # Transaction lifecycle
     # ------------------------------------------------------------------
 
     def on_txn_begin(self, system: "TmSystem", proc: TmProcessor) -> None:
-        bdm = self.bdm_of(proc)
+        assert proc.txn is not None
+        bdm = self._bdms[proc.pid]
         context = bdm.allocate_context(proc.pid)
         if context is None:
             raise SimulationError(
                 f"BDM of processor {proc.pid} is out of version contexts"
             )
         bdm.set_running(context)
-        proc.scheme_state["ctx"] = context
+        proc.txn.context = context
 
     # ------------------------------------------------------------------
     # Access hooks
@@ -141,12 +134,8 @@ class BulkScheme(TmScheme):
         option of Section 4.5)."""
         if not is_store or proc.txn is None:
             return None
-        state = proc.scheme_state
-        bdm = state["bdm"]
-        context = state.get("ctx")
-        if context is None:
-            return None
-        bdm.set_running(context)
+        bdm = self._bdms[proc.pid]
+        bdm.set_running(proc.txn.context)
         line_address = byte_to_line(byte_address)
         action = bdm.store_set_action(line_address)
         if action is not _CONFLICT:
@@ -177,43 +166,30 @@ class BulkScheme(TmScheme):
     def record_load(
         self, system: "TmSystem", proc: TmProcessor, byte_address: int
     ) -> None:
-        # Per-access path: the scheme-state dict is probed directly
-        # (bdm_of/_ctx add two frames per recorded access).
-        state = proc.scheme_state
-        bdm = state["bdm"]
-        context = state.get("ctx")
-        if context is None:
-            raise SimulationError(
-                f"processor {proc.pid} has no running BDM context"
-            )
-        bdm.set_running(context)
-        # The BDM hands back the address's encode mask so the section
+        # Per-access path: the BDM list is indexed directly (bdm_of adds
+        # a frame per recorded access).
+        txn = proc.txn
+        assert txn is not None
+        bdm = self._bdms[proc.pid]
+        bdm.set_running(txn.context)
+        # The BDM hands back the address's encode mask so a section
         # register records the access without re-encoding it.
         mask = bdm.record_load(byte_address)
-        assert proc.txn is not None
-        section = proc.txn.sections[-1]  # the section being recorded
-        if section.read_signature is not None:
-            section.read_signature.add_mask(mask)
+        if self.partial_rollback:
+            txn.sections[-1].read_signature.add_mask(mask)
 
     def record_store(
         self, system: "TmSystem", proc: TmProcessor, byte_address: int
     ) -> None:
-        state = proc.scheme_state
-        bdm = state["bdm"]
-        context = state.get("ctx")
-        if context is None:
-            raise SimulationError(
-                f"processor {proc.pid} has no running BDM context"
-            )
-        bdm.set_running(context)
-        config = bdm.config
+        txn = proc.txn
+        assert txn is not None
+        bdm = self._bdms[proc.pid]
+        bdm.set_running(txn.context)
         address = byte_address >> bdm._byte_shift
-        mask = config.flat_mask(address)
+        mask = bdm.config.flat_mask(address)
         bdm.record_store_granule(address, mask)
-        assert proc.txn is not None
-        section = proc.txn.sections[-1]  # the section being recorded
-        if section.write_signature is not None:
-            section.write_signature.add_mask(mask)
+        if self.partial_rollback:
+            txn.sections[-1].write_signature.add_mask(mask)
 
     # ------------------------------------------------------------------
     # Commit
@@ -231,8 +207,22 @@ class BulkScheme(TmScheme):
 
     def _commit_signature(self, proc: TmProcessor) -> Signature:
         """W_1 ∪ ... ∪ W_n of the committing transaction (Figure 8)."""
-        context = self._ctx(proc)
-        return context.write_signature
+        assert proc.txn is not None
+        return proc.txn.context.write_signature
+
+    def _section_registers(
+        self, txn: TxnState
+    ) -> List[Tuple[Signature, Signature]]:
+        """Each section's (R, W) registers, oldest first.  Only partial
+        rollback gives sections registers of their own; plain Bulk's one
+        section is the version context."""
+        if self.partial_rollback:
+            return [
+                (section.read_signature, section.write_signature)
+                for section in txn.sections
+            ]
+        context = txn.context
+        return [(context.read_signature, context.write_signature)]
 
     def on_commit_broadcast(
         self, system: "TmSystem", committer: TmProcessor
@@ -256,21 +246,10 @@ class BulkScheme(TmScheme):
         for other in system.processors:
             if other is committer or other.txn is None:
                 continue
-            context = other.scheme_state.get("ctx")
-            if context is None:
-                continue
-            sections = other.txn.sections
-            for section in sections:
-                if section.read_signature is None or section.write_signature is None:
-                    break
-            else:
-                for index, section in enumerate(sections):
-                    bank.add_row(
-                        (other.pid, index),
-                        section.read_signature,
-                        section.write_signature,
-                    )
-                section_counts[other.pid] = len(sections)
+            registers = self._section_registers(other.txn)
+            for index, (read_sig, write_sig) in enumerate(registers):
+                bank.add_row((other.pid, index), read_sig, write_sig)
+            section_counts[other.pid] = len(registers)
         if len(bank):
             self._commit_flags = (bank.conflict_flags(committed), section_counts)
 
@@ -294,10 +273,8 @@ class BulkScheme(TmScheme):
                         return index
                 return None
         committed_write = self._commit_signature(committer)
-        for index, section in enumerate(receiver.txn.sections):
-            read_sig = section.read_signature
-            write_sig = section.write_signature
-            assert read_sig is not None and write_sig is not None
+        registers = self._section_registers(receiver.txn)
+        for index, (read_sig, write_sig) in enumerate(registers):
             if committed_write.intersects(read_sig) or committed_write.intersects(
                 write_sig
             ):
@@ -312,12 +289,12 @@ class BulkScheme(TmScheme):
     ) -> None:
         """Bulk invalidation of W_C over the receiver's cache."""
         assert committer.txn is not None
-        bdm = self.bdm_of(receiver)
+        bdm = self._bdms[receiver.pid]
         invalidated, false_invalidated, _, _ = bdm.commit_invalidate(
             receiver.cache,
             self._commit_signature(committer),
             fetch_committed_line=None,
-            exact_written_lines=committer.txn.all_write_lines(),
+            exact_written_lines=committer.txn.write_granules,
         )
         system.stats.commit_invalidations += invalidated
         system.stats.false_commit_invalidations += false_invalidated
@@ -332,9 +309,8 @@ class BulkScheme(TmScheme):
             )
 
     def commit_cleanup(self, system: "TmSystem", proc: TmProcessor) -> None:
-        bdm = self.bdm_of(proc)
-        bdm.release_context(self._ctx(proc))
-        proc.scheme_state.pop("ctx", None)
+        assert proc.txn is not None
+        self._bdms[proc.pid].release_context(proc.txn.context)
 
     # ------------------------------------------------------------------
     # Squash
@@ -344,8 +320,8 @@ class BulkScheme(TmScheme):
         self, system: "TmSystem", proc: TmProcessor, from_section: int
     ) -> None:
         assert proc.txn is not None
-        bdm = self.bdm_of(proc)
-        context = self._ctx(proc)
+        bdm = self._bdms[proc.pid]
+        context = proc.txn.context
         if from_section == 0:
             invalidated = bdm.squash_invalidate(proc.cache, context)
             if system.obs_enabled:
@@ -362,7 +338,6 @@ class BulkScheme(TmScheme):
         )
         discarded = make(bdm.config)
         for section in proc.txn.sections[from_section:]:
-            assert section.write_signature is not None
             discarded.union_update(section.write_signature)
         scratch = VersionContext(context.slot, bdm.config, bdm.backend)
         scratch.write_signature = discarded
@@ -370,8 +345,6 @@ class BulkScheme(TmScheme):
         context.read_signature.clear()
         context.write_signature.clear()
         for section in proc.txn.sections[:from_section]:
-            assert section.read_signature is not None
-            assert section.write_signature is not None
             context.read_signature.union_update(section.read_signature)
             context.write_signature.union_update(section.write_signature)
         context.delta_mask = bdm.decoder.decode(context.write_signature)
@@ -400,9 +373,8 @@ class BulkScheme(TmScheme):
         self, system: "TmSystem", proc: TmProcessor, byte_address: int
     ) -> bool:
         """Membership test a ∈ R ∨ a ∈ W (Section 4.2)."""
-        context = proc.scheme_state.get("ctx")
-        if context is None:
-            return False
+        assert proc.txn is not None
+        context = proc.txn.context
         granule = byte_to_line(byte_address)
         return (
             granule in context.read_signature
@@ -414,10 +386,12 @@ class BulkScheme(TmScheme):
     ) -> bool:
         """The membership filter of Section 6.2.2 — Bulk's overflow-access
         advantage over Lazy in Table 7."""
-        context = proc.scheme_state.get("ctx")
-        if context is None or not proc.has_overflow():
+        if not proc.has_overflow():
             return False
-        return self.bdm_of(proc).miss_needs_overflow_check(context, byte_address)
+        assert proc.txn is not None
+        return self._bdms[proc.pid].miss_needs_overflow_check(
+            proc.txn.context, byte_address
+        )
 
     def overflow_disambiguation_cost(
         self,
@@ -429,6 +403,5 @@ class BulkScheme(TmScheme):
         the overflowed addresses in memory."""
 
     def on_spec_eviction(self, system: "TmSystem", proc: TmProcessor) -> None:
-        context = proc.scheme_state.get("ctx")
-        if context is not None:
-            self.bdm_of(proc).note_speculative_eviction(context)
+        assert proc.txn is not None
+        self._bdms[proc.pid].note_speculative_eviction(proc.txn.context)

@@ -7,11 +7,12 @@ the paper's evaluation — exact Eager, exact Lazy, and Bulk — implement
 this interface.
 
 All hook methods receive the system so they can charge bus messages,
-inspect other processors, and request squashes; per-processor scheme
-state lives in :attr:`TmProcessor.scheme_state`.  Where the two exact
-schemes behave alike (squash cleanup, non-speculative invalidations,
-the overflow walk) the base hook is their shared behaviour, and Bulk
-overrides it.
+inspect other processors, and request squashes.  A scheme keeps its own
+state: Bulk owns the processors' BDMs and puts each transaction's
+version context on its :class:`~repro.tm.txstate.TxnState`.  Where the
+two exact schemes behave alike (squash cleanup, non-speculative
+invalidations, the overflow walk) the base hook is their shared
+behaviour, and Bulk overrides it.
 """
 
 from __future__ import annotations
@@ -58,9 +59,11 @@ class TmScheme(SpecScheme):
     # Access hooks
     # ------------------------------------------------------------------
 
-    #: Whether :meth:`eager_check` can act on *loads*.  Lazy schemes
-    #: (Bulk) only screen stores — the Set Restriction — so the system
-    #: skips the per-load hook call entirely when this is ``False``.
+    #: Whether :meth:`eager_check` can act on *loads*.  The schemes that
+    #: disambiguate at commit never do (Lazy checks nothing at access
+    #: time, Bulk only screens stores for the Set Restriction), so the
+    #: system skips the per-load hook call entirely when this is
+    #: ``False``.
     eager_checks_loads = True
 
     def eager_check(
@@ -90,12 +93,16 @@ class TmScheme(SpecScheme):
     def record_load(
         self, system: "TmSystem", proc: TmProcessor, byte_address: int
     ) -> None:
-        """A speculative load was performed (exact sets already updated)."""
+        """A speculative load was performed.  Called before the
+        transaction's exact record takes the access."""
 
     def record_store(
         self, system: "TmSystem", proc: TmProcessor, byte_address: int
     ) -> None:
-        """A speculative store was performed (exact sets already updated)."""
+        """A speculative store was performed.  Called before the
+        transaction's exact record and write log take the access, so
+        ``proc.txn.write_granules`` still tells whether this attempt
+        wrote the line before."""
 
     # ------------------------------------------------------------------
     # Commit
@@ -157,7 +164,7 @@ class TmScheme(SpecScheme):
         whatever ``from_section`` is."""
         assert proc.txn is not None
         cache = proc.cache
-        for line_address in proc.txn.all_write_lines():
+        for line_address in proc.txn.write_granules:
             line = cache.lookup(line_address, touch=False)
             if line is not None and line.dirty:
                 cache.invalidate(line_address)
@@ -175,12 +182,10 @@ class TmScheme(SpecScheme):
         """Whether an incoming non-speculative invalidation for
         ``byte_address`` must squash ``proc``'s transaction: exactly when
         the line is in its read or write set."""
-        assert proc.txn is not None
+        txn = proc.txn
+        assert txn is not None
         line = byte_to_line(byte_address)
-        return (
-            line in proc.txn.all_read_granules()
-            or line in proc.txn.all_write_granules()
-        )
+        return line in txn.read_granules or line in txn.write_granules
 
     def miss_checks_overflow(
         self, system: "TmSystem", proc: TmProcessor, byte_address: int

@@ -46,6 +46,9 @@ class EagerScheme(TmScheme):
     def __init__(self) -> None:
         #: Consecutive squashes per (aggressor pid, victim pid) pair,
         #: reset when either side commits.  Feeds the mitigation trigger.
+        #: The counters deliberately survive squashes: resetting them
+        #: there would disarm the livelock mitigation, which is triggered
+        #: precisely by *consecutive* mutual squashes.
         self._pair_squashes: Dict[Tuple[int, int], int] = {}
 
     # ------------------------------------------------------------------
@@ -60,25 +63,23 @@ class EagerScheme(TmScheme):
         is_store: bool,
     ) -> Optional[int]:
         line = byte_to_line(byte_address)
-        assert proc.txn is not None
+        txn = proc.txn
+        assert txn is not None
         # Coherence-driven detection only fires on a *request*: once this
         # transaction owns the line (wrote it) or holds it shared (read
         # it), repeat accesses are cache hits and cannot conflict — any
         # intervening remote access would have squashed us first.
         if is_store:
-            if line in proc.txn.all_write_granules():
+            if line in txn.write_granules:
                 return None
-        elif line in proc.txn.all_read_granules() or (
-            line in proc.txn.all_write_granules()
-        ):
+        elif line in txn.read_granules or line in txn.write_granules:
             return None
         for other in system.processors:
             if other is proc or other.txn is None:
                 continue
-            writes = other.txn.all_write_granules()
-            conflict = line in writes
+            conflict = line in other.txn.write_granules
             if is_store and not conflict:
-                conflict = line in other.txn.all_read_granules()
+                conflict = line in other.txn.read_granules
             if not conflict:
                 continue
             if self._should_stall(system, proc, other):
@@ -133,12 +134,12 @@ class EagerScheme(TmScheme):
         self, system: "TmSystem", proc: TmProcessor, byte_address: int
     ) -> None:
         """Eager schemes gain ownership as they write: the first store of
-        this transaction to a line invalidates remote copies immediately."""
+        this attempt to a line (the line is not yet in the write set)
+        invalidates remote copies immediately."""
         line = byte_to_line(byte_address)
-        owned = proc.scheme_state.setdefault("owned_lines", set())
-        if line in owned:
+        assert proc.txn is not None
+        if line in proc.txn.write_granules:
             return
-        owned.add(line)
         invalidated_any = False
         for other in system.processors:
             if other is proc:
@@ -160,19 +161,6 @@ class EagerScheme(TmScheme):
         and ownership was claimed store by store."""
         self._reset_pairs_of(proc.pid)
         return 0
-
-    def commit_cleanup(self, system: "TmSystem", proc: TmProcessor) -> None:
-        proc.scheme_state.pop("owned_lines", None)
-
-    def squash_cleanup(
-        self, system: "TmSystem", proc: TmProcessor, from_section: int
-    ) -> None:
-        super().squash_cleanup(system, proc, from_section)
-        proc.scheme_state.pop("owned_lines", None)
-        # NOTE: the pair-squash counters deliberately survive squashes —
-        # they only reset on commit.  Resetting them here would disarm
-        # the livelock mitigation, which is triggered precisely by
-        # *consecutive* mutual squashes.
 
     def _reset_pairs_of(self, pid: int) -> None:
         for key in [k for k in self._pair_squashes if pid in k]:

@@ -36,6 +36,7 @@ class LazyScheme(TmScheme):
     """Exact, commit-time disambiguation with enumerated commit packets."""
 
     name = "Lazy"
+    eager_checks_loads = False
 
     # ------------------------------------------------------------------
     # Commit
@@ -44,7 +45,7 @@ class LazyScheme(TmScheme):
     def commit_packet(self, system: "TmSystem", proc: TmProcessor) -> int:
         assert proc.txn is not None
         total = 0
-        for _ in proc.txn.all_write_lines():
+        for _ in proc.txn.write_granules:
             total += system.bus.record(_INVALIDATION, is_commit_traffic=True)
         return total
 
@@ -58,9 +59,9 @@ class LazyScheme(TmScheme):
         # Lazy never opens a second section (its ``partial_rollback`` is
         # False), so the transaction's whole exact sets decide: ``None``
         # exactly when the receiver has no true dependence.
-        written = committer.txn.all_write_granules()
-        if written.isdisjoint(receiver.txn.all_read_granules()) and (
-            written.isdisjoint(receiver.txn.all_write_granules())
+        written = committer.txn.write_granules
+        if written.isdisjoint(receiver.txn.read_granules) and (
+            written.isdisjoint(receiver.txn.write_granules)
         ):
             return None
         return 0
@@ -72,7 +73,7 @@ class LazyScheme(TmScheme):
         receiver: TmProcessor,
     ) -> None:
         assert committer.txn is not None
-        for line_address in committer.txn.all_write_lines():
+        for line_address in committer.txn.write_granules:
             line = receiver.cache.lookup(line_address, touch=False)
             if line is None:
                 continue

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
 from repro.cache.cache import Cache
 from repro.cache.geometry import CacheGeometry
@@ -14,9 +14,9 @@ from repro.tm.txstate import TxnState
 class TmProcessor:
     """One processor: cache, trace cursor, local clock, transaction state.
 
-    Scheme-specific state (a BDM context for Bulk, pair-wise squash
-    counters for Eager) lives in :attr:`scheme_state`, a free-form dict
-    the active scheme owns.
+    Scheme state lives with its owner: a Bulk transaction's version
+    context on its :class:`~repro.tm.txstate.TxnState`, the processors'
+    BDMs and Eager's pair-wise squash counters on the scheme.
     """
 
     __slots__ = (
@@ -31,7 +31,6 @@ class TmProcessor:
         "overflow_area",
         "waiting_on",
         "waiters",
-        "scheme_state",
         "next_txn_id",
         "num_events",
     )
@@ -58,7 +57,6 @@ class TmProcessor:
         self.waiting_on: Optional[int] = None
         #: Pids stalled waiting for this processor to commit or squash.
         self.waiters: List[int] = []
-        self.scheme_state: Dict[str, Any] = {}
         self.next_txn_id = 0
 
     # ------------------------------------------------------------------

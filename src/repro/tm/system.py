@@ -99,10 +99,12 @@ class TmSystem(SpecSystemCore):
         else:
             self._m_txn_begins = None
             self._m_overflow = None
-        # A run's scheme is fixed, and only Bulk transactions carry
-        # signatures: decide once which configuration they get.
+        # A run's scheme is fixed, and only Bulk-Partial's sections carry
+        # signatures of their own (Equation 1 is per section there).
+        self._txn_signature_config = (
+            params.signature_config if scheme.partial_rollback else None
+        )
         bulk = isinstance(scheme, BulkScheme)
-        self._txn_signature_config = params.signature_config if bulk else None
         self.stats = TmStats()
         self.processors: List[TmProcessor] = [
             TmProcessor(pid, trace, params.geometry)
@@ -297,7 +299,7 @@ class TmSystem(SpecSystemCore):
             if candidate.cache is not cache:
                 continue
             if candidate.txn is not None and line_address in (
-                candidate.txn.all_write_lines()
+                candidate.txn.write_granules
             ):
                 return candidate
         return None
@@ -345,7 +347,7 @@ class TmSystem(SpecSystemCore):
             # memory + the thread's own log.  The expected value is the
             # transaction's own logged store, else memory.
             txn = proc.txn
-            expected = txn.lookup_word(word) if txn is not None else None
+            expected = txn.write_log.get(word) if txn is not None else None
             if expected is None:
                 expected = self.memory.load(word)
             if observed != expected:
@@ -358,8 +360,8 @@ class TmSystem(SpecSystemCore):
             self._miss_fill(proc, byte_address, line_address)
         txn = proc.txn
         if txn is not None:
-            txn.record_load(byte_address)
             self.scheme.record_load(self, proc, byte_address)
+            txn.record_load(byte_address)
 
     def _store(self, proc: TmProcessor, byte_address: int, value: int) -> None:
         line_address = byte_address >> LINE_SHIFT
@@ -377,8 +379,8 @@ class TmSystem(SpecSystemCore):
             # == line.write_word(byte_address >> WORD_SHIFT, value)
             line.words[(byte_address >> WORD_SHIFT) & 0xF] = value & 0xFFFFFFFF
             line.dirty = True
-            txn.record_store(byte_address, value)
             self.scheme.record_store(self, proc, byte_address)
+            txn.record_store(byte_address, value)
             return
         # Non-speculative store: globally visible immediately.
         self._nonspec_store(proc, byte_address, value, line_address)
@@ -416,8 +418,8 @@ class TmSystem(SpecSystemCore):
                 continue
             if self.scheme.nonspec_inval_check(self, other, byte_address):
                 exact = (
-                    line_address in other.txn.all_read_granules()
-                    or line_address in other.txn.all_write_granules()
+                    line_address in other.txn.read_granules
+                    or line_address in other.txn.write_granules
                 )
                 self.squash(
                     victim=other,
@@ -462,13 +464,13 @@ class TmSystem(SpecSystemCore):
                 return line
         words = list(self.memory.load_line(line_address))
         dirty = False
-        if proc.txn is not None and line_address in proc.txn.all_write_lines():
+        if proc.txn is not None and line_address in proc.txn.write_granules:
             # Overlay the thread's own speculative values (a line may have
             # been partially written, evicted, and refetched).  The
-            # write-lines test gates the 16-word merge: log keys' lines
-            # are exactly the write-lines set, so an uncovered line has
-            # nothing to overlay.
-            log = proc.txn.merged_write_log()
+            # write-set test gates the 16-word merge: log keys' lines are
+            # exactly the write set, so an uncovered line has nothing to
+            # overlay.
+            log = proc.txn.write_log
             base = line_address << 4
             for offset in range(16):
                 value = log.get(base + offset)
@@ -512,7 +514,7 @@ class TmSystem(SpecSystemCore):
         # co-resident thread sharing the cache.
         owner: Optional[TmProcessor] = None
         if proc.txn is not None and victim.line_address in (
-            proc.txn.all_write_lines()
+            proc.txn.write_granules
         ):
             owner = proc
         else:
@@ -539,8 +541,9 @@ class TmSystem(SpecSystemCore):
         now = proc.clock
 
         self.stats.committed_transactions += 1
-        self.stats.read_set_granules += len(txn.all_read_granules())
-        self.stats.write_set_granules += len(txn.all_write_granules())
+        committed_writes = txn.write_granules
+        self.stats.read_set_granules += len(txn.read_granules)
+        self.stats.write_set_granules += len(committed_writes)
         if proc.has_overflow():
             self.stats.overflowed_transactions += 1
         if self.obs_enabled:
@@ -550,10 +553,9 @@ class TmSystem(SpecSystemCore):
                 now,
                 proc=proc.pid,
                 txn=txn.txn_id,
-                write_granules=len(txn.all_write_granules()),
+                write_granules=len(committed_writes),
             )
 
-        committed_writes = txn.all_write_granules()
         self.scheme.on_commit_broadcast(self, proc)
         updated_caches = {id(proc.cache)}
         for other in self.processors:
@@ -564,10 +566,20 @@ class TmSystem(SpecSystemCore):
                     self.scheme.overflow_disambiguation_cost(self, proc, other)
                 # A ∩ (R ∪ W) without allocating the (large) R ∪ W union:
                 # the committed write set is the small operand.
-                exact_dep = (committed_writes & other.txn.all_read_granules()) | (
-                    committed_writes & other.txn.all_write_granules()
+                exact_dep = (committed_writes & other.txn.read_granules) | (
+                    committed_writes & other.txn.write_granules
                 )
                 section = self.scheme.receiver_conflict(self, proc, other)
+                if section is None and exact_dep:
+                    # The one-sided guarantee (Section 3): a scheme may
+                    # report a conflict where the exact sets have none,
+                    # never miss one they have.
+                    raise SimulationError(
+                        f"{self.scheme.name} missed a true conflict: "
+                        f"committing txn {txn.txn_id} wrote line "
+                        f"0x{min(exact_dep):x}, which txn "
+                        f"{other.txn.txn_id} accessed"
+                    )
                 if section is not None:
                     self.squash(
                         victim=other,
@@ -584,13 +596,12 @@ class TmSystem(SpecSystemCore):
                 updated_caches.add(id(other.cache))
                 self.scheme.commit_update_receiver(self, proc, other)
 
-        # Make the transaction's state architectural, in section order.
-        # One merge serves both the store replay and the serialisability
-        # log; the transaction is torn down below, so the dict is final.
-        merged_log = txn.merged_write_log()
-        for word, value in merged_log.items():
+        # Make the transaction's state architectural.  The write log
+        # serves both the store replay and the serialisability log; the
+        # transaction is torn down below, so the dict is final.
+        for word, value in txn.write_log.items():
             self.memory.store(word, value)
-        self.committed_logs.append((txn.txn_id, merged_log))
+        self.committed_logs.append((txn.txn_id, txn.write_log))
         self.commit_order.append(txn.txn_id)
 
         # Propagate the committed data: the writeback of each written
@@ -598,7 +609,7 @@ class TmSystem(SpecSystemCore):
         # committed lines dirty would make every *later* transaction's
         # first store to their cache sets pay a Set Restriction safe
         # writeback — far beyond the ~1/transaction the paper reports.
-        for line_address in txn.all_write_lines():
+        for line_address in committed_writes:
             line = proc.cache.lookup(line_address, touch=False)
             if line is not None and line.dirty:
                 self.bus.record(_WRITEBACK, now=now, port=proc.pid)

@@ -1,40 +1,48 @@
-"""Per-transaction speculative state: sections, logs, exact sets.
+"""Per-transaction speculative state: one exact record, and sections.
 
-Transactions are divided into *sections* by nested begin/end markers
-(Section 6.2.1, Figure 8): code before an inner transaction, the inner
-transaction, code after it, and so on.  Without partial rollback the whole
-transaction is one section and nested markers only adjust depth.
-
-Each section tracks
+The transaction keeps one exact **record** of what it has done so far:
 
 * a **write log** of (word address → value), the authoritative speculative
   data, applied to architectural memory at commit and discarded on squash;
 * exact read/write **granule sets** (line addresses in TM) — the actual
-  mechanism of the exact schemes and the false-positive oracle for Bulk;
-* optionally a read and a write :class:`~repro.core.signature.Signature`
-  (Bulk only).
+  mechanism of the exact schemes and the false-positive oracle for Bulk.
+
+Transactions are divided into *sections* by nested begin/end markers
+(Section 6.2.1, Figure 8): code before an inner transaction, the inner
+transaction, code after it, and so on.  Without partial rollback the whole
+transaction is one section and nested markers only adjust depth.  A
+section marks where it starts and holds a snapshot of the record at that
+point, which is what a partial rollback to it restores; under
+Bulk-Partial it also carries its own read and write
+:class:`~repro.core.signature.Signature`, because Equation 1 is evaluated
+per section.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.backend.base import SignatureBackend
+from repro.core.bdm import VersionContext
 from repro.core.signature import Signature
 from repro.core.signature_config import SignatureConfig
 from repro.errors import SimulationError
 from repro.mem.address import LINE_SHIFT, WORD_SHIFT
 
+#: An immutable copy of a transaction's record: (read granules, write
+#: granules, write-log items in insertion order).
+Snapshot = Tuple[FrozenSet[int], FrozenSet[int], Tuple[Tuple[int, int], ...]]
+
+_EMPTY: Snapshot = (frozenset(), frozenset(), ())
+
 
 class Section:
-    """One section of a (possibly nested) transaction."""
+    """Where one section of a (possibly nested) transaction starts."""
 
     __slots__ = (
         "start_cursor",
         "depth_at_start",
-        "write_log",
-        "read_granules",
-        "write_granules",
+        "snapshot",
         "read_signature",
         "write_signature",
     )
@@ -45,15 +53,15 @@ class Section:
         signature_config: Optional[SignatureConfig],
         depth_at_start: int = 1,
         backend: Optional[SignatureBackend] = None,
+        snapshot: Snapshot = _EMPTY,
     ) -> None:
         #: Trace cursor where the section begins (restart target).
         self.start_cursor = start_cursor
         #: Transaction nesting depth at the section's start, restored on
         #: partial rollback.
         self.depth_at_start = depth_at_start
-        self.write_log: Dict[int, int] = {}
-        self.read_granules: Set[int] = set()
-        self.write_granules: Set[int] = set()
+        #: The transaction's record when the section began.
+        self.snapshot = snapshot
         self.read_signature: Optional[Signature] = None
         self.write_signature: Optional[Signature] = None
         if signature_config is not None:
@@ -73,8 +81,10 @@ class TxnState:
         "signature_config",
         "sig_backend",
         "start_cursor",
-        "_agg_read",
-        "_agg_write",
+        "read_granules",
+        "write_granules",
+        "write_log",
+        "context",
     )
 
     def __init__(
@@ -86,6 +96,8 @@ class TxnState:
     ) -> None:
         self.txn_id = txn_id
         self.depth = 1
+        #: Per-section signature registers' configuration (Bulk-Partial
+        #: only; ``None`` gives sections no registers).
         self.signature_config = signature_config
         self.sig_backend = sig_backend
         #: Cursor of the outermost TX_BEGIN event; restarts resume at
@@ -96,10 +108,13 @@ class TxnState:
             Section(start_cursor + 1, signature_config, backend=sig_backend)
         ]
         self.attempts = 1
-        # Incrementally maintained unions over sections (hot paths: the
-        # exact schemes consult these on every access).
-        self._agg_read: Set[int] = set()
-        self._agg_write: Set[int] = set()
+        #: The exact record of the whole transaction (line granules).
+        self.read_granules: Set[int] = set()
+        self.write_granules: Set[int] = set()
+        self.write_log: Dict[int, int] = {}
+        #: The BDM version context holding the transaction's signatures
+        #: (Bulk only; set by the scheme as the transaction begins).
+        self.context: Optional[VersionContext] = None
 
     # ------------------------------------------------------------------
     # Section management
@@ -113,6 +128,11 @@ class TxnState:
                 self.signature_config,
                 depth_at_start=self.depth,
                 backend=self.sig_backend,
+                snapshot=(
+                    frozenset(self.read_granules),
+                    frozenset(self.write_granules),
+                    tuple(self.write_log.items()),
+                ),
             )
         )
 
@@ -120,29 +140,32 @@ class TxnState:
         """Partial rollback: drop sections ``index`` onward.
 
         Returns the restart cursor (the first discarded section's start);
-        the nesting depth is rewound to that section's starting depth.  A
-        fresh, empty section replaces the discarded ones so execution can
-        resume recording immediately.
+        the nesting depth is rewound to that section's starting depth and
+        the record to its snapshot — the union of the kept sections, later
+        stores winning.  A fresh, empty section replaces the discarded
+        ones so execution can resume recording immediately.
         """
         if not 0 <= index < len(self.sections):
             raise SimulationError(
                 f"partial rollback of section {index} of {len(self.sections)}"
             )
         first = self.sections[index]
-        restart = first.start_cursor
-        depth = first.depth_at_start
+        read, write, log = first.snapshot
+        self.read_granules = set(read)
+        self.write_granules = set(write)
+        self.write_log = dict(log)
         del self.sections[index:]
         self.sections.append(
             Section(
-                restart,
+                first.start_cursor,
                 self.signature_config,
-                depth_at_start=depth,
+                depth_at_start=first.depth_at_start,
                 backend=self.sig_backend,
+                snapshot=first.snapshot,
             )
         )
-        self.depth = depth
-        self._rebuild_aggregates()
-        return restart
+        self.depth = first.depth_at_start
+        return first.start_cursor
 
     def reset_for_restart(self) -> None:
         """Full squash: discard everything, keep identity and attempts."""
@@ -155,75 +178,24 @@ class TxnState:
             )
         ]
         self.attempts += 1
-        self._agg_read = set()
-        self._agg_write = set()
-
-    def _rebuild_aggregates(self) -> None:
-        self._agg_read = set()
-        self._agg_write = set()
-        for section in self.sections:
-            self._agg_read |= section.read_granules
-            self._agg_write |= section.write_granules
+        self.read_granules = set()
+        self.write_granules = set()
+        self.write_log = {}
 
     # ------------------------------------------------------------------
     # Access recording
     # ------------------------------------------------------------------
 
     def record_load(self, byte_address: int) -> None:
-        """Record a load into the current section's exact sets."""
-        # Shifts inlined (== byte_to_line): this runs on every speculative
+        """Record a load into the exact read set."""
+        # Shift inlined (== byte_to_line): this runs on every speculative
         # load of every exact and Bulk TM run.
-        line = byte_address >> LINE_SHIFT
-        self.sections[-1].read_granules.add(line)
-        self._agg_read.add(line)
+        self.read_granules.add(byte_address >> LINE_SHIFT)
 
     def record_store(self, byte_address: int, value: int) -> None:
-        """Record a store into the current section's log and exact sets."""
-        section = self.sections[-1]
-        line = byte_address >> LINE_SHIFT
-        section.write_log[byte_address >> WORD_SHIFT] = value & 0xFFFFFFFF
-        section.write_granules.add(line)
-        self._agg_write.add(line)
-
-    # ------------------------------------------------------------------
-    # Aggregated views (across all live sections)
-    # ------------------------------------------------------------------
-
-    def lookup_word(self, word_address: int) -> Optional[int]:
-        """Newest speculative value of a word, or ``None`` if unwritten."""
-        sections = self.sections
-        if len(sections) == 1:  # the common, un-nested case
-            return sections[0].write_log.get(word_address)
-        for section in reversed(sections):
-            value = section.write_log.get(word_address)
-            if value is not None:
-                return value
-        return None
-
-    def all_read_granules(self) -> Set[int]:
-        """Union of exact read sets over sections (maintained
-        incrementally; do not mutate the returned set)."""
-        return self._agg_read
-
-    def all_write_granules(self) -> Set[int]:
-        """Union of exact write sets over sections (maintained
-        incrementally; do not mutate the returned set)."""
-        return self._agg_write
-
-    def all_write_lines(self) -> Set[int]:
-        """Union of written line addresses over sections.
-
-        TM granules *are* line addresses, so this aliases the aggregate
-        write-granule set; do not mutate the returned set.
-        """
-        return self._agg_write
-
-    def merged_write_log(self) -> Dict[int, int]:
-        """Write log flattened across sections, newest value winning."""
-        merged: Dict[int, int] = {}
-        for section in self.sections:
-            merged.update(section.write_log)
-        return merged
+        """Record a store into the write log and the exact write set."""
+        self.write_log[byte_address >> WORD_SHIFT] = value & 0xFFFFFFFF
+        self.write_granules.add(byte_address >> LINE_SHIFT)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -20,7 +20,23 @@ from typing import Dict, List
 
 from repro.errors import ConfigurationError
 from repro.mem.address import BYTES_PER_LINE, BYTES_PER_WORD
-from repro.sim.trace import MemEvent, ThreadTrace, compute, load, store, tx_begin, tx_end
+from repro.sim.trace import (
+    EventKind,
+    MemEvent,
+    ThreadTrace,
+    compute,
+    load,
+    store,
+    tx_begin,
+    tx_end,
+)
+
+# Each enum member this module compares, bound once: on Python 3.9-3.11
+# ``EventKind.LOAD`` goes through the enum metaclass's ``__getattr__``,
+# several times slower than a module global, and the setup stagger
+# compares them per setup event of every TM workload build.
+_LOAD = EventKind.LOAD
+_STORE = EventKind.STORE
 
 #: Mask applied to every stored value (32-bit words).
 WORD_MASK = 0xFFFFFFFF
@@ -203,12 +219,10 @@ def stagger_after_setup(builders: List[TraceBuilder]) -> None:
     — a warm-up artefact, not a property of the workload.  The delay is
     a generous upper bound on the setup's execution time.
     """
-    from repro.sim.trace import EventKind
-
     setup_events = sum(
         1
         for event in builders[0].events
-        if event.kind in (EventKind.LOAD, EventKind.STORE)
+        if event.kind is _LOAD or event.kind is _STORE
     )
     delay = 8 * setup_events + 500
     for builder in builders[1:]:

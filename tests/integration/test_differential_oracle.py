@@ -80,9 +80,8 @@ class DifferentialTmBulk(BulkScheme):
     def receiver_conflict(self, system, committer, receiver):
         section = super().receiver_conflict(system, committer, receiver)
         assert committer.txn is not None and receiver.txn is not None
-        exact = committer.txn.all_write_granules() & (
-            receiver.txn.all_read_granules()
-            | receiver.txn.all_write_granules()
+        exact = committer.txn.write_granules & (
+            receiver.txn.read_granules | receiver.txn.write_granules
         )
         self.events += 1
         if exact and section is None:

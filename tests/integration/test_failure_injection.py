@@ -55,6 +55,33 @@ class TestBrokenCommitInvalidation:
             TmSystem([reader, writer], BulkScheme()).run()
 
 
+class TestMissedTrueConflict:
+    def test_tm_bulk_that_misses_a_conflict_fails_the_commit(self):
+        """A Bulk that clears every receiver lets a reader commit past a
+        writer that overwrote its line.  Commit invalidation drops the
+        stale copy, so no later load can trip the stale-read oracle; the
+        commit's one-sided check must."""
+
+        class BlindBulk(BulkScheme):
+            def receiver_conflict(self, system, committer, receiver):
+                return None
+
+        reader = ThreadTrace(
+            0, [tx_begin(), load(0xB000), compute(600), tx_end()]
+        )
+        writer = ThreadTrace(
+            1, [compute(50), tx_begin(), store(0xB000, 5), tx_end()]
+        )
+        with pytest.raises(
+            SimulationError,
+            match=(
+                "Bulk missed a true conflict: committing txn 1 wrote line "
+                "0x2c0, which txn 0 accessed"
+            ),
+        ):
+            TmSystem([reader, writer], BlindBulk()).run()
+
+
 class TestBrokenTlsDirtyRule:
     def test_paper_dirty_rule_fails_word_grain_tls(self, monkeypatch):
         """Re-disable the writeback-invalidate fix (restoring the paper's

@@ -4,8 +4,9 @@ On Python 3.9-3.11 the enum metaclass defines ``__getattr__``, so every
 ``EventKind.LOAD`` in a function body takes CPython's slow attribute
 path: about 130 ns against 18 ns for a module global.  The step loops,
 their schemes and the per-access helpers compare such members once per
-simulated event, so each of these modules binds the members it compares
-to module globals once, at import.  This test keeps it that way: no
+simulated event, and the TM kernels' setup stagger once per setup event
+of every workload build, so each of these modules binds the members it
+compares to module globals once, at import.  This test keeps it that way: no
 function defined in them may name one of the enum classes.
 """
 
@@ -41,6 +42,7 @@ HOT_MODULES = (
     "repro.spec.system",
     "repro.coherence.message",
     "repro.sim.trace",
+    "repro.workloads.kernels.common",
 )
 
 
