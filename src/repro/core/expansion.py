@@ -17,30 +17,22 @@ The membership pass is the codec seam's expansion kernel
 are gathered into one batch and, when the signature's backend ships a
 vectorised codec, membership-tested against the register in a single
 broadcast instead of per-line ``__contains__`` calls.  The scalar path
-is :func:`line_may_be_in` per candidate — itself a single flat-mask
-intersect per word, with the line→mask encodings memoised per
-configuration (one bounded LRU per config, label ``line_mask``).
+is :func:`line_may_be_in` per candidate: a flat-mask intersect for a
+line-granularity signature, and for a word-granularity one a single
+probe that tests all 16 words of the line at once, with no per-word
+encode and no memo.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.cache.cache import Cache
 from repro.cache.line import CacheLine
 from repro.core.backend.codec import EXPANSION_VECTOR_MIN_LINES, note_codec
 from repro.core.decode import DeltaDecoder
-from repro.core.memo import DEFAULT_LINE_MASK_CAPACITY, LruCache
 from repro.core.signature import Signature
-from repro.core.signature_config import SignatureConfig
-from repro.mem.address import Granularity, words_of_line
-
-#: config -> LruCache of line address -> (OR of word masks, word masks).
-#: Like the shared decode memos, keyed per configuration because the
-#: encodings are pure in ``(config, line_address)``.
-_LINE_MASK_CACHES: Dict[SignatureConfig, LruCache] = {}
-
-_LINE_MASK_MISS = object()
+from repro.mem.address import WORD_TO_LINE_SHIFT, Granularity
 
 # Each enum member this module compares or passes, bound once: on
 # Python 3.9-3.11 ``Granularity.LINE`` goes through the enum
@@ -49,50 +41,29 @@ _LINE_MASK_MISS = object()
 _LINE = Granularity.LINE
 
 
-def _line_masks(config: SignatureConfig, line_address: int) -> tuple:
-    """``(union_mask, per-word flat masks)`` of a line's 16 words.
-
-    The union mask is a cheap negative pre-filter: a signature that
-    shares no bit with it cannot contain any word of the line (every
-    per-word mask is non-empty, one bit per V_i field).
-    """
-    cache = _LINE_MASK_CACHES.get(config)
-    if cache is None:
-        cache = _LINE_MASK_CACHES[config] = LruCache(
-            "line_mask", DEFAULT_LINE_MASK_CAPACITY
-        )
-    entry = cache.get(line_address, _LINE_MASK_MISS)
-    if entry is _LINE_MASK_MISS:
-        flat_mask = config.flat_mask
-        masks = tuple(flat_mask(word) for word in words_of_line(line_address))
-        union = 0
-        for mask in masks:
-            union |= mask
-        entry = (union, masks)
-        cache.put(line_address, entry)
-    return entry
-
-
 def line_may_be_in(signature: Signature, line_address: int) -> bool:
     """Membership test lifted to line addresses.
 
     For line-granularity signatures this is the plain membership test.
     For word-granularity signatures a line may be in the signature if *any*
     of its words is — the natural lift the TLS configuration uses when
-    walking cache tags.  The per-word test is one flat-mask intersect
-    against the memoised line→mask encoding, behind a single-AND
-    negative pre-filter on the union of the word masks.
+    walking cache tags.  That is one probe, not sixteen: the words differ
+    only in their offset bits, so their chunk values are word 0's plus a
+    fixed set of offsets per field, and their value tuples are the
+    product of the per-field sets.  Some word is in the signature exactly
+    when every field has a set bit in its window at word 0's chunk value
+    (``SignatureConfig._line_plan``).  Word 0 is permuted once, and no
+    word is encoded or memoised.
     """
-    if signature.config.granularity is _LINE:
+    config = signature.config
+    if config.granularity is _LINE:
         return line_address in signature
-    union, masks = _line_masks(signature.config, line_address)
+    permuted = config.permutation.apply(line_address << WORD_TO_LINE_SHIFT)
     flat = signature.to_flat_int()
-    if not flat & union:
-        return False
-    for mask in masks:
-        if flat & mask == mask:
-            return True
-    return False
+    for chunk_offset, chunk_mask, window in config._line_plan:
+        if not flat & (window << ((permuted >> chunk_offset) & chunk_mask)):
+            return False
+    return True
 
 
 def matched_lines(

@@ -40,7 +40,6 @@ __all__ = [
     "DEFAULT_FLAT_MASK_CAPACITY",
     "DEFAULT_DECODE_CAPACITY",
     "DEFAULT_RLE_CAPACITY",
-    "DEFAULT_LINE_MASK_CAPACITY",
 ]
 
 #: Address-encode memo bound.  One entry per distinct granule address a
@@ -61,11 +60,6 @@ DEFAULT_DECODE_CAPACITY = 1 << 12
 #: transactions write the same lines repeats one (lu's elimination
 #: steps); most kernels' commits are all distinct.
 DEFAULT_RLE_CAPACITY = 1 << 12
-
-#: Line→word-mask memo bound (the word-granularity expansion membership
-#: fast path).  One entry per distinct *line* a config has expanded
-#: against, so 16x fewer keys than the word-level flat-mask memo needs.
-DEFAULT_LINE_MASK_CAPACITY = 1 << 14
 
 
 class LruCache:

@@ -135,8 +135,9 @@ class BitPermutation:
         signature configuration validates once at construction time.
         """
         result = 0
-        for table_index, table in enumerate(self._byte_tables):
-            result |= table[(address >> (table_index * 8)) & 0xFF]
+        for table in self._byte_tables:
+            result |= table[address & 0xFF]
+            address >>= 8
         return result
 
     def destination_of(self, source_bit: int) -> int:

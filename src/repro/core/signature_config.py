@@ -24,7 +24,7 @@ from repro.core.memo import (
 )
 from repro.core.permutation import BitPermutation, SpecEntry
 from repro.errors import ConfigurationError
-from repro.mem.address import Granularity
+from repro.mem.address import WORD_TO_LINE_SHIFT, Granularity
 
 #: Table 5's TM permutation, over 26-bit line addresses:
 #: ``[0-6, 9, 11, 17, 7-8, 10, 12, 13, 15-16, 18-20, 14]``.
@@ -152,6 +152,30 @@ class SignatureConfig:
                 )
             ),
         )
+        # The word-granularity line probe's plan (see
+        # repro.core.expansion.line_may_be_in): one (chunk offset, chunk
+        # mask, window) triple per field.  A line's 16 words differ only
+        # in the word-offset bits, and each of those lands in one chunk
+        # or above every chunk, so in field i the words' chunk values
+        # are word 0's value plus every subset sum of the weights of the
+        # offset bits in chunk i.  The window sets bit s for each such
+        # sum, shifted to the field's offset in the flattened signature.
+        line_plan = None
+        if self.granularity is Granularity.WORD:
+            patterns = [1] * layout.num_fields
+            for source in range(WORD_TO_LINE_SHIFT):
+                destination = self.permutation.destination_of(source)
+                field = layout.chunk_of_bit(destination)
+                if field >= 0:
+                    weight = 1 << (destination - layout.chunk_offsets[field])
+                    patterns[field] |= patterns[field] << weight
+            line_plan = tuple(
+                (chunk_offset, chunk_mask, pattern << field_offset)
+                for (field_offset, chunk_offset, chunk_mask), pattern in zip(
+                    self._field_plan, patterns
+                )
+            )
+        object.__setattr__(self, "_line_plan", line_plan)
 
     @classmethod
     def make(

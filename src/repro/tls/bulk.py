@@ -174,7 +174,12 @@ class TlsBulkScheme(TlsScheme):
         line_address: int,
     ) -> Optional[int]:
         bdm = self._bdms[proc.pid]
-        bdm.set_running(state.context)
+        # Context-switch only when the running task changed (another task
+        # of this processor ran in between).  The skip is exact: a running
+        # context is always active, since releasing a context clears
+        # ``running``.
+        if bdm.running is not state.context:
+            bdm.set_running(state.context)
         action = bdm.store_set_action(line_address)
         if action is _PROCEED:
             return None
@@ -203,7 +208,8 @@ class TlsBulkScheme(TlsScheme):
         # Per-access path: the BDM list is indexed directly (bdm_of adds
         # a frame per recorded access).
         bdm = self._bdms[proc.pid]
-        bdm.set_running(state.context)
+        if bdm.running is not state.context:
+            bdm.set_running(state.context)
         bdm.record_load(byte_address)
 
     def record_store(
@@ -214,7 +220,8 @@ class TlsBulkScheme(TlsScheme):
         byte_address: int,
     ) -> None:
         bdm = self._bdms[proc.pid]
-        bdm.set_running(state.context)
+        if bdm.running is not state.context:
+            bdm.set_running(state.context)
         bdm.record_store(byte_address)
 
     # ------------------------------------------------------------------

@@ -629,6 +629,18 @@ class TlsSystem(SpecSystemCore):
                     dependence=len(exact_dep),
                     false_positive=not exact_dep,
                 )
+            elif exact_dep and not self.scheme.stale_hit_refetches:
+                # The one-sided guarantee (Section 3): a scheme that
+                # disambiguates at commit may report a conflict where the
+                # exact sets have none, never miss one they have.  Eager
+                # disambiguates at the access and legitimately leaves
+                # write-write overlaps for its commits.
+                raise SimulationError(
+                    f"{self.scheme.name} missed a true conflict: "
+                    f"committing task {state.task_id} wrote word "
+                    f"0x{min(exact_dep):x}, which task {other.task_id} "
+                    "accessed"
+                )
         if conflicting:
             self.squash_from(
                 min(t.task_id for t in conflicting), now=commit_time

@@ -135,7 +135,12 @@ class BulkScheme(TmScheme):
         if not is_store or proc.txn is None:
             return None
         bdm = self._bdms[proc.pid]
-        bdm.set_running(proc.txn.context)
+        # Context-switch only when the running unit changed (a co-resident
+        # thread ran in between).  The skip is exact: a running context is
+        # always active, since releasing a context clears ``running``.
+        context = proc.txn.context
+        if bdm.running is not context:
+            bdm.set_running(context)
         line_address = byte_to_line(byte_address)
         action = bdm.store_set_action(line_address)
         if action is not _CONFLICT:
@@ -171,7 +176,8 @@ class BulkScheme(TmScheme):
         txn = proc.txn
         assert txn is not None
         bdm = self._bdms[proc.pid]
-        bdm.set_running(txn.context)
+        if bdm.running is not txn.context:
+            bdm.set_running(txn.context)
         # The BDM hands back the address's encode mask so a section
         # register records the access without re-encoding it.
         mask = bdm.record_load(byte_address)
@@ -184,7 +190,8 @@ class BulkScheme(TmScheme):
         txn = proc.txn
         assert txn is not None
         bdm = self._bdms[proc.pid]
-        bdm.set_running(txn.context)
+        if bdm.running is not txn.context:
+            bdm.set_running(txn.context)
         address = byte_address >> bdm._byte_shift
         mask = bdm.config.flat_mask(address)
         bdm.record_store_granule(address, mask)

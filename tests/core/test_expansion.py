@@ -1,11 +1,29 @@
 """Tests for signature expansion over a cache (Section 3.3)."""
 
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.cache.cache import Cache
 from repro.cache.geometry import TM_L1_GEOMETRY, TLS_L1_GEOMETRY
 from repro.core.decode import DeltaDecoder
 from repro.core.expansion import count_expansion_work, expand_signature, line_may_be_in
+from repro.core.permutation import BitPermutation
 from repro.core.signature import Signature
-from repro.core.signature_config import default_tls_config, default_tm_config
+from repro.core.signature_config import (
+    TABLE8_CHUNKS,
+    SignatureConfig,
+    default_tls_config,
+    default_tm_config,
+    table8_config,
+)
+from repro.mem.address import (
+    LINE_ADDRESS_BITS,
+    WORD_ADDRESS_BITS,
+    Granularity,
+    words_of_line,
+)
 
 LINE = tuple(range(16))
 
@@ -76,3 +94,96 @@ class TestExpansion:
             signature, cache, decoder
         )}
         assert 0x77 in found
+
+
+def _swapped(pairs):
+    """A 30-bit permutation that swaps the given source bits' places."""
+    sources = list(range(WORD_ADDRESS_BITS))
+    for a, b in pairs:
+        sources[a], sources[b] = sources[b], sources[a]
+    return BitPermutation(WORD_ADDRESS_BITS, sources)
+
+
+def _table8_word_configs():
+    """Every Table 8 layout over word addresses under the identity,
+    Table 5's TLS and two shuffled permutations."""
+    rng = random.Random(5)
+    configs = []
+    for name in sorted(TABLE8_CHUNKS):
+        configs.append(table8_config(name, Granularity.WORD))
+        configs.append(
+            table8_config(name, Granularity.WORD, use_paper_permutation=True)
+        )
+        for _ in range(2):
+            configs.append(
+                table8_config(
+                    name,
+                    Granularity.WORD,
+                    permutation=BitPermutation.shuffled(WORD_ADDRESS_BITS, rng),
+                )
+            )
+    return configs
+
+
+#: The TLS default keeps all four word-offset bits in chunk 0.  These two
+#: (10, 10) configurations cover the probe plan's other cases: offset
+#: bits split across two chunks (source bits 1 and 3 land in chunk 1),
+#: and an offset bit sent above every chunk, where it is not encoded.
+OFFSET_EDGE_CONFIGS = [
+    SignatureConfig.make(
+        (10, 10), Granularity.WORD, _swapped([(1, 10), (3, 14)]),
+        name="offset-bits-split",
+    ),
+    SignatureConfig.make(
+        (10, 10), Granularity.WORD, _swapped([(3, 25)]),
+        name="offset-bit-above-chunks",
+    ),
+]
+word_configs = st.one_of(
+    st.sampled_from(OFFSET_EDGE_CONFIGS),
+    st.sampled_from(_table8_word_configs()),
+)
+line_addresses = st.integers(min_value=0, max_value=(1 << LINE_ADDRESS_BITS) - 1)
+word_addresses = st.integers(min_value=0, max_value=(1 << WORD_ADDRESS_BITS) - 1)
+
+
+@st.composite
+def line_probes(draw):
+    """A configuration, a signature's words and the lines to probe.
+
+    Most words come from a few lines; a few are anywhere.  The probes
+    are those lines, each word's line, and one-bit neighbours of the
+    clustered lines, which share most of their chunk values.
+    """
+    config = draw(word_configs)
+    lines = draw(st.lists(line_addresses, min_size=1, max_size=4, unique=True))
+    words = draw(
+        st.lists(
+            st.builds(
+                lambda line, offset: (line << 4) | offset,
+                st.sampled_from(lines),
+                st.integers(min_value=0, max_value=15),
+            ),
+            max_size=24,
+        )
+    )
+    words += draw(st.lists(word_addresses, max_size=6))
+    flips = draw(
+        st.lists(st.integers(0, LINE_ADDRESS_BITS - 1), min_size=1, max_size=4)
+    )
+    probes = set(lines) | {word >> 4 for word in words}
+    probes |= {line ^ (1 << bit) for line in lines for bit in flips}
+    probes |= set(draw(st.lists(line_addresses, max_size=4)))
+    return config, words, sorted(probes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(line_probes())
+def test_line_probe_matches_the_per_word_definition(probe):
+    """A word-granularity line is in a signature iff one of its words is."""
+    config, words, probes = probe
+    signature = Signature.from_addresses(config, words)
+    for line_address in probes:
+        assert line_may_be_in(signature, line_address) == any(
+            word in signature for word in words_of_line(line_address)
+        ), (config.name, config.permutation.sources, line_address)

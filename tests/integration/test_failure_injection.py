@@ -81,6 +81,29 @@ class TestMissedTrueConflict:
         ):
             TmSystem([reader, writer], BlindBulk()).run()
 
+    def test_tls_bulk_that_misses_a_conflict_fails_the_commit(self):
+        """A TLS Bulk that clears every receiver lets a child commit
+        after reading a word its parent later wrote.  The child read the
+        word before the store, so no stale-read oracle and no final-memory
+        check sees it; the commit's one-sided check must."""
+
+        class BlindBulk(TlsBulkScheme):
+            def receiver_conflict(self, system, committer, receiver):
+                return False
+
+        parent = TlsTask(
+            0, [compute(5), compute(300), store(0xC000, 5)], spawn_cursor=1
+        )
+        child = TlsTask(1, [load(0xC000), compute(50)], spawn_cursor=0)
+        with pytest.raises(
+            SimulationError,
+            match=(
+                "Bulk missed a true conflict: committing task 0 wrote word "
+                "0x3000, which task 1 accessed"
+            ),
+        ):
+            TlsSystem([parent, child], BlindBulk()).run()
+
 
 class TestBrokenTlsDirtyRule:
     def test_paper_dirty_rule_fails_word_grain_tls(self, monkeypatch):
