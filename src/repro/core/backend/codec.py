@@ -35,8 +35,8 @@ of which path served each codec operation:
 They are advisory and out of the default metrics snapshots (golden runs
 pin ``metrics.json`` byte for byte); :func:`codec_stats` reads them.
 Counting happens only where a result is actually *computed* — memo hits
-(:class:`~repro.core.decode.CachedDecoder`, the RLE cache) touch neither
-counter, so the numbers read as "codec computes", not "codec calls".
+(the decode and RLE memos) touch neither counter, so the numbers read
+as "codec computes", not "codec calls".
 """
 
 from __future__ import annotations

@@ -8,23 +8,15 @@ Storage layout
 --------------
 A :class:`NumpySignature` keeps its register as ``ceil(size_bits / 64)``
 little-endian ``uint64`` words (``words[0]`` bit 0 is flat bit 0 — the
-low end of V_1, exactly the wire format).  Scalar insertions are
-*write-combined*: :meth:`NumpySignature.add_mask` ORs into a pending
-big-int accumulator (as cheap as the packed backend's hot path) that is
-flushed into the word array on the next array-side read, so the
-per-access recording paths of the simulators do not pay a python→numpy
-conversion per store.
+low end of V_1, exactly the wire format).  Insertions are
+*write-combined*: :meth:`NumpySignature.add_mask`, the one mutation
+point, ORs into a pending big-int accumulator (as cheap as the packed
+backend's hot path) that is flushed into the word array on the next
+array-side read, so the per-access recording paths of the simulators do
+not pay a python→numpy conversion per store.
 
 Batched kernels
 ---------------
-* :meth:`NumpyLayout.encode_words` — the vectorised ``add_many``: the
-  bit permutation is applied to the whole address vector via the same
-  256-entry byte tables the scalar
-  :class:`~repro.core.permutation.BitPermutation` uses, each C_i chunk
-  is sliced out with shifts/masks, the resulting global bit positions
-  are scattered into a boolean plane (duplicate positions collapse for
-  free), and ``np.packbits(..., bitorder="little")`` packs the plane
-  into the word array.
 * :meth:`NumpySignature.intersects` / ``union_update`` / ``&`` / ``|``
   — array bitwise ops; per-field emptiness uses a precomputed
   ``(n_fields, n_words)`` field word-mask matrix because V_i fields are
@@ -39,7 +31,7 @@ suite and the golden reproduce pin enforce it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -111,30 +103,6 @@ class NumpyLayout:
         """The word array packed back into the flat wire format."""
         return int.from_bytes(words.tobytes(), "little")
 
-    def encode_words(
-        self, addresses: Iterable[int]
-    ) -> "Optional[np.ndarray]":
-        """The batched build kernel: a whole address set as a word array.
-
-        Bit-identical to ORing
-        :meth:`~repro.core.signature_config.SignatureConfig.flat_mask`
-        over the set: vectorised byte-table permute, chunk slicing, and
-        a boolean-plane scatter (duplicates collapse) packed little-end
-        first.  Returns ``None`` for an empty input.
-        """
-        array = np.fromiter(addresses, dtype=np.int64)
-        if array.size == 0:
-            return None
-        permuted = self.tables[0][array & 0xFF]
-        shift = 8
-        for table in self.tables[1:]:
-            permuted |= table[(array >> shift) & 0xFF]
-            shift += 8
-        plane = np.zeros(self.num_words * 64, dtype=bool)
-        for field_offset, chunk_offset, chunk_mask in self.field_specs:
-            plane[((permuted >> chunk_offset) & chunk_mask) + field_offset] = True
-        return np.packbits(plane, bitorder="little").view(WORD_DTYPE)
-
 
 #: One layout per configuration; configs are few and hashable, so a plain
 #: dict memo suffices (equal configs share an entry).
@@ -183,31 +151,20 @@ class NumpySignature(Signature):
 
     # -- storage primitives -------------------------------------------
 
-    def _load_flat(self, flat: int, fields: Optional[List[int]] = None) -> None:
+    def _load_flat(self, flat: int) -> None:
         self._words = self._layout.words_from_int(flat)
         self._pending = 0
         self._flat = flat
-        self._fields = fields
 
     def add_mask(self, mask: int) -> None:
         if mask:
             self._pending |= mask
             self._flat = None
-            self._fields = None
-
-    def add_many(self, addresses: Iterable[int]) -> None:
-        delta = self._layout.encode_words(addresses)
-        if delta is None:
-            return
-        np.bitwise_or(self.words(), delta, out=self._words)
-        self._flat = None
-        self._fields = None
 
     def clear(self) -> None:
         self._words.fill(0)
         self._pending = 0
         self._flat = 0
-        self._fields = None
 
     def to_flat_int(self) -> int:
         flat = self._flat
@@ -236,7 +193,6 @@ class NumpySignature(Signature):
             self._check_compatible(other)
             np.bitwise_or(self.words(), other.words(), out=self._words)
             self._flat = None
-            self._fields = None
             return
         super().union_update(other)
 
@@ -533,7 +489,7 @@ class NumpySignatureArena(SignatureArena):
     allocation: :meth:`make_signature` hands out zeroed row views until
     the matrix is exhausted, then degrades to ordinary allocation.  Row
     residency survives in-place mutation (``add_mask`` write-combining,
-    ``add_many``, ``clear``); only wholesale register replacement
+    ``union_update``, ``clear``); only wholesale register replacement
     (``_load_flat``) migrates a signature off its row.
     """
 

@@ -10,7 +10,7 @@ offsets.  It exists to referee the other backends, not to be fast.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.core.backend.base import SignatureBackend
 from repro.core.signature import Signature
@@ -20,28 +20,21 @@ from repro.core.signature_config import SignatureConfig
 class PureSignature(Signature):
     """A signature stored as its per-field bit-vector list.
 
-    The inherited ``_fields`` cache *is* the storage (always present);
-    the inherited ``_flat`` slot becomes a memo of the packed wire
-    format, ``None`` while stale.
+    ``_fields`` is the storage; the inherited ``_flat`` slot becomes a
+    memo of the packed wire format, ``None`` while stale.
     """
 
-    __slots__ = ()
+    __slots__ = ("_fields",)
 
     backend_name = "pure"
 
     def __init__(self, config: SignatureConfig) -> None:
         super().__init__(config)
-        self._fields = [0] * config.layout.num_fields
+        self._fields: List[int] = [0] * config.layout.num_fields
 
-    def _load_flat(self, flat: int, fields: Optional[List[int]] = None) -> None:
-        if fields is None:
-            layout = self.config.layout
-            fields = [
-                (flat >> offset) & ((1 << size) - 1)
-                for offset, size in zip(layout.field_offsets, layout.field_sizes)
-            ]
-        self._fields = fields
+    def _load_flat(self, flat: int) -> None:
         self._flat = flat
+        self._fields = self.fields
 
     def add_mask(self, mask: int) -> None:
         if not mask:
@@ -78,7 +71,7 @@ class PureSignature(Signature):
         """The original per-field semantics: AND field by field, hit iff
         every field's intersection is non-empty."""
         self._check_compatible(other)
-        return all(x & y for x, y in zip(self.fields, other.fields))
+        return all(x & y for x, y in zip(self._fields, other.fields))
 
 
 class PureSignatureBackend(SignatureBackend):

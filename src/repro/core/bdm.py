@@ -28,7 +28,7 @@ from repro.cache.cache import Cache
 from repro.cache.geometry import CacheGeometry
 from repro.core.backend.base import SignatureArena, SignatureBackend
 from repro.core.backend.codec import note_codec
-from repro.core.decode import CachedDecoder
+from repro.core.decode import DeltaDecoder
 from repro.core.expansion import matched_lines
 from repro.core.signature import Signature
 from repro.core.signature_config import SignatureConfig
@@ -186,10 +186,11 @@ class BulkDisambiguationModule:
         self.config = config
         self.geometry = geometry
         self.backend = backend
-        # The memoised decoder is the single swap point that puts the
-        # decode fast path under every substrate's expansion sites
-        # (TM/TLS commit and squash invalidation, checkpoint rollback).
-        self.decoder = CachedDecoder(config, geometry.num_sets)
+        # Every substrate's expansion sites (TM/TLS commit and squash
+        # invalidation, checkpoint rollback) decode through this one
+        # decoder; every BDM of the same configuration and geometry
+        # shares its memo.
+        self.decoder = DeltaDecoder(config, geometry.num_sets)
         self._set_mask = geometry.num_sets - 1
         # Per-access fast-path constants, fixed by the configuration:
         # byte address -> granule is one shift, granule -> cache set is a
@@ -314,25 +315,22 @@ class BulkDisambiguationModule:
     def record_store(self, byte_address: int) -> int:
         """Add a store's address to the running context's W signature(s).
 
-        Returns the cache set index of the stored line, which the caller
-        has *already* validated with :meth:`store_set_action`.  The
-        context's incremental ``delta(W)`` mask is updated here.
+        The caller has *already* validated the stored line's set with
+        :meth:`store_set_action`.  The context's incremental
+        ``delta(W)`` mask is updated here.  Returns the address's flat
+        encode mask, as :meth:`record_load` does.
         """
-        address = byte_address >> self._byte_shift
-        return self.record_store_granule(address, self.config.flat_mask(address))
-
-    def record_store_granule(self, address: int, mask: int) -> int:
-        """The :meth:`record_store` core, for callers that already
-        converted the byte address and hold its flat encode mask."""
         context = self.running
         if context is None:
             raise SimulationError("no running speculative context in the BDM")
+        address = byte_address >> self._byte_shift
+        mask = self.config.flat_mask(address)
         context.write_signature.add_mask(mask)
         if context.shadow_write_signature is not None:
             context.shadow_write_signature.add_mask(mask)
         set_index = (address >> self._granule_line_shift) & self._set_mask
         context.delta_mask |= 1 << set_index
-        return set_index
+        return mask
 
     # ------------------------------------------------------------------
     # Set Restriction

@@ -28,7 +28,7 @@ from typing import Dict, List, Tuple
 
 from repro.core.backend.codec import note_codec
 from repro.core.bitvector import iter_set_bits
-from repro.core.memo import DEFAULT_DECODE_CAPACITY, LruCache
+from repro.core.memo import DEFAULT_DECODE_CAPACITY, Memo
 from repro.core.signature import Signature
 from repro.core.signature_config import SignatureConfig
 from repro.errors import DeltaInexactError
@@ -40,6 +40,14 @@ from repro.mem.address import WORD_TO_LINE_SHIFT, Granularity, line_index_bits
 # global.  Only a decoder's construction compares it here, but every
 # simulator module keeps the one rule (tests/sim/test_hot_loops.py).
 _LINE = Granularity.LINE
+
+#: (config, num_sets) -> the decode memo every decoder of that pair
+#: shares.  Decode is pure in (config, num_sets, flat value), so sharing
+#: is safe — and it is what pays: each processor's BDM owns its own
+#: decoder, and a commit broadcast decodes the *same* signature once per
+#: receiver.  Bounded: one entry per pair (a handful per process) of at
+#: most ``DEFAULT_DECODE_CAPACITY`` masks each.
+_DECODE_MEMOS: Dict[Tuple[SignatureConfig, int], Memo] = {}
 
 
 class DeltaDecoder:
@@ -62,11 +70,17 @@ class DeltaDecoder:
         "_uncovered_bits",
         "_set_mask",
         "_vec_state",
+        "_memo",
     )
 
     def __init__(self, config: SignatureConfig, num_sets: int) -> None:
         self.config = config
         self.num_sets = num_sets
+        key = (config, num_sets)
+        memo = _DECODE_MEMOS.get(key)
+        if memo is None:
+            memo = _DECODE_MEMOS[key] = Memo("decode", DEFAULT_DECODE_CAPACITY)
+        self._memo = memo
         self._set_mask = num_sets - 1
         self._index_bit_count = line_index_bits(num_sets)
 
@@ -118,19 +132,29 @@ class DeltaDecoder:
         Exact when :attr:`is_exact`; otherwise a conservative superset.
         An empty signature decodes to the empty mask.
 
-        Dispatches to the vectorised codec of the signature's storage
-        backend when it ships one (:mod:`repro.core.backend.codec`);
-        :meth:`decode_scalar` is the bit-exact scalar reference both
-        paths must agree with.
+        Memoised on the flat register value, in the memo every decoder
+        of this (configuration, ``num_sets``) pair shares: a commit
+        broadcast then costs one decode plus one lookup per further
+        receiver.  A miss dispatches to the vectorised codec of the
+        signature's storage backend when it ships one
+        (:mod:`repro.core.backend.codec`); :meth:`decode_scalar` is the
+        bit-exact scalar reference both paths must agree with.
         """
-        if signature.is_empty():
-            return 0
-        codec = signature._codec
-        if codec is not None:
-            note_codec("decode_vectorised")
-            return codec.delta_decode(self, signature)
-        note_codec("fallback")
-        return self.decode_scalar(signature)
+        memo = self._memo
+        flat = signature.to_flat_int()
+        mask = memo.get(flat)
+        if mask is None:
+            codec = signature._codec
+            if signature.is_empty():
+                mask = 0
+            elif codec is not None:
+                note_codec("decode_vectorised")
+                mask = codec.delta_decode(self, signature)
+            else:
+                note_codec("fallback")
+                mask = self.decode_scalar(signature)
+            memo.put(flat, mask)
+        return mask
 
     def decode_scalar(self, signature: Signature) -> int:
         """The scalar reference decode (codec kernels must match it)."""
@@ -140,9 +164,10 @@ class DeltaDecoder:
         # Start from the partial index values contributed by each chunk
         # group and combine them; a single group with no uncovered bits is
         # the exact case.
+        fields = signature.fields
         partials = {0}
         for chunk, bit_pairs in self._groups.items():
-            field = signature.fields[chunk]
+            field = fields[chunk]
             contributions = set()
             for value in iter_set_bits(field):
                 partial = 0
@@ -176,59 +201,3 @@ class DeltaDecoder:
         return (
             f"DeltaDecoder({self.config.name}, num_sets={self.num_sets}, {kind})"
         )
-
-
-#: LruCache.get default that cannot collide with a decode result (the
-#: empty mask 0 is a perfectly valid one).
-_DECODE_MISS = object()
-
-#: (config, num_sets, capacity) -> the LRU memo every CachedDecoder with
-#: that key shares.  Decode is pure in (config, num_sets, flat value), so
-#: sharing is safe — and essential: each processor's BDM owns its own
-#: decoder, and a commit broadcast decodes the *same* signature once per
-#: receiver.  Bounded: one entry per distinct key (a handful per process)
-#: of at most ``capacity`` masks each.
-_SHARED_DECODE_CACHES: Dict[Tuple[SignatureConfig, int, int], LruCache] = {}
-
-
-class CachedDecoder(DeltaDecoder):
-    """A :class:`DeltaDecoder` with a bounded LRU memo on decode results.
-
-    delta(S) is a pure function of the flat register value for a fixed
-    (configuration, geometry) pair — and commits re-decode the *same*
-    committed signature once per receiver cache, so the memo turns an
-    N-processor broadcast into one decode plus N-1 lookups.  Keyed on
-    ``signature.to_flat_int()``; the memo itself is shared between all
-    decoders of the same ``(config, num_sets, capacity)``, which
-    completes the ``(config, flat_int)`` key.
-
-    Strictly semantics-preserving: byte-identical results, including
-    the exactness contract (``require_exact`` is inherited untouched).
-    This is what :class:`~repro.core.bdm.BulkDisambiguationModule`
-    instantiates, which covers the TM, TLS, and checkpoint expansion
-    sites in one place.
-    """
-
-    __slots__ = ("_decode_cache",)
-
-    def __init__(
-        self,
-        config: SignatureConfig,
-        num_sets: int,
-        capacity: int = DEFAULT_DECODE_CAPACITY,
-    ) -> None:
-        super().__init__(config, num_sets)
-        key = (config, num_sets, capacity)
-        cache = _SHARED_DECODE_CACHES.get(key)
-        if cache is None:
-            cache = _SHARED_DECODE_CACHES[key] = LruCache("decode", capacity)
-        self._decode_cache = cache
-
-    def decode(self, signature: Signature) -> int:
-        cache = self._decode_cache
-        flat = signature.to_flat_int()
-        mask = cache.get(flat, _DECODE_MISS)
-        if mask is _DECODE_MISS:
-            mask = DeltaDecoder.decode(self, signature)
-            cache.put(flat, mask)
-        return mask

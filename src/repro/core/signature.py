@@ -27,9 +27,9 @@ This class is the **packed** storage backend: the register is one Python
 integer — all V_i fields concatenated, V_1 at the low end, exactly the
 wire format of :meth:`Signature.to_flat_int`.  Intersection, union, and
 the hot :meth:`Signature.intersects` are then single big-int bitwise
-operations; per-field views are rebuilt lazily (and cached) only when a
+operations; per-field views are sliced out of the register only when a
 caller actually needs them (:attr:`Signature.fields`,
-:meth:`Signature.field_values`, the delta decode).
+:meth:`Signature.field_values`, the scalar delta decode).
 
 Alternative storage backends (:mod:`repro.core.backend`) subclass this
 and replace the storage while keeping the public surface: every mutation
@@ -45,7 +45,7 @@ a per-field-list reference implementation.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Set
+from typing import Iterable, Iterator, List, Set
 
 from repro.core.bitvector import iter_set_bits, popcount
 from repro.core.signature_config import SignatureConfig
@@ -62,7 +62,7 @@ class Signature:
     registers of different shapes cannot be combined.
     """
 
-    __slots__ = ("config", "_flat", "_fields")
+    __slots__ = ("config", "_flat")
 
     #: Registry name of the storage backend this class implements; the
     #: base class *is* the default ``packed`` backend.
@@ -78,96 +78,56 @@ class Signature:
     def __init__(self, config: SignatureConfig) -> None:
         self.config = config
         self._flat = 0
-        self._fields: "List[int] | None" = None
 
     @classmethod
     def from_addresses(
         cls, config: SignatureConfig, addresses: Iterable[int]
     ) -> "Signature":
-        """Encode a whole address set at once."""
+        """Encode a whole address set, one :meth:`add` per address."""
         signature = cls(config)
-        signature.add_many(addresses)
+        for address in addresses:
+            signature.add(address)
         return signature
 
     @property
     def fields(self) -> List[int]:
         """The V_i fields as a list of per-field bit vectors.
 
-        Rebuilt lazily from the packed register and cached until the next
-        mutation.  Treat the list as a read-only snapshot — mutating it
-        does not write back into the register.
+        Sliced out of the packed register on each read.  The list is a
+        snapshot — mutating it does not write back into the register.
         """
-        if self._fields is None:
-            flat = self.to_flat_int()
-            layout = self.config.layout
-            self._fields = [
-                (flat >> offset) & ((1 << size) - 1)
-                for offset, size in zip(layout.field_offsets, layout.field_sizes)
-            ]
-        return self._fields
-
-    @fields.setter
-    def fields(self, values: List[int]) -> None:
+        flat = self.to_flat_int()
         layout = self.config.layout
-        if len(values) != layout.num_fields:
-            raise ConfigurationError(
-                f"expected {layout.num_fields} fields, got {len(values)}"
-            )
-        flat = 0
-        for offset, size, value in zip(
-            layout.field_offsets, layout.field_sizes, values
-        ):
-            if value < 0 or value >> size:
-                raise ConfigurationError(
-                    f"field value does not fit in a {size}-bit V_i field"
-                )
-            flat |= value << offset
-        self._load_flat(flat, list(values))
+        return [
+            (flat >> offset) & ((1 << size) - 1)
+            for offset, size in zip(layout.field_offsets, layout.field_sizes)
+        ]
 
-    def _load_flat(self, flat: int, fields: Optional[List[int]] = None) -> None:
+    def _load_flat(self, flat: int) -> None:
         """Replace the register contents with an already-validated flat
         value (the storage-assignment primitive backends override)."""
         self._flat = flat
-        self._fields = fields
 
     def add(self, address: int) -> None:
         """Insert one address (at the configuration's granularity)."""
         self.add_mask(self.config.flat_mask(address))
 
-    def add_many(self, addresses: Iterable[int]) -> None:
-        """Insert a whole address iterable with one register OR.
-
-        The batched build kernel: the configuration dedupes the iterable
-        and accumulates a single mask
-        (:meth:`~repro.core.signature_config.SignatureConfig.flat_mask_many`),
-        so the register is touched once.  Bit-identical to calling
-        :meth:`add` per address.
-        """
-        self.add_mask(self.config.flat_mask_many(addresses))
-
     def add_mask(self, mask: int) -> None:
         """OR a precomputed flat mask into the register.
 
         This is the **single mutation point**: :meth:`add` and
-        :meth:`add_many` both reduce their input to a flat mask (through
-        the configuration's memoised encode paths) and funnel it here, so
-        interleaving the three in any order leaves the register — and the
-        lazy per-field view's invalidation — in the identical state.  It
-        is also the single-address fast lane for callers that already
-        hold the address's
+        :meth:`from_addresses` reduce each address to its memoised
         :meth:`~repro.core.signature_config.SignatureConfig.flat_mask`
-        (the BDM computes it once per access and feeds every signature
-        that records the access).  An empty mask is a no-op and leaves
-        the cached per-field view intact.
+        and funnel it here.  It is also the fast lane for callers that
+        already hold a mask (the BDM computes an access's mask once and
+        feeds every signature that records the access).  An empty mask
+        is a no-op.
         """
-        if mask:
-            self._flat |= mask
-            self._fields = None
+        self._flat |= mask
 
     def clear(self) -> None:
         """Gang-clear the register — this is how Bulk commits (Table 2)."""
         self._flat = 0
-        self._fields = None
 
     def is_empty(self) -> bool:
         """Emptiness test: true iff some V_i field is all-zero."""

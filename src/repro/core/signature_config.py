@@ -20,7 +20,7 @@ from repro.core.fields import ChunkLayout
 from repro.core.memo import (
     DEFAULT_FLAT_MASK_CAPACITY,
     DEFAULT_RLE_CAPACITY,
-    LruCache,
+    Memo,
 )
 from repro.core.permutation import BitPermutation, SpecEntry
 from repro.errors import ConfigurationError
@@ -127,7 +127,7 @@ class SignatureConfig:
         object.__setattr__(
             self,
             "_flat_mask_cache",
-            LruCache("flat_mask", DEFAULT_FLAT_MASK_CAPACITY),
+            Memo("flat_mask", DEFAULT_FLAT_MASK_CAPACITY),
         )
         # Commit-packet RLE memo (see repro.core.rle): flat register
         # value -> encoded bytes.  Commits often re-send a signature
@@ -135,7 +135,7 @@ class SignatureConfig:
         # the same lines), and the encoding is a pure function of the
         # flat value for a fixed layout.
         object.__setattr__(
-            self, "_rle_cache", LruCache("rle", DEFAULT_RLE_CAPACITY)
+            self, "_rle_cache", Memo("rle", DEFAULT_RLE_CAPACITY)
         )
         # The fused encoder's per-field plan (see _encode_mask): one
         # (field offset, chunk offset, chunk mask) triple per field.
@@ -217,8 +217,7 @@ class SignatureConfig:
         ``1 << (field offset + chunk)`` over :meth:`encode`, without the
         intermediate permuted address and chunk tuple.  It is the one
         place masks are computed: the memo misses of :meth:`flat_mask`
-        and :meth:`flat_mask_many`, and every address of
-        :meth:`flat_masks`.
+        and every address of :meth:`flat_masks`.
         """
         permuted = 0
         shift = 0
@@ -238,55 +237,18 @@ class SignatureConfig:
         it.  Memoised per configuration, since workloads revisit the same
         addresses constantly.
         """
-        # Hot path: inline the LRU hit (dict probe + counter) rather
-        # than going through LruCache.get — this memo is consulted on
-        # every recorded access of every simulator.  Hits deliberately
-        # skip the recency touch: the memo is a pure function, so
-        # insertion-order eviction returns identical values, and the
-        # move_to_end was the single costliest op in the hit path.
-        cache = self._flat_mask_cache
-        data = cache._data
-        mask = data.get(address)
+        # Hot path: Memo.get inlined (one dict probe and a counter) —
+        # this memo is consulted on every recorded access of every
+        # simulator.
+        memo = self._flat_mask_cache
+        mask = memo._data.get(address)
         if mask is not None:
-            cache.hits += 1
+            memo.counts[0] += 1
             return mask
-        cache.misses += 1
+        memo.counts[1] += 1
         mask = self._encode_mask(address)
-        cache.put(address, mask)
+        memo.put(address, mask)
         return mask
-
-    def flat_mask_many(self, addresses: "Iterable[int]") -> int:
-        """One accumulated mask for a whole address iterable.
-
-        The batched build kernel: deduplicates the iterable locally (a
-        plain set — cheaper than the LRU for the duplicates within one
-        batch) and ORs each distinct address's mask into a single
-        accumulator, so inserting N addresses costs one register OR
-        instead of N.  Exactly equivalent to OR-ing :meth:`flat_mask`
-        over the iterable.
-        """
-        cache = self._flat_mask_cache
-        data = cache._data
-        get = data.get
-        encode_mask = self._encode_mask
-        accumulated = 0
-        hits = 0
-        seen = set()
-        seen_add = seen.add
-        for address in addresses:
-            if address in seen:
-                continue
-            seen_add(address)
-            mask = get(address)
-            if mask is not None:
-                hits += 1
-            else:
-                cache.misses += 1
-                mask = encode_mask(address)
-                cache.put(address, mask)
-            accumulated |= mask
-        cache.hits += hits
-        return accumulated
 
     def flat_masks(self, addresses: "Iterable[int]") -> List[int]:
         """Each address's :meth:`flat_mask`, in order, bypassing the memo.

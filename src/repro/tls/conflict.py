@@ -204,11 +204,11 @@ class TlsScheme(SpecScheme):
         """The exact dependence set (words) an ideal scheme with this
         scheme's overlap semantics would compute — classifies squashes as
         true or false positives."""
-        effective = committer.write_words
+        effective = committer.write_log.keys()
         if (
             self.overlap_reference
             and receiver.task_id == committer.task_id + 1
             and committer.shadow_write_words is not None
         ):
             effective = committer.shadow_write_words
-        return effective & (receiver.read_words | receiver.write_words)
+        return effective & (receiver.read_words | receiver.write_log.keys())

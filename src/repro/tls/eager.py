@@ -53,7 +53,7 @@ class TlsEagerScheme(TlsScheme):
         for other in system.active_tasks():
             if other.task_id <= state.task_id:
                 continue
-            if word in other.read_words or word in other.write_words:
+            if word in other.read_words or word in other.write_log:
                 if victim is None or other.task_id < victim:
                     victim = other.task_id
         return victim

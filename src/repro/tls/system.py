@@ -36,6 +36,7 @@ from repro.sim.trace import EventKind, MemEvent
 from repro.spec.config import RunConfig
 from repro.spec.system import SpecSystemCore
 from repro.tls.conflict import TlsScheme
+from repro.tls.lazy import TlsLazyScheme
 from repro.tls.params import TLS_DEFAULTS, TlsParams
 from repro.tls.stats import TlsStats
 from repro.tls.task import TaskState, TaskStatus, TlsTask
@@ -599,7 +600,7 @@ class TlsSystem(SpecSystemCore):
 
         self.stats.committed_tasks += 1
         self.stats.read_set_words += len(state.read_words)
-        self.stats.write_set_words += len(state.write_words)
+        self.stats.write_set_words += len(state.write_log)
         if self.obs_enabled:
             self.note_commit(
                 packet_bytes,
@@ -607,7 +608,7 @@ class TlsSystem(SpecSystemCore):
                 commit_time,
                 task=state.task_id,
                 proc=proc.pid,
-                write_words=len(state.write_words),
+                write_words=len(state.write_log),
             )
 
         # Make the task's state architectural *before* receivers merge
@@ -624,6 +625,14 @@ class TlsSystem(SpecSystemCore):
             exact_dep = self.scheme.exact_dependence(state, other)
             hit = self.scheme.receiver_conflict(self, state, other)
             if hit:
+                if not exact_dep and isinstance(self.scheme, TlsLazyScheme):
+                    # Lazy disambiguates on the exact sets, so it may
+                    # not report a conflict without an overlap.
+                    raise SimulationError(
+                        f"{self.scheme.name} reported a conflict with no "
+                        f"overlap: committing task {state.task_id} wrote no "
+                        f"word task {other.task_id} accessed"
+                    )
                 conflicting.append(other)
                 self._note_direct_squash_stats(
                     dependence=len(exact_dep),

@@ -89,7 +89,6 @@ class TaskState:
         "spawn_signalled",
         "write_log",
         "read_words",
-        "write_words",
         "_write_lines",
         "shadow_write_words",
         "prespawn_write_words",
@@ -111,11 +110,11 @@ class TaskState:
         #: Whether the successor has been made spawnable (sticky across
         #: restarts — a spawned child is never unspawned).
         self.spawn_signalled = False
-        #: word address -> value (authoritative speculative data).
+        #: word address -> value (authoritative speculative data); its
+        #: keys are the exact write set, word granularity.
         self.write_log: Dict[int, int] = {}
-        #: Exact read/write sets, word granularity.
+        #: Exact read set, word granularity.
         self.read_words: Set[int] = set()
-        self.write_words: Set[int] = set()
         # Lines of the write set, maintained incrementally (the forwarding
         # overlay and the dirty-line probes test membership per access).
         self._write_lines: Set[int] = set()
@@ -159,9 +158,8 @@ class TaskState:
         self.read_words.add(byte_address >> WORD_SHIFT)
 
     def record_store(self, byte_address: int, value: int) -> None:
-        """Add a store to the exact write sets and the write log."""
+        """Add a store to the write log and the exact write sets."""
         word = byte_address >> WORD_SHIFT
-        self.write_words.add(word)
         self._write_lines.add(word >> WORD_TO_LINE_SHIFT)
         self.write_log[word] = value & 0xFFFFFFFF
         if self.shadow_write_words is not None:
@@ -170,7 +168,7 @@ class TaskState:
     def start_shadow(self) -> None:
         """Begin (or restart) the exact shadow write set at the spawn."""
         self.shadow_write_words = set()
-        self.prespawn_write_words = set(self.write_words)
+        self.prespawn_write_words = set(self.write_log)
 
     def write_lines(self) -> Set[int]:
         """Line addresses touched by the write set (maintained
@@ -195,7 +193,6 @@ class TaskState:
         self.attempts += 1
         self.write_log.clear()
         self.read_words.clear()
-        self.write_words.clear()
         self._write_lines.clear()
         self.shadow_write_words = None
         self.prespawn_write_words = set()

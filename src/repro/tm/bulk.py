@@ -192,9 +192,7 @@ class BulkScheme(TmScheme):
         bdm = self._bdms[proc.pid]
         if bdm.running is not txn.context:
             bdm.set_running(txn.context)
-        address = byte_address >> bdm._byte_shift
-        mask = bdm.config.flat_mask(address)
-        bdm.record_store_granule(address, mask)
+        mask = bdm.record_store(byte_address)
         if self.partial_rollback:
             txn.sections[-1].write_signature.add_mask(mask)
 

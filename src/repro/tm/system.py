@@ -37,6 +37,7 @@ from repro.spec.config import RunConfig
 from repro.spec.system import SpecSystemCore
 from repro.tm.bulk import BulkScheme
 from repro.tm.conflict import TmScheme
+from repro.tm.lazy import LazyScheme
 from repro.tm.params import TM_DEFAULTS, TmParams
 from repro.tm.processor import TmProcessor
 from repro.tm.stats import TmStats
@@ -581,6 +582,14 @@ class TmSystem(SpecSystemCore):
                         f"{other.txn.txn_id} accessed"
                     )
                 if section is not None:
+                    if not exact_dep and isinstance(self.scheme, LazyScheme):
+                        # Lazy disambiguates on the exact sets, so it
+                        # may not report a conflict without an overlap.
+                        raise SimulationError(
+                            f"{self.scheme.name} reported a conflict with no "
+                            f"overlap: committing txn {txn.txn_id} wrote no "
+                            f"line txn {other.txn.txn_id} accessed"
+                        )
                     self.squash(
                         victim=other,
                         from_section=section,

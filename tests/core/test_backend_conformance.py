@@ -101,15 +101,20 @@ class TestUnitConformance:
         )
 
     def test_scalar_and_batch_insertion_agree(self, backend):
+        """One ``add`` per address equals one ``add_mask`` of the OR of
+        every address's mask."""
         config = default_tm_config()
         rng = random.Random(7)
         address_set = [rng.randrange(1 << ADDRESS_BITS) for _ in range(40)]
         one_by_one = backend.make_signature(config)
         for address in address_set:
             one_by_one.add(address)
+        folded = 0
+        for address in address_set:
+            folded |= config.flat_mask(address)
         batched = backend.make_signature(config)
-        batched.add_many(address_set)
-        assert one_by_one.to_flat_int() == batched.to_flat_int()
+        batched.add_mask(folded)
+        assert one_by_one.to_flat_int() == batched.to_flat_int() == folded
         for address in address_set:
             assert address in one_by_one
             assert address in batched
@@ -179,7 +184,7 @@ class TestUnitConformance:
         assert not other.intersects(empty)
         assert (empty | other) == other
         assert (empty & other).is_empty()
-        empty.add_many([])  # no-op, not an error
+        empty.add_mask(0)  # no-op, not an error
         assert empty.is_empty()
 
     def test_full_saturation_edge_case(self, backend):
@@ -321,10 +326,13 @@ class TestBankConformance:
 
 # ----------------------------------------------------------------------
 # Codec conformance: decode / RLE / expansion kernels vs the scalar
-# reference.  The dispatch (Signature._codec) is exercised through the
-# public decode()/rle_encode()/rle_decode()/matched_lines() entry
-# points, so backends without a codec pass trivially via the fallback
-# and backends with one prove their kernels bit-exact.
+# reference.  Decode and RLE encoding call the backend's kernels
+# directly, since their memos are shared by every backend and would
+# serve a repeated register without running the kernel; decode() is
+# checked too.  RLE decoding and expansion go through the public
+# rle_decode()/matched_lines() dispatch.  Backends without a codec pass
+# trivially via the fallback, and backends with one prove their kernels
+# bit-exact.
 # ----------------------------------------------------------------------
 
 from repro.cache.cache import Cache  # noqa: E402
@@ -346,14 +354,22 @@ def _random_addresses(rng, granularity, n):
     return [rng.randrange(1 << granularity.address_bits) for _ in range(n)]
 
 
+def _kernel_decode(backend, decoder, signature):
+    """delta(S) computed by the backend's own kernel, not the memo."""
+    if backend.codec is None:
+        return decoder.decode_scalar(signature)
+    return backend.codec.delta_decode(decoder, signature)
+
+
 class TestCodecConformance:
     @pytest.mark.parametrize("granularity", GRANULARITIES)
     def test_delta_decode_matches_scalar_every_table8_config(
         self, backend, granularity
     ):
-        """decoder.decode (codec-dispatched) == decode_scalar (reference)
-        over every Table 8 layout, both granularities, several set
-        counts — including empty and partially-empty registers."""
+        """The backend's decode kernel and the memoised decoder.decode
+        == decode_scalar (reference) over every Table 8 layout, both
+        granularities, several set counts — including empty and
+        partially-empty registers."""
         for name in TABLE8_CHUNKS:
             config = table8_config(name, granularity)
             rng = random.Random(hash((name, granularity.name)) & 0xFFFF)
@@ -363,9 +379,10 @@ class TestCodecConformance:
                 reference = REFERENCE.from_addresses(config, address_set)
                 for num_sets in (64, 512):
                     decoder = DeltaDecoder(config, num_sets)
-                    assert decoder.decode(ours) == decoder.decode_scalar(
-                        reference
-                    ), (name, granularity, n, num_sets)
+                    expected = decoder.decode_scalar(reference)
+                    case = (name, granularity, n, num_sets)
+                    assert _kernel_decode(backend, decoder, ours) == expected, case
+                    assert decoder.decode(ours) == expected, case
 
     @settings(
         max_examples=25,
@@ -382,7 +399,9 @@ class TestCodecConformance:
         decoder = DeltaDecoder(config, 128)
         ours = backend.from_addresses(config, address_set)
         reference = REFERENCE.from_addresses(config, address_set)
-        assert decoder.decode(ours) == decoder.decode_scalar(reference)
+        expected = decoder.decode_scalar(reference)
+        assert _kernel_decode(backend, decoder, ours) == expected
+        assert decoder.decode(ours) == expected
 
     @settings(
         max_examples=25,

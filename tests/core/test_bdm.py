@@ -66,8 +66,10 @@ class TestContexts:
         bdm = make_bdm()
         context = bdm.allocate_context(1)
         bdm.set_running(context)
-        bdm.record_load(0x1000)
-        bdm.record_store(0x2000)
+        # Both return the address's flat encode mask, for callers that
+        # record the access into further signatures.
+        assert bdm.record_load(0x1000) == bdm.config.flat_mask(0x1000 >> 6)
+        assert bdm.record_store(0x2000) == bdm.config.flat_mask(0x2000 >> 6)
         assert (0x1000 >> 6) in context.read_signature
         assert (0x2000 >> 6) in context.write_signature
 
@@ -98,14 +100,16 @@ class TestDecodedBitmasks:
         bdm = make_bdm()
         context = bdm.allocate_context(1)
         bdm.set_running(context)
-        set_index = bdm.record_store(0x2000)
+        bdm.record_store(0x2000)
+        set_index = bdm.decoder.set_index_of(0x2000 >> 6)
         assert (bdm.delta_w_run >> set_index) & 1
 
     def test_or_delta_wpre_covers_preempted(self):
         bdm = make_bdm()
         first = bdm.allocate_context(1)
         bdm.set_running(first)
-        set_index = bdm.record_store(0x2000)
+        bdm.record_store(0x2000)
+        set_index = bdm.decoder.set_index_of(0x2000 >> 6)
         second = bdm.allocate_context(2)
         bdm.set_running(second)  # first is now preempted
         assert (bdm.or_delta_w_pre >> set_index) & 1
@@ -115,14 +119,16 @@ class TestDecodedBitmasks:
         bdm = make_bdm()
         context = bdm.allocate_context(1)
         bdm.set_running(context)
-        set_index = bdm.record_store(0x2000)
+        bdm.record_store(0x2000)
+        set_index = bdm.decoder.set_index_of(0x2000 >> 6)
         assert bdm.speculative_owner_of_set(set_index) is context
 
     def test_external_request_screening(self):
         bdm = make_bdm()
         context = bdm.allocate_context(1)
         bdm.set_running(context)
-        set_index = bdm.record_store(0x2000)
+        bdm.record_store(0x2000)
+        set_index = bdm.decoder.set_index_of(0x2000 >> 6)
         assert bdm.set_has_speculative_dirty(set_index)
         assert not bdm.set_has_speculative_dirty((set_index + 1) % 128)
 

@@ -13,6 +13,8 @@ kernels are bit-exact; this file pins the *accounting* contract of
   path, bit-identically.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.experiments import run_tm_comparison
@@ -25,7 +27,7 @@ from repro.core.backend.codec import (
     note_codec,
     reset_codec_stats,
 )
-from repro.core.decode import CachedDecoder, DeltaDecoder
+from repro.core.decode import DeltaDecoder
 from repro.core.expansion import matched_lines
 from repro.core.rle import rle_decode, rle_encode
 from repro.core.signature_config import default_tm_config
@@ -42,16 +44,15 @@ def _clean_counters():
 
 
 @pytest.fixture
-def config():
-    # A fresh config per test: the RLE memo hangs off the config, so
-    # sharing one would leak memo hits between tests.
-    return default_tm_config()
+def config(request):
+    # A config of its own per test: the RLE memo hangs off the config,
+    # and every decoder of equal configs shares one decode memo, so
+    # sharing either would leak memo hits between tests.
+    return dataclasses.replace(default_tm_config(), name=request.node.name)
 
 
 def _filled(config, backend_name, addresses):
-    signature = resolve_backend(backend_name).make_signature(config)
-    signature.add_many(addresses)
-    return signature
+    return resolve_backend(backend_name).from_addresses(config, addresses)
 
 
 def _numpy_available() -> bool:
@@ -100,13 +101,12 @@ def test_numpy_backend_decode_counts_vectorised(config):
 
 def test_decode_memo_hits_do_not_count(config):
     signature = _filled(config, "packed", [7, 8, 9])
-    decoder = CachedDecoder(config, NUM_SETS)
+    decoder = DeltaDecoder(config, NUM_SETS)
     decoder.decode(signature)
-    computes = codec_stats()["fallback"]
-    assert computes >= 1  # a shared-memo hit from a prior run is possible
+    assert codec_stats()["fallback"] == 1
     for _ in range(5):
-        decoder.decode(signature)
-    assert codec_stats()["fallback"] == computes
+        DeltaDecoder(config, NUM_SETS).decode(signature)
+    assert codec_stats()["fallback"] == 1
 
 
 def test_rle_memo_hits_do_not_count(config):

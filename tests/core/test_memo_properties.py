@@ -1,20 +1,19 @@
-"""Hypothesis property tests for the hot-path fast lanes.
+"""Hypothesis property tests for the hot-path memos.
 
-The PR's batching and memoisation layers are only admissible because
-they are *strictly semantics-preserving*; these properties pin that:
+The memos are only admissible because they are *strictly
+semantics-preserving*; these properties pin that:
 
-* ``Signature.add_many`` (and the ``flat_mask_many`` batch encode under
-  it) must be bit-identical to a sequential ``add`` loop, across every
-  Table 8 configuration and both address granularities;
-* :class:`~repro.core.decode.CachedDecoder` must return exactly what the
-  uncached :class:`~repro.core.decode.DeltaDecoder` computes, including
-  across cache-eviction boundaries (exercised with a deliberately tiny
-  capacity);
-* the three mask kernels (``flat_mask``, ``flat_mask_many`` and the
-  unmemoised ``flat_masks``), which share one fused encoder, must equal
-  the spec-level mask built from ``SignatureConfig.encode`` under the
-  identity, the Table 5 and random permutations, and ``flat_masks`` must
-  leave the memo untouched.
+* the memoised :meth:`~repro.core.decode.DeltaDecoder.decode` must
+  return exactly what the unmemoised ``decode_scalar`` computes, across
+  every Table 8 configuration and both address granularities, and
+  across eviction boundaries (exercised with a deliberately tiny memo);
+* a :class:`~repro.core.memo.Memo` evicts its oldest entry and counts
+  hits and misses per label;
+* the two mask kernels (the memoised ``flat_mask`` and the unmemoised
+  ``flat_masks``), which share one fused encoder, must equal the
+  spec-level mask built from ``SignatureConfig.encode`` under the
+  identity, the Table 5 and random permutations, and ``flat_masks``
+  must leave the memo untouched.
 """
 
 import random
@@ -23,7 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.decode import CachedDecoder, DeltaDecoder
+from repro.core.decode import DeltaDecoder
+from repro.core.memo import Memo, memo_stats
 from repro.core.permutation import BitPermutation
 from repro.core.signature import Signature
 from repro.core.signature_config import TABLE8_CHUNKS, table8_config
@@ -49,79 +49,69 @@ def _mask_for(config):
 
 
 @settings(max_examples=60, deadline=None)
-@given(configs, address_lists)
-def test_add_many_matches_sequential_add(config, raw):
-    """Batch insertion is bit-identical to the per-address loop."""
-    mask = _mask_for(config)
-    address_list = [address & mask for address in raw]
-
-    sequential = Signature(config)
-    for address in address_list:
-        sequential.add(address)
-
-    batched = Signature(config)
-    batched.add_many(address_list)
-
-    assert batched == sequential
-    assert batched.to_flat_int() == sequential.to_flat_int()
-    assert batched.fields == sequential.fields
-
-
-@settings(max_examples=60, deadline=None)
-@given(configs, address_lists)
-def test_flat_mask_many_is_or_of_flat_masks(config, raw):
-    """The batch encode kernel equals the OR-fold of single encodes."""
-    mask = _mask_for(config)
-    address_list = [address & mask for address in raw]
-    folded = 0
-    for address in address_list:
-        folded |= config.flat_mask(address)
-    assert config.flat_mask_many(address_list) == folded
-
-
-@settings(max_examples=60, deadline=None)
 @given(configs, st.lists(address_lists, max_size=6), st.integers(0, 2**32))
 def test_cached_decoder_matches_delta_decoder(config, raw_sets, salt):
-    """The decode memo never changes a bitmask, whatever the fill."""
+    """The decode memo never changes a bitmask, whatever the fill: the
+    memoised ``decode`` equals the unmemoised ``decode_scalar``."""
     mask = _mask_for(config)
-    reference = DeltaDecoder(config, num_sets=64)
-    cached = CachedDecoder(config, num_sets=64)
+    decoder = DeltaDecoder(config, num_sets=64)
     for raw in raw_sets:
-        signature = Signature(config)
-        signature.add_many([address & mask for address in raw])
-        expected = reference.decode(signature)
+        signature = Signature.from_addresses(
+            config, [address & mask for address in raw]
+        )
+        expected = decoder.decode_scalar(signature)
         # Twice: the first call may populate the memo, the second hits it.
-        assert cached.decode(signature) == expected
-        assert cached.decode(signature) == expected
+        assert decoder.decode(signature) == expected
+        assert decoder.decode(signature) == expected
 
 
 @pytest.mark.parametrize("name", ["S14", "S5", "S21"])
 def test_cached_decoder_exact_across_eviction_boundaries(name):
     """A capacity-2 memo keeps returning exact masks while it thrashes."""
     config = table8_config(name, Granularity.LINE)
-    reference = DeltaDecoder(config, num_sets=64)
-    cached = CachedDecoder(config, num_sets=64, capacity=2)
-    cache = cached._decode_cache
-    evictions_before = cache.evictions
+    decoder = DeltaDecoder(config, num_sets=64)
+    memo = decoder._memo = Memo("decode", 2)
 
     rng = random.Random(0xB0B + len(name))
-    signatures = []
-    for _ in range(8):
-        signature = Signature(config)
-        signature.add_many(
-            [rng.randrange(1 << 26) for _ in range(rng.randrange(1, 24))]
+    signatures = [
+        Signature.from_addresses(
+            config,
+            [rng.randrange(1 << 26) for _ in range(rng.randrange(1, 24))],
         )
-        signatures.append(signature)
+        for _ in range(8)
+    ]
+    flats = {signature.to_flat_int() for signature in signatures}
+    assert len(flats) > 2
 
     # Cycle through far more distinct signatures than the memo can hold,
     # revisiting each several times so hits, misses, and evictions all
     # interleave.
     for _ in range(3):
         for signature in signatures:
-            assert cached.decode(signature) == reference.decode(signature)
+            assert decoder.decode(signature) == decoder.decode_scalar(signature)
 
-    assert cache.evictions > evictions_before
-    assert len(cache) <= 2
+    assert len(memo) == 2
+    assert signatures[-1].to_flat_int() in memo._data
+
+
+def test_memo_evicts_its_oldest_entry_and_shares_counts_per_label():
+    """A full memo drops the entry inserted first, whatever was hit
+    since; every memo of a label feeds one hit/miss pair."""
+    label = "test-memo-eviction"
+    first, second = Memo(label, 2), Memo(label, 2)
+    hits, misses = first.counts
+    first.put("a", 1)
+    first.put("b", 2)
+    assert first.get("a") == 1  # a hit does not make "a" the newest
+    first.put("c", 3)
+    assert list(first._data) == ["b", "c"]
+    assert first.get("a") is None
+    assert second.get("a") is None
+    counts = {"hits": hits + 1, "misses": misses + 2}
+    assert memo_stats(label) == {label: counts}
+    assert memo_stats()[label] == counts
+    with pytest.raises(ValueError):
+        Memo(label, 0)
 
 
 def _reference_mask(config, address):
@@ -157,22 +147,16 @@ def _kernel_configs(name):
 @settings(max_examples=8, deadline=None)
 @given(address_lists)
 def test_mask_kernels_match_the_encode_reference(name, raw):
-    """Memo misses, memo hits, the batch OR and the unmemoised batch all
-    equal the mask built from ``encode``."""
+    """Memo misses, memo hits and the unmemoised batch all equal the
+    mask built from ``encode``."""
     for config in _kernel_configs(name):
         top = _mask_for(config)
         address_list = [address & top for address in raw] + [0, top]
         expected = [_reference_mask(config, a) for a in address_list]
-        folded = 0
-        for mask in expected:
-            folded |= mask
         assert config.flat_masks(address_list) == expected
-        # Misses first, then hits, on each memo path.
+        # Misses first, then hits.
         assert [config.flat_mask(a) for a in address_list] == expected
         assert [config.flat_mask(a) for a in address_list] == expected
-        twin = config.with_permutation(config.permutation)
-        assert twin.flat_mask_many(address_list) == folded
-        assert twin.flat_mask_many(address_list) == folded
 
 
 @settings(max_examples=40, deadline=None)
@@ -183,12 +167,10 @@ def test_flat_masks_leaves_the_memo_untouched(config, cached_raw, raw):
     top = _mask_for(config)
     for address in cached_raw:
         config.flat_mask(address & top)
-    cache = config._flat_mask_cache
-    before = (cache.hits, cache.misses, cache.evictions, dict(cache._data))
+    memo = config._flat_mask_cache
+    before = (list(memo.counts), list(memo._data.items()))
     address_list = [address & top for address in cached_raw + raw]
     assert config.flat_masks(address_list) == [
         _reference_mask(config, address) for address in address_list
     ]
-    assert (cache.hits, cache.misses, cache.evictions, dict(cache._data)) == (
-        before
-    )
+    assert (list(memo.counts), list(memo._data.items())) == before

@@ -5,8 +5,8 @@ Every property is checked along **both representations**:
 * the *flat path* — the packed-integer storage the public operations run
   on (``to_flat_int``, single-int AND/OR), and
 * the *list path* — per-field reference implementations written against
-  the lazily rebuilt :attr:`Signature.fields` lists, replicating the
-  original per-field semantics bit for bit.
+  the :attr:`Signature.fields` lists sliced from the register,
+  replicating the original per-field semantics bit for bit.
 
 The two must always agree; the catalogue-wide tests sweep every Table 8
 configuration so no chunk layout escapes coverage.
@@ -243,15 +243,16 @@ def test_backends_agree_on_edge_cases(name, granularity):
 
 
 # ----------------------------------------------------------------------
-# add / add_mask / add_many interleavings (the single-mutation-point pin)
+# add / add_mask interleavings (the single-mutation-point pin)
 # ----------------------------------------------------------------------
 
-#: One insertion step: scalar add, a pre-encoded mask, or a batch.
+#: One insertion step: scalar add, a pre-encoded mask, or one mask ORed
+#: over a batch.
 insertion_ops = st.lists(
     st.one_of(
         st.tuples(st.just("add"), addresses),
         st.tuples(st.just("add_mask"), addresses),
-        st.tuples(st.just("add_many"), st.lists(addresses, max_size=8)),
+        st.tuples(st.just("batch_mask"), st.lists(addresses, max_size=8)),
     ),
     max_size=12,
 )
@@ -260,8 +261,8 @@ insertion_ops = st.lists(
 @settings(max_examples=40, deadline=None)
 @given(both_grain_configs, insertion_ops)
 def test_insertion_interleavings_are_order_and_api_insensitive(config, ops):
-    """Any interleaving of add/add_mask/add_many equals one add_many of
-    the union — on every backend, and identically across backends.
+    """Any interleaving of add/add_mask equals one from_addresses of the
+    union — on every backend, and identically across backends.
 
     This pins the unified mutation funnel: every insertion API reduces
     to ``add_mask``, so no interleaving can observe a stale field/flat
@@ -279,7 +280,10 @@ def test_insertion_interleavings_are_order_and_api_insensitive(config, ops):
                 signature.add_mask(config.flat_mask(payload))
                 every_address.append(payload)
             else:
-                signature.add_many(payload)
+                folded = 0
+                for address in payload:
+                    folded |= config.flat_mask(address)
+                signature.add_mask(folded)
                 every_address.extend(payload)
         at_once = backend.from_addresses(config, every_address)
         assert signature.to_flat_int() == at_once.to_flat_int(), backend.name

@@ -104,8 +104,8 @@ class DifferentialTlsBulk(TlsBulkScheme):
 
     def receiver_conflict(self, system, committer, receiver):
         conflict = super().receiver_conflict(system, committer, receiver)
-        exact = committer.write_words & (
-            receiver.read_words | receiver.write_words
+        exact = committer.write_log.keys() & (
+            receiver.read_words | receiver.write_log.keys()
         )
         self.events += 1
         if exact and not conflict:

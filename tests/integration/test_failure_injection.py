@@ -15,6 +15,7 @@ from repro.errors import SimulationError
 from repro.sim.trace import ThreadTrace, compute, load, store, tx_begin, tx_end
 from repro.spec import scheme_names
 from repro.tls.bulk import TlsBulkScheme
+from repro.tls.lazy import TlsLazyScheme
 from repro.tls.system import TlsSystem
 from repro.tls.task import TlsTask
 from repro.tm.bulk import BulkScheme
@@ -103,6 +104,54 @@ class TestMissedTrueConflict:
             ),
         ):
             TlsSystem([parent, child], BlindBulk()).run()
+
+
+class TestSpuriousLazyConflict:
+    def test_tm_lazy_that_reports_a_spurious_conflict_fails_the_commit(self):
+        """A Lazy that reports every receiver squashes a transaction that
+        shares no line with the committer.  The run still ends with the
+        right memory, so only the commit's exact-overlap check sees it."""
+
+        class AlarmistLazy(LazyScheme):
+            def receiver_conflict(self, system, committer, receiver):
+                return 0
+
+        reader = ThreadTrace(
+            0, [tx_begin(), load(0xB000), compute(600), tx_end()]
+        )
+        writer = ThreadTrace(
+            1, [compute(50), tx_begin(), store(0xC000, 5), tx_end()]
+        )
+        with pytest.raises(
+            SimulationError,
+            match=(
+                "Lazy reported a conflict with no overlap: committing txn 1 "
+                "wrote no line txn 0 accessed"
+            ),
+        ):
+            TmSystem([reader, writer], AlarmistLazy()).run()
+
+    def test_tls_lazy_that_reports_a_spurious_conflict_fails_the_commit(self):
+        """A TLS Lazy that reports every receiver squashes a child that
+        read no word its parent wrote; the commit's exact-overlap check
+        must catch it."""
+
+        class AlarmistLazy(TlsLazyScheme):
+            def receiver_conflict(self, system, committer, receiver):
+                return True
+
+        parent = TlsTask(
+            0, [compute(5), compute(300), store(0xC000, 5)], spawn_cursor=1
+        )
+        child = TlsTask(1, [load(0xD000), compute(50)], spawn_cursor=0)
+        with pytest.raises(
+            SimulationError,
+            match=(
+                "Lazy reported a conflict with no overlap: committing task 0 "
+                "wrote no word task 1 accessed"
+            ),
+        ):
+            TlsSystem([parent, child], AlarmistLazy()).run()
 
 
 class TestBrokenTlsDirtyRule:

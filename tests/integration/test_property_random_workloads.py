@@ -136,7 +136,7 @@ class InvariantCheckingTlsSystem(TlsSystem):
         assert active == [s for s in self.tasks[self.head:] if s.is_active()]
         for task in active:
             assert task.write_lines() == {
-                word >> WORD_TO_LINE_SHIFT for word in task.write_words
+                word >> WORD_TO_LINE_SHIFT for word in task.write_log
             }
         super()._commit(state)
 

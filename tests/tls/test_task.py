@@ -33,8 +33,7 @@ class TestTaskState:
         state.record_load(0x104)
         state.record_store(0x108, 7)
         assert 0x104 >> 2 in state.read_words
-        assert 0x108 >> 2 in state.write_words
-        assert state.write_log[0x108 >> 2] == 7
+        assert state.write_log == {0x108 >> 2: 7}
 
     def test_shadow_tracks_post_spawn_writes_only(self):
         state = TaskState(TlsTask(0, [load(0)]))
@@ -50,7 +49,7 @@ class TestTaskState:
         state = TaskState(TlsTask(0, [load(0)]))
 
         def derived():
-            return {w >> WORD_TO_LINE_SHIFT for w in state.write_words}
+            return {w >> WORD_TO_LINE_SHIFT for w in state.write_log}
 
         state.record_store(0x100, 1)
         assert state.write_lines() == derived() == {0x100 >> 6}
@@ -66,6 +65,7 @@ class TestTaskState:
     def test_reset_for_restart_clears_everything(self):
         state = TaskState(TlsTask(0, [load(0)]))
         state.status = TaskStatus.RUNNING
+        state.record_load(0x104)
         state.record_store(0x100, 1)
         state.start_shadow()
         state.pending_stale.add(3)
@@ -73,7 +73,7 @@ class TestTaskState:
         state.reset_for_restart()
         assert state.cursor == 0
         assert state.attempts == 1
-        assert not state.write_log and not state.write_words
+        assert not state.write_log and not state.read_words
         assert not state.write_lines()
         assert state.shadow_write_words is None
         assert not state.pending_stale
